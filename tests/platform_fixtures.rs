@@ -35,6 +35,30 @@ fn sweep_on_exynos9810_is_byte_identical_to_the_seed_fixture() {
     );
 }
 
+/// The four-domain counterpart of the sweep fixture, pinned before the
+/// scalar tick kernel was folded into the batched one:
+/// `next-sim sweep --platform exynos9820 --apps facebook,spotify
+///  --governors schedutil,intqos,next --seeds 1000 --duration 30
+///  --train-budget 60`.
+#[test]
+fn sweep_on_exynos9820_is_byte_identical_to_the_pinned_fixture() {
+    let fixture = include_str!("fixtures/sweep_exynos9820.txt");
+    let apps = vec!["facebook".to_owned(), "spotify".to_owned()];
+    let governors = vec![
+        "schedutil".to_owned(),
+        "intqos".to_owned(),
+        "next".to_owned(),
+    ];
+    let cells = sweep::grid(&apps, &governors, &[1000], Some(30.0));
+    let evaluator = StandardEvaluator::prepare_on(&cells, 60.0, 4, PlatformPreset::exynos9820());
+    let rows = sweep::run_cells(&cells, 4, |cell| evaluator.eval(cell));
+    assert_eq!(
+        sweep::report(&rows),
+        fixture,
+        "exynos9820 sweep output drifted from the pinned fixture"
+    );
+}
+
 /// The exact fleet the JSON fixture was captured with:
 /// `next-sim fleet --devices 3 --rounds 2 --quick --seed 7`.
 #[test]
