@@ -1,20 +1,21 @@
-//! **Batched tick kernel** — the structure-of-arrays [`SocBatch`]
-//! stepping N device lanes in lockstep versus the same cohort stepped
-//! one scalar [`Soc`] at a time, on identical pre-computed frame-demand
-//! traces (10 simulated seconds of a `facebook` session per lane, the
-//! in-SoC utilization governor as the only control loop).
+//! **Batched tick kernel** — one N-lane [`SocBatch`] stepping N devices
+//! in lockstep versus the same cohort stepped as N one-lane devices
+//! ([`Soc`], a width-1 batch) one after another, on identical
+//! pre-computed frame-demand traces (10 simulated seconds of a
+//! `facebook` session per lane, the in-SoC utilization governor as the
+//! only control loop). Both sides run the same kernel, so the ratio
+//! prices what lane-contiguous arrays save over N separate batches.
 //!
-//! Three widths bracket the kernel's scaling story:
+//! Two widths bracket the kernel's scaling story:
 //!
-//! * `batched_tick_w1` — the width-1 degenerate case: the batch is a
-//!   view over the same physics, so this prices the kernel's fixed
-//!   per-tick overhead against `soc_tick_sequential_w1`.
-//! * `batched_tick_w8` — a day-runner-sized cohort (the 6 standard
-//!   governors plus headroom).
-//! * `batched_tick_w64` — a fleet-round-sized cohort, where the
-//!   lane-contiguous arrays earn their keep: structure constants (trip
-//!   points, thermal couplings, OPP ladders) are read once per tick
-//!   instead of once per device.
+//! * `batched_tick_w8` vs `soc_tick_sequential_w8` — a
+//!   day-runner-sized cohort (the 6 standard governors plus headroom).
+//! * `batched_tick_w64` vs `soc_tick_sequential_w64` — a
+//!   fleet-round-sized cohort, where the lane-contiguous arrays earn
+//!   their keep: structure constants (trip points, thermal couplings,
+//!   OPP ladders) are read once per tick instead of once per device.
+//!
+//! Width 1 has no pair: both sides would time the same kernel.
 //!
 //! Wall-clock claims live in `BENCH.json`'s `batch` section
 //! (`device_days_per_sec`, CI-gated); this bench is for profiling the
@@ -51,7 +52,7 @@ fn demand_traces(width: usize) -> (f64, Vec<Vec<FrameDemand>>) {
 
 fn bench_batched_tick(crit: &mut Criterion) {
     let config = SocConfig::exynos9810();
-    for width in [1usize, 8, 64] {
+    for width in [8usize, 64] {
         let (dt, demands) = demand_traces(width);
 
         crit.bench_function(&format!("batched_tick_w{width}"), |b| {

@@ -42,7 +42,7 @@ fn run(gov: &mut dyn Governor) -> (simkit::Summary, f64) {
         if (t + 1) % control_every == 0 {
             gov.control(&state, soc.dvfs_mut());
         }
-        if soc.throttler().is_throttling() {
+        if soc.batch_mut().is_throttling(0) {
             throttled_ticks += 1;
         }
         trace.push(simkit::Sample {

@@ -194,10 +194,12 @@ impl MergeProbe {
 
 /// Throughput probe of the structure-of-arrays tick kernel: the same
 /// cohort of devices replaying the same pre-computed frame-demand
-/// traces, once through [`SocBatch::tick`] (all lanes per step) and
-/// once through scalar [`Soc::tick`] one device at a time. Both paths
-/// must land on bit-identical final states — the probe asserts it — so
-/// the wall-clock ratio is a pure kernel-layout measurement.
+/// traces, once as one N-lane batch ([`SocBatch::tick`], all lanes per
+/// step) and once as N one-lane devices ([`Soc::tick`], a width-1
+/// batch each) stepped one after another. Both sides run the same
+/// kernel and must land on bit-identical final states — the probe
+/// asserts it — so the wall-clock ratio prices what lane-contiguous
+/// arrays save over N separate batches.
 #[derive(Debug, Clone)]
 pub struct BatchProbe {
     /// Device lanes stepped in lockstep.
@@ -208,18 +210,20 @@ pub struct BatchProbe {
     pub ticks: u64,
     /// Best-of-three wall-clock seconds for the batched kernel.
     pub batched_wall_s: f64,
-    /// Best-of-three wall-clock seconds stepping devices one at a time.
+    /// Best-of-three wall-clock seconds stepping the cohort as one-lane
+    /// devices, one at a time.
     pub sequential_wall_s: f64,
     /// Simulated device-days per wall-clock second, batched. This is
     /// the number the CI floor gates on.
     pub device_days_per_sec: f64,
-    /// Simulated device-days per wall-clock second, one at a time.
+    /// Simulated device-days per wall-clock second, one-lane devices one
+    /// at a time.
     pub sequential_device_days_per_sec: f64,
 }
 
 impl BatchProbe {
-    /// How much faster the batched kernel stepped the cohort
-    /// (`sequential wall / batched wall`).
+    /// How much faster one N-lane batch stepped the cohort than N
+    /// one-lane devices (`sequential wall / batched wall`).
     #[must_use]
     pub fn speedup(&self) -> f64 {
         if self.batched_wall_s > 0.0 {
@@ -445,8 +449,8 @@ const SECONDS_PER_DAY: f64 = 86_400.0;
 ///
 /// # Panics
 ///
-/// Panics on unknown app names, on a zero `width`, or if the batched
-/// cohort diverges bit-wise from the scalar devices (which would be a
+/// Panics on unknown app names, on a zero `width`, or if a lane of the
+/// batch diverges bit-wise from its one-lane device (which would be a
 /// kernel bug, not a measurement artifact).
 #[must_use]
 pub fn probe_batch(
@@ -512,7 +516,7 @@ pub fn probe_batch(
     for (lane, soc) in socs.iter().enumerate() {
         assert!(
             batch.state(lane) == soc.state(),
-            "batched lane {lane} diverged from its scalar device"
+            "batched lane {lane} diverged from its one-lane device"
         );
     }
 
@@ -1422,8 +1426,8 @@ mod tests {
     #[test]
     fn batch_probe_measures_and_matches_scalar() {
         // The probe itself asserts per-lane bit-equality with the
-        // scalar devices, so reaching the return value at all is the
-        // equivalence check; here we verify the accounting.
+        // one-lane devices, so reaching the return value at all is the
+        // lane-independence check; here we verify the accounting.
         let apps = vec!["facebook".to_owned(), "youtube".to_owned()];
         let preset = PlatformPreset::by_name("exynos9820").unwrap();
         let probe = probe_batch(3, 10.0, &apps, &preset);

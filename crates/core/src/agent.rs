@@ -951,15 +951,11 @@ mod tests {
         let mut agent = NextAgent::new(NextConfig::paper());
         let mut soc = Soc::new(SocConfig::exynos9810());
         run_loop(&mut agent, &mut soc, &ui_demand(), 30.0);
-        let caps: Vec<usize> = soc
-            .dvfs()
+        let dvfs = soc.dvfs();
+        let caps: Vec<usize> = dvfs.ids().map(|c| dvfs.domain(c).max_cap_level()).collect();
+        let tops: Vec<usize> = dvfs
             .ids()
-            .map(|c| soc.dvfs().domain(c).max_cap_level())
-            .collect();
-        let tops: Vec<usize> = soc
-            .dvfs()
-            .ids()
-            .map(|c| soc.dvfs().domain(c).table().len() - 1)
+            .map(|c| dvfs.domain(c).table().len() - 1)
             .collect();
         assert_ne!(
             caps, tops,

@@ -27,14 +27,16 @@
 //! capacitances, conductances, Hz ladders) are hoisted out of the lane
 //! loops and shared by every device.
 //!
-//! # Byte-identity with the scalar path
+//! # Lane independence
 //!
-//! Batching is a pure interleaving: lane `l` of a batch performs exactly
-//! the floating-point operation sequence [`crate::Soc::tick`] performs
-//! for the same device, in the same order, so results are bit-identical
-//! to running `width` independent [`crate::Soc`]s. The width-1
-//! equivalence suite in this module and the cross-crate proptests pin
-//! that contract.
+//! Batching is a pure interleaving: every lane performs the same
+//! floating-point operation sequence, in the same order, whatever the
+//! other lanes hold, so lane `l` of an N-lane batch is bit-identical to
+//! a one-lane device on lane `l`'s inputs. [`crate::Soc`] is that
+//! one-lane device — a width-1 batch — so this is the only tick
+//! implementation, and a lone device and a batch lane agree by
+//! construction. The lane-independence tests in this module and the
+//! cross-crate proptests pin the contract for widths above one.
 //!
 //! Lanes may differ in ambient temperature and platform base power (the
 //! fleet's device bins); everything structural must match across lanes
@@ -42,8 +44,8 @@
 //!
 //! # Example
 //!
-//! Two idle devices tick in lockstep and match a scalar [`crate::Soc`]
-//! bit for bit:
+//! Two idle devices tick in lockstep and match a one-lane
+//! [`crate::Soc`] bit for bit:
 //!
 //! ```
 //! use mpsoc::perf::FrameDemand;
@@ -52,14 +54,14 @@
 //!
 //! let config = SocConfig::exynos9810();
 //! let mut batch = SocBatch::replicate(&config, 2).unwrap();
-//! let mut scalar = Soc::new(config);
+//! let mut single = Soc::new(config);
 //! let idle = FrameDemand::default();
 //! for _ in 0..40 {
 //!     batch.tick(0.025, &[idle, idle]);
-//!     scalar.tick(0.025, &idle);
+//!     single.tick(0.025, &idle);
 //! }
 //! assert_eq!(batch.state(0), batch.state(1), "identical lanes stay identical");
-//! assert_eq!(batch.state(0), scalar.state(), "batching is unobservable");
+//! assert_eq!(batch.state(0), single.state(), "batching is unobservable");
 //! ```
 
 use std::collections::VecDeque;
@@ -69,13 +71,19 @@ use crate::freq::{KiloHertz, Opp};
 use crate::perf::{self, FrameDemand};
 use crate::platform::{DomainId, PerDomain, Platform};
 use crate::power::{DomainPowerModel, PowerBreakdown};
-use crate::soc::{SocConfig, SocState, TickOutput, FPS_WINDOW_S};
+use crate::soc::{SocConfig, SocState, TickOutput};
 use crate::thermal::{self, NodeId, ThermalConfig};
 use crate::vsync::{VsyncOutput, VsyncPipeline};
 use crate::{Error, Result};
 
-/// A batch of `width` devices stepped in lockstep through the single
-/// physics kernel shared with [`Soc`](crate::Soc).
+/// Length of the rolling window behind [`SocState::fps`], seconds.
+/// Instantaneous per-tick rates quantise to multiples of the tick/VSync
+/// ratio (e.g. 40/80 FPS at 25 ms ticks); half a second of history is
+/// what Android's frame-rate instrumentation effectively reports.
+const FPS_WINDOW_S: f64 = 0.5;
+
+/// A batch of `width` devices stepped in lockstep through the one
+/// physics kernel ([`Soc`](crate::Soc) is its width-1 view).
 #[derive(Debug, Clone)]
 pub struct SocBatch {
     platform: Platform,
@@ -167,8 +175,8 @@ pub struct SocBatch {
     /// Full per-lane output of the most recent tick.
     last_tick: Vec<TickOutput>,
     /// Frequency level per `domain × lane` as of the end of the last
-    /// tick (a snapshot, so [`SocBatch::state`] reports pre-control
-    /// frequencies exactly like the scalar path's cached state).
+    /// tick (a snapshot, so [`SocBatch::state`] reports the levels the
+    /// tick ran at, not control actuation applied since).
     level_snap: Vec<usize>,
     /// `maxfreq` cap level per `domain × lane` at the end of the last
     /// tick.
@@ -179,8 +187,8 @@ pub struct SocBatch {
     window_dt: VecDeque<f64>,
     /// Presented frames per window slot × lane, slot-major.
     window_frames: VecDeque<u32>,
-    /// Window length as the scalar path computes it (sum minus popped
-    /// fronts — kept verbatim for bit-identical division).
+    /// Window length: the sum of `window_dt` minus the fronts popped
+    /// since, in that order of operations.
     window_total_dt_s: f64,
 }
 
@@ -189,8 +197,8 @@ impl SocBatch {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidConfig`] exactly when
-    /// [`crate::Soc::try_new`] would for `config`.
+    /// Returns [`Error::InvalidConfig`] on an invalid configuration
+    /// (see [`SocBatch::try_from_configs`]).
     pub fn replicate(config: &SocConfig, width: usize) -> Result<Self> {
         let configs = vec![config.clone(); width];
         SocBatch::try_from_configs(&configs)
@@ -205,9 +213,11 @@ impl SocBatch {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidConfig`] on an empty cohort, on any
-    /// configuration [`crate::Soc::try_new`] would reject, or when the
-    /// lanes diverge structurally.
+    /// Returns [`Error::InvalidConfig`] on an empty cohort, a
+    /// non-positive refresh rate, an invalid thermal network, a
+    /// non-finite ambient temperature on any lane (the error names the
+    /// lane), a domain referencing a thermal node outside the network,
+    /// or when the lanes diverge structurally.
     #[allow(clippy::too_many_lines)]
     pub fn try_from_configs(configs: &[SocConfig]) -> Result<Self> {
         let first = configs
@@ -218,6 +228,14 @@ impl SocBatch {
                 return Err(Error::InvalidConfig(
                     "refresh rate must be positive".to_owned(),
                 ));
+            }
+            // Ambient is the one thermal parameter that varies per lane,
+            // so the shared network check below cannot cover it.
+            if !cfg.thermal.ambient_c.is_finite() {
+                return Err(Error::InvalidConfig(format!(
+                    "lane {lane} has a non-finite ambient temperature ({})",
+                    cfg.thermal.ambient_c
+                )));
             }
             for d in cfg.platform.domains() {
                 if d.thermal_node >= cfg.thermal.nodes.len() {
@@ -278,14 +296,7 @@ impl SocBatch {
             .map(|d| d.table.iter().copied().collect())
             .collect();
         let top_level = PerDomain::from_fn(n, |i| sizes[i].saturating_sub(1));
-        let trip_c = PerDomain::from_fn(n, |i| {
-            first
-                .throttle
-                .trip_c
-                .get(i)
-                .copied()
-                .unwrap_or(f64::INFINITY)
-        });
+        let trip_c = PerDomain::from_fn(n, |i| first.throttle.trip_of(i));
         let die_nodes = PerDomain::from_fn(n, |i| platform.domains()[i].thermal_node);
         let domain_models = PerDomain::from_fn(n, |i| platform.domains()[i].power);
         let dvfs: Vec<DvfsController> = configs
@@ -386,10 +397,9 @@ impl SocBatch {
     }
 
     /// DVFS controller of one lane — the governor's actuator, applied
-    /// between ticks exactly like [`crate::Soc::dvfs_mut`]. The
-    /// controller is brought up to date with the level mirror before it
-    /// is handed out, and the lane is marked for a mirror re-read when
-    /// the next tick starts.
+    /// between ticks. The controller is brought up to date with the
+    /// level mirror before it is handed out, and the lane is marked for
+    /// a mirror re-read when the next tick starts.
     pub fn dvfs_mut(&mut self, lane: usize) -> &mut DvfsController {
         self.flush_lane_ctl(lane);
         self.dvfs_dirty[lane] = true;
@@ -399,7 +409,8 @@ impl SocBatch {
     /// Write-behind flush: pushes the lane's mirror levels into its
     /// controller if the tick kernel advanced them since the last
     /// handout. Mirror levels are post-clamp values, so `force_level`
-    /// reproduces the controller state the eager path would have.
+    /// reproduces the state the controller would hold had every tick
+    /// written it.
     fn flush_lane_ctl(&mut self, lane: usize) {
         if !self.ctl_stale[lane] {
             return;
@@ -455,11 +466,9 @@ impl SocBatch {
     }
 
     /// The governor-visible state of one lane after the most recent
-    /// tick — bit-identical to [`crate::Soc::state`] on the scalar
-    /// path. Materialised on demand from the arenas (DVFS-derived
-    /// fields come from the end-of-tick snapshot, so control actuation
-    /// between ticks does not leak into the observation, matching the
-    /// scalar path's cached state).
+    /// tick. Materialised on demand from the arenas; DVFS-derived fields
+    /// come from the end-of-tick snapshot, so control actuation between
+    /// ticks does not leak into the observation.
     #[must_use]
     pub fn state(&self, lane: usize) -> SocState {
         let n = self.platform.n_domains();
@@ -484,14 +493,14 @@ impl SocBatch {
             power_w: self.last_tick[lane].power_w,
             temp_domain_c,
             temp_hot_c: temp_domain_c[self.platform.hot_domain().index()],
-            temp_device_c: 0.45 * skin + 0.35 * board + 0.20 * die_max,
+            temp_device_c: thermal::virtual_sensor_c(skin, board, die_max),
             temp_battery_c: board,
             util: PerDomain::from_fn(n, |d| self.last_utils[d * w + lane]),
         }
     }
 
-    /// Rolling-window FPS of one lane — the scalar
-    /// `update_fps_window` quotient, computed from the shared window.
+    /// Rolling-window FPS of one lane: presented frames over the
+    /// shared window's length.
     fn windowed_fps(&self, lane: usize) -> f64 {
         if self.window_total_dt_s <= 0.0 {
             return 0.0;
@@ -502,14 +511,25 @@ impl SocBatch {
             .skip(lane)
             .step_by(self.width)
             .sum();
+        // VSync boundaries need not align with the window edge, so the
+        // raw quotient can exceed the refresh rate by a fraction of a
+        // frame; clamp to the physical maximum.
         (f64::from(frames) / self.window_total_dt_s).min(self.refresh_hz)
     }
 
+    /// Whether the hardware thermal throttle currently clamps any
+    /// domain of `lane` below its top OPP.
+    #[must_use]
+    pub fn is_throttling(&self, lane: usize) -> bool {
+        let w = self.width;
+        (0..self.platform.n_domains()).any(|d| self.clamp_level[d * w + lane] < self.top_level[d])
+    }
+
     /// Advances every lane by `dt_s` seconds; `demands[lane]` is the
-    /// frame demand lane `lane` executes. Performs, per lane, exactly
-    /// the pipeline of [`crate::Soc::tick`]: in-kernel frequency
-    /// selection, throttle transition, frame execution + VSync, power
-    /// integration at the pre-step die temperatures, thermal update.
+    /// frame demand lane `lane` executes. Performs, per lane: in-kernel
+    /// frequency selection from the previous tick's utilisation,
+    /// throttle transition, frame execution + VSync, power integration
+    /// at the pre-step die temperatures, thermal update.
     ///
     /// # Panics
     ///
@@ -529,13 +549,11 @@ impl SocBatch {
             }
         }
 
-        // 1. In-kernel utilisation-tracking selection —
-        //    [`DvfsController::select_by_util`] per lane, restructured
-        //    domain-outer over the SoA mirrors (each `domain × lane`
-        //    choice is independent, so the transposed order picks the
-        //    same levels, and therefore the same downstream bits).
-        //    Writes land in the mirror only; stale controllers are
-        //    caught up on handout (`flush_lane_ctl`).
+        // 1. In-kernel utilisation-tracking selection, domain-outer
+        //    over the SoA mirrors (each `domain × lane` choice is
+        //    independent of the others). Writes land in the mirror
+        //    only; stale controllers are caught up on handout
+        //    (`flush_lane_ctl`).
         if self.util_selection {
             for (d, ladder) in self.hz_ladder.iter().enumerate() {
                 let base = d * w;
@@ -591,6 +609,9 @@ impl SocBatch {
             let plan = perf::plan(demand, &opps, &self.platform);
             let vout = self.vsync[l].tick(dt_s, plan.frame_period_s);
             let fps = vout.fps(dt_s);
+            // The renderer runs at its natural rate until the display
+            // caps it at the refresh rate; that achieved production
+            // rate — not the presented FPS — is what loads the domains.
             let produced_rate = plan.render_rate_hz().min(self.refresh_hz);
             let util = PerDomain::from_fn(n, |i| plan.utilization(DomainId::new(i), produced_rate));
             for d in 0..n {
@@ -650,7 +671,8 @@ impl SocBatch {
             dt_s,
         );
 
-        // 7. Per-lane accounting: totals in the scalar summation order.
+        // 7. Per-lane accounting: domain powers in platform order, then
+        //    the floor power (the order `PowerBreakdown::total_w` sums).
         for l in 0..w {
             let mut total_w = 0.0;
             for d in 0..n {
@@ -696,9 +718,9 @@ impl SocBatch {
 
     /// Records the end-of-tick frequency levels and caps (what
     /// [`SocBatch::state`] reports until the next tick). The mirror is
-    /// in sync with every controller here — dirty lanes are re-read at
-    /// tick start and in-tick writes go through both — so this is a
-    /// pair of straight copies.
+    /// authoritative here — dirty lanes are re-read at tick start and
+    /// in-tick writes land in the mirror — so this is a pair of
+    /// straight copies.
     fn snapshot_dvfs(&mut self) {
         self.level_snap.copy_from_slice(&self.lvl_cur);
         self.cap_snap.copy_from_slice(&self.lvl_max);
@@ -781,16 +803,23 @@ impl SocBatch {
     }
 }
 
-/// One domain's round of utilisation-tracking selection across all
-/// lanes — [`DvfsController::select_by_util`] with the kHz→Hz ladder
-/// conversion hoisted out of the per-tick path and current levels /
-/// policy caps read from the batch's SoA mirror rows (the chosen
-/// levels, and therefore every downstream bit, are identical; each
-/// `domain × lane` choice is independent, so the domain-outer order is
-/// unobservable). Level changes land in the mirror only — the lane is
+/// One domain's round of the in-kernel utilisation-tracking policy
+/// across all lanes. The policy operates *within* the caps:
+///
+/// * a lane whose utilisation reaches its boost threshold is slammed to
+///   the top of its allowed range (Android touch/iowait boosting — the
+///   over-provisioning the paper exploits),
+/// * otherwise the target is `margin · util · f_cur`; ramp-up picks the
+///   slowest OPP at or above the target, while ramp-down is rate
+///   limited to one OPP per invocation (the stock policy holds
+///   frequency after bursts),
+/// * everything is clamped to the policy caps `[lvl_min, lvl_max]`.
+///
+/// Utilisations are clamped to `[0, 1]`. `ladder` is the domain's OPP
+/// frequencies in Hz; current levels and caps are the batch's SoA
+/// mirror rows. A changed level lands in the mirror only: the lane is
 /// flagged stale and its controller caught up lazily on handout
-/// ([`SocBatch::flush_lane_ctl`]); the scalar path's `set_level(level)`
-/// stores `level.clamp(min, max)`, i.e. exactly the mirrored `chosen`.
+/// ([`SocBatch::flush_lane_ctl`]).
 #[allow(clippy::too_many_arguments)]
 fn select_domain_lanes(
     ladder: &[f64],
@@ -823,9 +852,9 @@ fn select_domain_lanes(
             // First ladder index at or above the target. The ladder is
             // strictly ascending, so that index equals the number of
             // entries below the target — counted branchlessly, which
-            // vectorises, instead of the scalar path's early-exit scan
-            // (when no entry qualifies the count is the length, and
-            // the `min` reproduces the scan's last-level fallback).
+            // vectorises, instead of an early-exit scan (when no entry
+            // qualifies the count is the length, and the `min` falls
+            // back to the top level).
             let below = ladder.iter().map(|&h| usize::from(h < target_hz)).sum();
             let want = usize::min(below, top);
             if want < cur_level {
@@ -844,6 +873,8 @@ fn select_domain_lanes(
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
     use crate::soc::Soc;
     use crate::throttle::ThrottleConfig;
@@ -859,14 +890,12 @@ mod tests {
         }
     }
 
-    fn states_equal(a: &SocState, b: &SocState) -> bool {
-        a == b
-    }
-
-    /// Runs `ticks` steps through both paths and asserts bit-identical
-    /// per-lane states every step.
-    fn assert_equivalent(configs: &[SocConfig], ticks: usize) {
-        let mut socs: Vec<Soc> = configs.iter().map(|c| Soc::new(c.clone())).collect();
+    /// Runs `ticks` steps of one batch over `configs` next to one
+    /// one-lane device per lane, and asserts every step that lane `l`
+    /// of the batch is bit-identical to the one-lane device on lane
+    /// `l`'s inputs.
+    fn assert_lanes_independent(configs: &[SocConfig], ticks: usize) {
+        let mut singles: Vec<Soc> = configs.iter().map(|c| Soc::new(c.clone())).collect();
         let mut batch = SocBatch::try_from_configs(configs).expect("valid batch");
         assert_eq!(batch.width(), configs.len());
         let mut demands = vec![FrameDemand::default(); configs.len()];
@@ -875,8 +904,8 @@ mod tests {
                 *d = demand_at(t, l);
             }
             batch.tick(0.025, &demands);
-            for (l, soc) in socs.iter_mut().enumerate() {
-                let out = soc.tick(0.025, &demands[l]);
+            for (l, single) in singles.iter_mut().enumerate() {
+                let out = single.tick(0.025, &demands[l]);
                 let bout = batch.tick_output(l);
                 assert_eq!(
                     out.fps.to_bits(),
@@ -891,9 +920,9 @@ mod tests {
                 assert_eq!(out.vsync, bout.vsync, "tick {t} lane {l} vsync");
                 assert_eq!(out.opps, bout.opps, "tick {t} lane {l} opps");
                 assert!(
-                    states_equal(&soc.state(), &batch.state(l)),
-                    "tick {t} lane {l} state drifted:\n scalar {:?}\n batch  {:?}",
-                    soc.state(),
+                    single.state() == batch.state(l),
+                    "tick {t} lane {l} state drifted:\n one-lane {:?}\n batch    {:?}",
+                    single.state(),
                     batch.state(l)
                 );
             }
@@ -901,13 +930,8 @@ mod tests {
     }
 
     #[test]
-    fn width_one_matches_soc_bit_for_bit() {
-        assert_equivalent(&[SocConfig::exynos9810()], 600);
-    }
-
-    #[test]
     fn width_four_9820_matches_soc_bit_for_bit() {
-        assert_equivalent(&vec![SocConfig::exynos9820(); 4], 400);
+        assert_lanes_independent(&vec![SocConfig::exynos9820(); 4], 400);
     }
 
     #[test]
@@ -922,15 +946,15 @@ mod tests {
                 cfg
             })
             .collect();
-        assert_equivalent(&configs, 400);
+        assert_lanes_independent(&configs, 400);
     }
 
     #[test]
     fn initial_state_matches_scalar() {
-        let soc = Soc::new(SocConfig::exynos9810());
+        let single = Soc::new(SocConfig::exynos9810());
         let batch = SocBatch::replicate(&SocConfig::exynos9810(), 3).unwrap();
         for l in 0..3 {
-            assert!(states_equal(&soc.state(), &batch.state(l)));
+            assert!(single.state() == batch.state(l), "lane {l}");
         }
     }
 
@@ -942,49 +966,56 @@ mod tests {
             trip_c: vec![40.0, 40.0, 40.0],
             hysteresis_c: 3.0,
         };
-        let mut soc = Soc::new(cfg.clone());
+        let mut single = Soc::new(cfg.clone());
         let mut batch = SocBatch::replicate(&cfg, 2).unwrap();
         let demand = FrameDemand::new(22.0e6, 6.0e6, 30.0e6).with_background(0.3e9, 0.1e9, 0.0);
         let demands = [demand, demand];
-        // Pin every domain to its top OPP on both paths so the clamp
+        // Pin every domain to its top OPP on every device so the clamp
         // must engage.
-        for id in soc.platform().ids().collect::<Vec<_>>() {
-            let top = soc.dvfs().domain(id).table().max().freq_khz;
-            soc.dvfs_mut().pin_freq(id, top).unwrap();
+        for id in single.platform().ids().collect::<Vec<_>>() {
+            let top = single.dvfs().domain(id).table().max().freq_khz;
+            single.dvfs_mut().pin_freq(id, top).unwrap();
             for l in 0..2 {
                 batch.dvfs_mut(l).pin_freq(id, top).unwrap();
             }
         }
         for _ in 0..8_000 {
-            soc.tick(0.025, &demand);
+            single.tick(0.025, &demand);
             batch.tick(0.025, &demands);
         }
-        assert!(soc.throttler().is_throttling());
         for l in 0..2 {
-            assert!(states_equal(&soc.state(), &batch.state(l)));
+            assert!(batch.is_throttling(l), "lane {l}");
+            assert!(single.state() == batch.state(l), "lane {l}");
         }
     }
 
     #[test]
     fn governor_style_cap_actuation_stays_identical() {
-        // Emulate a cap-twiddling governor: every 4 ticks, move the big
-        // cluster's maxfreq cap in a deterministic pattern.
+        // Emulate cap-twiddling governors: every 4 ticks, move the big
+        // cluster's maxfreq cap, in a different pattern on each lane.
+        // Actuating one lane must never leak into the other.
         let cfg = SocConfig::exynos9810();
-        let mut soc = Soc::new(cfg.clone());
-        let mut batch = SocBatch::replicate(&cfg, 1).unwrap();
+        let mut singles = [Soc::new(cfg.clone()), Soc::new(cfg.clone())];
+        let mut batch = SocBatch::replicate(&cfg, 2).unwrap();
         let big = DomainId::new(0);
-        let table_len = soc.dvfs().domain(big).table().len();
+        let table = cfg.platform.domains()[0].table.clone();
         for t in 0..800usize {
-            let demand = demand_at(t, 0);
-            batch.tick(0.025, &[demand]);
-            soc.tick(0.025, &demand);
-            if t % 4 == 3 {
-                let level = (t / 4) % table_len;
-                let khz = soc.dvfs().domain(big).table().opp(level).unwrap().freq_khz;
-                soc.dvfs_mut().set_max_freq(big, khz).unwrap();
-                batch.dvfs_mut(0).set_max_freq(big, khz).unwrap();
+            let demands = [demand_at(t, 0), demand_at(t, 1)];
+            batch.tick(0.025, &demands);
+            for (l, single) in singles.iter_mut().enumerate() {
+                single.tick(0.025, &demands[l]);
             }
-            assert!(states_equal(&soc.state(), &batch.state(0)), "tick {t}");
+            if t % 4 == 3 {
+                for (l, single) in singles.iter_mut().enumerate() {
+                    let level = (t / 4 + 7 * l) % table.len();
+                    let khz = table.opp(level).unwrap().freq_khz;
+                    single.dvfs_mut().set_max_freq(big, khz).unwrap();
+                    batch.dvfs_mut(l).set_max_freq(big, khz).unwrap();
+                }
+            }
+            for (l, single) in singles.iter().enumerate() {
+                assert!(single.state() == batch.state(l), "tick {t} lane {l}");
+            }
         }
     }
 
@@ -992,15 +1023,15 @@ mod tests {
     fn retain_lanes_preserves_kept_state() {
         let cfg = SocConfig::exynos9810();
         let mut batch = SocBatch::replicate(&cfg, 4).unwrap();
-        let mut socs: Vec<Soc> = (0..4).map(|_| Soc::new(cfg.clone())).collect();
+        let mut singles: Vec<Soc> = (0..4).map(|_| Soc::new(cfg.clone())).collect();
         let mut demands = vec![FrameDemand::default(); 4];
         for t in 0..200 {
             for (l, d) in demands.iter_mut().enumerate() {
                 *d = demand_at(t, l);
             }
             batch.tick(0.025, &demands);
-            for (l, soc) in socs.iter_mut().enumerate() {
-                soc.tick(0.025, &demands[l]);
+            for (l, single) in singles.iter_mut().enumerate() {
+                single.tick(0.025, &demands[l]);
             }
         }
         batch.retain_lanes(&[true, false, false, true]);
@@ -1013,9 +1044,9 @@ mod tests {
             }
             batch.tick(0.025, &demands);
             for (slot, &lane) in kept.iter().enumerate() {
-                socs[lane].tick(0.025, &demands[slot]);
+                singles[lane].tick(0.025, &demands[slot]);
                 assert!(
-                    states_equal(&socs[lane].state(), &batch.state(slot)),
+                    singles[lane].state() == batch.state(slot),
                     "tick {t} kept lane {lane}"
                 );
             }
@@ -1058,10 +1089,124 @@ mod tests {
         assert!(SocBatch::try_from_configs(&[]).is_err());
     }
 
+    /// Non-finite thermal parameters fail at construction, for a lone
+    /// device and for any lane of a batch, instead of turning every
+    /// temperature NaN a second into the run.
+    #[test]
+    fn non_finite_thermal_configs_are_rejected() {
+        type Mutate = fn(&mut SocConfig);
+        let cases: [(&str, Mutate); 6] = [
+            ("NaN ambient", |c| c.thermal.ambient_c = f64::NAN),
+            ("+inf ambient", |c| c.thermal.ambient_c = f64::INFINITY),
+            ("-inf ambient", |c| c.thermal.ambient_c = f64::NEG_INFINITY),
+            ("NaN capacitance", |c| {
+                c.thermal.nodes[0].capacitance_j_per_k = f64::NAN;
+            }),
+            ("NaN edge conductance", |c| {
+                c.thermal.edges[0].conductance_w_per_k = f64::NAN;
+            }),
+            ("NaN ambient conductance", |c| {
+                c.thermal.nodes[4].to_ambient_w_per_k = f64::NAN;
+            }),
+        ];
+        for (what, mutate) in cases {
+            let mut bad = SocConfig::exynos9810();
+            mutate(&mut bad);
+            assert!(Soc::try_new(bad.clone()).is_err(), "{what}: one device");
+            let err = SocBatch::try_from_configs(&[SocConfig::exynos9810(), bad])
+                .expect_err(what)
+                .to_string();
+            assert!(
+                err.contains("lane 1"),
+                "{what}: error must name lane 1: {err}"
+            );
+        }
+    }
+
     #[test]
     #[should_panic(expected = "one FrameDemand per lane")]
     fn wrong_demand_width_panics() {
         let mut batch = SocBatch::replicate(&SocConfig::exynos9810(), 2).unwrap();
         batch.tick(0.025, &[FrameDemand::default()]);
+    }
+
+    proptest! {
+        /// The lane-wise selection picks, on every lane, the level the
+        /// scalar statement of the policy picks for that lane's
+        /// controller alone — for any utilisation, cap range, current
+        /// level (throttle clamps may leave it below the lower cap),
+        /// margin and boost threshold.
+        #[test]
+        fn lane_selection_matches_the_scalar_policy(
+            preset in 0usize..2,
+            lanes in proptest::collection::vec(
+                (
+                    proptest::collection::vec(-0.25f64..1.25, 4..5),
+                    proptest::collection::vec((0usize..64, 0usize..64, 0usize..64), 4..5),
+                    0.5f64..3.0,
+                    0.0f64..1.5,
+                ),
+                1..7,
+            ),
+        ) {
+            let platform = if preset == 0 {
+                Platform::exynos9810()
+            } else {
+                Platform::exynos9820()
+            };
+            let n = platform.n_domains();
+            let w = lanes.len();
+            // One controller per lane, set up through its public API.
+            let mut ctls: Vec<DvfsController> = lanes
+                .iter()
+                .map(|(_, levels, margin, boost)| {
+                    let mut ctl = DvfsController::for_platform(&platform);
+                    ctl.set_util_margin(*margin);
+                    ctl.set_boost_threshold(*boost);
+                    for (d, &(cur, a, b)) in levels.iter().take(n).enumerate() {
+                        let dom = ctl.domain_mut(DomainId::new(d));
+                        let len = dom.table().len();
+                        let (lo, hi) = ((a % len).min(b % len), (a % len).max(b % len));
+                        let khz = |level: usize| dom.table().opp(level).unwrap().freq_khz;
+                        let (lo_khz, hi_khz) = (khz(lo), khz(hi));
+                        dom.set_max_freq(hi_khz).unwrap();
+                        dom.set_min_freq(lo_khz).unwrap();
+                        dom.force_level(cur % len).unwrap();
+                    }
+                    ctl
+                })
+                .collect();
+            // The same inputs as the kernel's SoA rows.
+            let margin: Vec<f64> = ctls.iter().map(DvfsController::util_margin).collect();
+            let boost: Vec<f64> = ctls.iter().map(DvfsController::boost_threshold).collect();
+            let mut stale = vec![false; w];
+            let mut chosen = vec![vec![0usize; w]; n];
+            for (d, row) in chosen.iter_mut().enumerate() {
+                let id = DomainId::new(d);
+                let ladder: Vec<f64> =
+                    platform.domains()[d].table.iter().map(Opp::freq_hz).collect();
+                let utils: Vec<f64> = lanes.iter().map(|lane| lane.0[d]).collect();
+                let lo: Vec<usize> = ctls.iter().map(|c| c.domain(id).min_cap_level()).collect();
+                let hi: Vec<usize> = ctls.iter().map(|c| c.domain(id).max_cap_level()).collect();
+                for (l, slot) in row.iter_mut().enumerate() {
+                    *slot = ctls[l].domain(id).current_level();
+                }
+                select_domain_lanes(&ladder, &utils, &margin, &boost, row, &lo, &hi, &mut stale);
+            }
+            for (l, ctl) in ctls.iter_mut().enumerate() {
+                let before: Vec<usize> =
+                    ctl.ids().map(|id| ctl.domain(id).current_level()).collect();
+                ctl.select_by_util(&lanes[l].0[..n]);
+                for (d, row) in chosen.iter().enumerate() {
+                    let level = ctl.domain(DomainId::new(d)).current_level();
+                    prop_assert_eq!(row[l], level, "lane {} domain {}", l, d);
+                }
+                let changed = before
+                    .iter()
+                    .enumerate()
+                    .any(|(d, &old)| chosen[d][l] != old);
+                prop_assert_eq!(stale[l], changed, "lane {} stale flag", l);
+            }
+        }
     }
 }

@@ -10,8 +10,8 @@
 //!    schedutil policy) that picks the operating point *within* those
 //!    caps each scheduling period.
 
-use crate::freq::{FreqDomain, KiloHertz, Opp, OppTable};
-use crate::platform::{DomainId, PerDomain, Platform, MAX_DOMAINS};
+use crate::freq::{FreqDomain, KiloHertz, OppTable};
+use crate::platform::{DomainId, Platform, MAX_DOMAINS};
 use crate::Result;
 
 /// Default schedutil-style headroom: the kernel targets
@@ -93,12 +93,6 @@ impl DvfsController {
         &mut self.domains[id.index()]
     }
 
-    /// Current operating points of all domains, in platform order.
-    #[must_use]
-    pub fn current_opps(&self) -> PerDomain<Opp> {
-        PerDomain::from_fn(self.domains.len(), |i| self.domains[i].current())
-    }
-
     /// Current frequency of one domain in kHz.
     #[must_use]
     pub fn current_khz(&self, id: DomainId) -> KiloHertz {
@@ -149,8 +143,8 @@ impl DvfsController {
         }
     }
 
-    /// The schedutil headroom multiplier used by
-    /// [`DvfsController::select_by_util`].
+    /// The schedutil headroom multiplier of the in-kernel
+    /// utilisation-tracking selection.
     #[must_use]
     pub fn util_margin(&self) -> f64 {
         self.util_margin
@@ -172,7 +166,13 @@ impl DvfsController {
     pub fn set_boost_threshold(&mut self, threshold: f64) {
         self.boost_threshold = threshold.max(0.0);
     }
+}
 
+/// The scalar statement of the in-kernel utilisation-tracking policy,
+/// kept as the reference the batched kernel's lane-wise selection is
+/// tested against.
+#[cfg(test)]
+impl DvfsController {
     /// Runs one round of utilisation-tracking frequency selection, the
     /// in-kernel policy that operates *within* the caps:
     ///
@@ -187,7 +187,7 @@ impl DvfsController {
     ///
     /// `utils` is in platform order and clamped to `[0, 1]`; missing
     /// entries read 0.
-    pub fn select_by_util(&mut self, utils: &[f64]) {
+    pub(crate) fn select_by_util(&mut self, utils: &[f64]) {
         let margin = self.util_margin;
         let boost_threshold = self.boost_threshold;
         for (i, dom) in self.domains.iter_mut().enumerate() {
@@ -206,14 +206,14 @@ impl DvfsController {
                     want
                 }
             };
-            // qlint::allow(PN01, reason = "level was derived from this domain's own table bounds above")
-            dom.set_level(level).expect("level from table is valid");
+            dom.set_level(level).unwrap();
         }
     }
 }
 
 /// Lowest level whose frequency is at least `target_hz`; the top level
 /// when every OPP is below the target.
+#[cfg(test)]
 fn ceil_level_hz(table: &OppTable, target_hz: f64) -> usize {
     table
         .iter()
@@ -249,7 +249,7 @@ mod tests {
         let ctl = DvfsController::for_platform(&Platform::exynos9820());
         assert_eq!(ctl.n_domains(), 4);
         assert_eq!(ctl.domain(DomainId::new(1)).name(), "mid");
-        assert_eq!(ctl.current_opps().len(), 4);
+        assert_eq!(ctl.ids().count(), 4);
     }
 
     #[test]

@@ -24,11 +24,12 @@
 //!   semantics,
 //! * [`dvfs`] — domain-wise DVFS control (`minfreq`/`maxfreq` caps, as a
 //!   governor in the Android application layer would set them),
+//! * [`batch`] — the tick kernel: a structure-of-arrays batch of SoCs
+//!   stepped in lockstep (each lane independent of the others, lane
+//!   loops vectorizable),
 //! * [`soc`] — the assembled system-on-chip with a `tick(dt)` simulation
-//!   step,
-//! * [`batch`] — a structure-of-arrays batch of SoCs stepped in
-//!   lockstep through the same physics kernel (bit-identical to the
-//!   scalar path, lane loops vectorizable).
+//!   step: the width-1 view of a [`batch::SocBatch`], plus the
+//!   configuration, state and tick-output types both share.
 //!
 //! # Example
 //!
@@ -71,7 +72,7 @@ pub use perf::{Channel, FrameDemand};
 pub use platform::{DomainId, DomainRole, DomainSpec, PerDomain, Platform, MAX_DOMAINS};
 pub use soc::{Soc, SocConfig, SocState, TickOutput};
 pub use thermal::{ThermalNetwork, DEFAULT_AMBIENT_C};
-pub use throttle::{ThrottleConfig, Throttler};
+pub use throttle::ThrottleConfig;
 pub use vsync::VsyncPipeline;
 
 /// Result alias used across the crate.

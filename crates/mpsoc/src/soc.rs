@@ -12,16 +12,22 @@
 //! Which — and how many — DVFS domains exist is entirely a property of
 //! the [`Platform`] descriptor in the [`SocConfig`]; nothing in this
 //! module assumes the paper's big/LITTLE/GPU triple.
+//!
+//! [`Soc`] is the width-1 view of [`SocBatch`]: a device's state lives in
+//! a one-lane batch and every tick runs the batched kernel, so there is
+//! exactly one tick implementation. This module owns the types the two
+//! share: the configuration, the observable state and the tick output.
 
+use crate::batch::SocBatch;
 use crate::dvfs::DvfsController;
 use crate::freq::KiloHertz;
-use crate::perf::{self, FrameDemand};
+use crate::perf::FrameDemand;
 use crate::platform::{DomainId, PerDomain, Platform};
-use crate::power::{PowerBreakdown, PowerModel};
-use crate::thermal::{NodeId, ThermalConfig, ThermalNetwork, DEFAULT_AMBIENT_C};
-use crate::throttle::{ThrottleConfig, Throttler};
-use crate::vsync::{VsyncOutput, VsyncPipeline};
-use crate::{Error, Result};
+use crate::power::PowerBreakdown;
+use crate::thermal::{ThermalConfig, DEFAULT_AMBIENT_C};
+use crate::throttle::ThrottleConfig;
+use crate::vsync::VsyncOutput;
+use crate::Result;
 
 /// Configuration of a simulated SoC platform.
 #[derive(Debug, Clone)]
@@ -161,31 +167,15 @@ pub struct TickOutput {
     pub opps: PerDomain<crate::freq::Opp>,
 }
 
-/// Length of the rolling window behind [`SocState::fps`], seconds.
-/// Instantaneous per-tick rates quantise to multiples of the tick/VSync
-/// ratio (e.g. 40/80 FPS at 25 ms ticks); half a second of history is
-/// what Android's frame-rate instrumentation effectively reports.
-pub(crate) const FPS_WINDOW_S: f64 = 0.5;
-
-/// The simulated SoC platform.
+/// The simulated SoC platform: the one-device view of the batched
+/// tick kernel.
+///
+/// A `Soc` is a width-1 [`SocBatch`], so a lone device and every lane
+/// of a wider batch run the same floating-point sequence by
+/// construction.
 #[derive(Debug, Clone)]
 pub struct Soc {
-    platform: Platform,
-    dvfs: DvfsController,
-    power: PowerModel,
-    thermal: ThermalNetwork,
-    vsync: VsyncPipeline,
-    util_selection: bool,
-    throttler: Throttler,
-    /// Thermal node of every domain, in platform order (cached).
-    die_nodes: PerDomain<NodeId>,
-    last_utils: PerDomain<f64>,
-    time_s: f64,
-    last_state: SocState,
-    /// Reused per-tick node-power buffer (one slot per thermal node).
-    node_power: Vec<f64>,
-    /// Rolling (dt, presented) history for the FPS window.
-    fps_history: std::collections::VecDeque<(f64, u32)>,
+    batch: SocBatch,
 }
 
 impl Soc {
@@ -205,239 +195,57 @@ impl Soc {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidConfig`] when the thermal network or
-    /// refresh rate is invalid, or a domain references a thermal node
-    /// outside the network.
+    /// Returns [`Error::InvalidConfig`](crate::Error::InvalidConfig)
+    /// when the thermal network, ambient temperature or refresh rate is
+    /// invalid, or a domain references a thermal node outside the
+    /// network.
+    // Owned like `Soc::new`'s argument: every caller hands its config
+    // over, and the batch keeps its own copies of what it needs.
+    #[allow(clippy::needless_pass_by_value)]
     pub fn try_new(config: SocConfig) -> Result<Self> {
-        if !(config.refresh_hz > 0.0 && config.refresh_hz.is_finite()) {
-            return Err(Error::InvalidConfig(
-                "refresh rate must be positive".to_owned(),
-            ));
-        }
-        let platform = config.platform;
-        for d in platform.domains() {
-            if d.thermal_node >= config.thermal.nodes.len() {
-                return Err(Error::InvalidConfig(format!(
-                    "domain '{}' references thermal node {} outside the network",
-                    d.name, d.thermal_node
-                )));
-            }
-        }
-        let n = platform.n_domains();
-        let sizes = platform.freq_levels();
-        let throttler = Throttler::new(config.throttle, &sizes);
-        let dvfs = DvfsController::for_platform(&platform);
-        let power = PowerModel::for_platform(&platform);
-        let thermal = ThermalNetwork::new(config.thermal)?;
-        let vsync = VsyncPipeline::new(config.refresh_hz);
-        let die_nodes = PerDomain::from_fn(n, |i| platform.domains()[i].thermal_node);
-        let node_power = vec![0.0; thermal.n_nodes()];
-        let mut soc = Soc {
-            platform,
-            dvfs,
-            power,
-            thermal,
-            vsync,
-            util_selection: config.util_selection,
-            throttler,
-            die_nodes,
-            last_utils: PerDomain::new(n),
-            time_s: 0.0,
-            last_state: SocState {
-                time_s: 0.0,
-                freq_khz: PerDomain::new(n),
-                freq_level: PerDomain::new(n),
-                max_cap_level: PerDomain::new(n),
-                fps: 0.0,
-                power_w: 0.0,
-                temp_domain_c: PerDomain::new(n),
-                temp_hot_c: 0.0,
-                temp_device_c: 0.0,
-                temp_battery_c: 0.0,
-                util: PerDomain::new(n),
-            },
-            node_power,
-            fps_history: std::collections::VecDeque::new(),
-        };
-        soc.refresh_state(0.0, 0.0);
-        Ok(soc)
+        let batch = SocBatch::try_from_configs(std::slice::from_ref(&config))?;
+        Ok(Soc { batch })
     }
 
     /// The platform descriptor this device runs.
     #[must_use]
     pub fn platform(&self) -> &Platform {
-        &self.platform
+        self.batch.platform()
     }
 
-    /// DVFS controller (read access).
-    #[must_use]
-    pub fn dvfs(&self) -> &DvfsController {
-        &self.dvfs
+    /// DVFS controller (read access). Takes `&mut self` because the
+    /// tick kernel updates the controller lazily; see
+    /// [`SocBatch::dvfs`].
+    pub fn dvfs(&mut self) -> &DvfsController {
+        self.batch.dvfs(0)
     }
 
     /// DVFS controller (the governor's actuator).
     pub fn dvfs_mut(&mut self) -> &mut DvfsController {
-        &mut self.dvfs
-    }
-
-    /// Thermal network (read access).
-    #[must_use]
-    pub fn thermal(&self) -> &ThermalNetwork {
-        &self.thermal
-    }
-
-    /// Mutable thermal network (e.g. to change ambient temperature).
-    pub fn thermal_mut(&mut self) -> &mut ThermalNetwork {
-        &mut self.thermal
-    }
-
-    /// Hardware thermal throttler (read access).
-    #[must_use]
-    pub fn throttler(&self) -> &Throttler {
-        &self.throttler
-    }
-
-    /// Simulated time in seconds.
-    #[must_use]
-    pub fn time_s(&self) -> f64 {
-        self.time_s
+        self.batch.dvfs_mut(0)
     }
 
     /// The governor-visible state after the most recent tick.
     #[must_use]
     pub fn state(&self) -> SocState {
-        self.last_state
+        self.batch.state(0)
     }
 
-    /// Enables or disables the in-kernel util-tracking selection.
-    pub fn set_util_selection(&mut self, enabled: bool) {
-        self.util_selection = enabled;
-    }
-
-    /// Die sensor temperatures per domain, in platform order.
-    fn die_temps(&self) -> PerDomain<f64> {
-        PerDomain::from_fn(self.die_nodes.len(), |i| {
-            self.thermal.node_temp_c(self.die_nodes[i])
-        })
+    /// The underlying one-lane batch (the simulation engine drives
+    /// single devices through its lane loop).
+    pub fn batch_mut(&mut self) -> &mut SocBatch {
+        &mut self.batch
     }
 
     /// Advances the platform by `dt_s` seconds of `demand`.
     ///
     /// Steps, in order: kernel frequency selection (if enabled) based on
-    /// the previous interval's utilisation, frame execution + VSync,
-    /// power integration at the resulting utilisation, thermal update.
+    /// the previous interval's utilisation, hardware thermal throttling,
+    /// frame execution + VSync, power integration at the resulting
+    /// utilisation, thermal update.
     pub fn tick(&mut self, dt_s: f64, demand: &FrameDemand) -> TickOutput {
-        let n = self.platform.n_domains();
-        if self.util_selection {
-            self.dvfs.select_by_util(&self.last_utils);
-        }
-        // Hardware thermal throttling overrides every software policy:
-        // clamp the effective level per domain.
-        let die_temps = self.die_temps();
-        let clamps = self.throttler.update(&die_temps);
-        for id in self.platform.ids() {
-            let i = id.index();
-            let dom = self.dvfs.domain_mut(id);
-            if dom.current_level() > clamps[i] {
-                // The hardware clamp outranks the software policy range.
-                dom.force_level(clamps[i])
-                    // qlint::allow(PN01, reason = "thermal clamps are computed from this domain's own ladder length")
-                    .expect("clamp level within table");
-            }
-        }
-        let opps = self.dvfs.current_opps();
-        let plan = perf::plan(demand, &opps, &self.platform);
-        let vout = self.vsync.tick(dt_s, plan.frame_period_s);
-        let fps = vout.fps(dt_s);
-        // The renderer runs at its natural rate until the display caps
-        // it at the refresh rate; that achieved production rate — not
-        // the presented FPS — is what loads the domains.
-        let produced_rate = plan.render_rate_hz().min(self.vsync.refresh_hz());
-        let utils = PerDomain::from_fn(n, |i| plan.utilization(DomainId::new(i), produced_rate));
-        let breakdown = self.power.evaluate(&opps, &utils, &die_temps);
-        self.node_power.fill(0.0);
-        for i in 0..n {
-            self.node_power[self.die_nodes[i]] += breakdown.domain_w[i];
-        }
-        self.node_power[self.thermal.base_power_node()] += breakdown.base_w;
-        self.thermal.step(&self.node_power, dt_s);
-
-        self.last_utils = utils;
-        self.time_s += dt_s.max(0.0);
-        let windowed_fps = self.update_fps_window(dt_s, vout.presented);
-        self.refresh_state(windowed_fps, breakdown.total_w());
-        self.last_state.util = utils;
-
-        TickOutput {
-            dt_s,
-            fps,
-            vsync: vout,
-            power: breakdown,
-            power_w: breakdown.total_w(),
-            util: utils,
-            opps,
-        }
-    }
-
-    /// Resets thermal state, VSync phase and time (frequencies and caps
-    /// are preserved).
-    pub fn reset(&mut self) {
-        self.thermal.reset();
-        self.throttler.reset();
-        self.vsync = VsyncPipeline::new(self.vsync.refresh_hz());
-        self.last_utils = PerDomain::new(self.platform.n_domains());
-        self.time_s = 0.0;
-        self.fps_history.clear();
-        self.refresh_state(0.0, 0.0);
-    }
-
-    /// Pushes one tick into the rolling FPS window and returns the
-    /// windowed rate — what [`SocState::fps`] reports.
-    fn update_fps_window(&mut self, dt_s: f64, presented: u32) -> f64 {
-        if dt_s > 0.0 {
-            self.fps_history.push_back((dt_s, presented));
-        }
-        let mut total_dt: f64 = self.fps_history.iter().map(|(d, _)| d).sum();
-        while let Some(&(front_dt, _)) = self.fps_history.front() {
-            if total_dt - front_dt >= FPS_WINDOW_S {
-                self.fps_history.pop_front();
-                total_dt -= front_dt;
-            } else {
-                break;
-            }
-        }
-        if total_dt <= 0.0 {
-            return 0.0;
-        }
-        let frames: u32 = self.fps_history.iter().map(|(_, p)| p).sum();
-        // VSync boundaries need not align with the window edge, so the
-        // raw quotient can exceed the refresh rate by a fraction of a
-        // frame; clamp to the physical maximum.
-        (f64::from(frames) / total_dt).min(self.vsync.refresh_hz())
-    }
-
-    fn refresh_state(&mut self, fps: f64, power_w: f64) {
-        let n = self.platform.n_domains();
-        let freq_khz =
-            PerDomain::from_fn(n, |i| self.dvfs.domain(DomainId::new(i)).current().freq_khz);
-        let freq_level =
-            PerDomain::from_fn(n, |i| self.dvfs.domain(DomainId::new(i)).current_level());
-        let max_cap_level =
-            PerDomain::from_fn(n, |i| self.dvfs.domain(DomainId::new(i)).max_cap_level());
-        let temp_domain_c = self.die_temps();
-        self.last_state = SocState {
-            time_s: self.time_s,
-            freq_khz,
-            freq_level,
-            max_cap_level,
-            fps,
-            power_w,
-            temp_domain_c,
-            temp_hot_c: temp_domain_c[self.platform.hot_domain().index()],
-            temp_device_c: self.thermal.device_sensor_c(&self.die_nodes),
-            temp_battery_c: self.thermal.board_c(),
-            util: self.last_utils,
-        };
+        self.batch.tick(dt_s, std::slice::from_ref(demand));
+        *self.batch.tick_output(0)
     }
 }
 
@@ -544,16 +352,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_restores_cold_state() {
-        let mut soc = Soc::new(SocConfig::exynos9810());
-        run(&mut soc, &heavy_game(), 5.0);
-        soc.reset();
-        assert_eq!(soc.time_s(), 0.0);
-        assert!((soc.state().temp_hot_c - 21.0).abs() < 1e-9);
-        assert_eq!(soc.state().fps, 0.0);
-    }
-
-    #[test]
     fn disabled_util_selection_keeps_levels() {
         let mut cfg = SocConfig::exynos9810();
         cfg.util_selection = false;
@@ -643,7 +441,7 @@ mod tests {
         for _ in 0..(600.0 / 0.025) as usize {
             soc.tick(0.025, &demand);
         }
-        assert!(soc.throttler().is_throttling(), "clamp should be engaged");
+        assert!(soc.batch_mut().is_throttling(0), "clamp should be engaged");
         assert!(
             soc.state().temp_hot_c < 48.0,
             "throttle must bound the die temperature: {:.1} C",

@@ -235,23 +235,31 @@ impl ThermalConfig {
         }
     }
 
+    /// Checks the network for physical sense. Every comparison is
+    /// written so that a NaN parameter fails it.
     pub(crate) fn validate(&self) -> Result<()> {
+        if !self.ambient_c.is_finite() {
+            return Err(Error::InvalidConfig(format!(
+                "ambient temperature must be finite, got {}",
+                self.ambient_c
+            )));
+        }
         if self.nodes.is_empty() {
             return Err(Error::InvalidConfig(
                 "thermal network has no nodes".to_owned(),
             ));
         }
         for n in &self.nodes {
-            if n.capacitance_j_per_k <= 0.0 {
+            if !(n.capacitance_j_per_k > 0.0 && n.capacitance_j_per_k.is_finite()) {
                 return Err(Error::InvalidConfig(format!(
-                    "node '{}' has non-positive capacitance",
-                    n.name
+                    "node '{}' needs a finite positive capacitance, got {}",
+                    n.name, n.capacitance_j_per_k
                 )));
             }
-            if n.to_ambient_w_per_k < 0.0 {
+            if !(n.to_ambient_w_per_k >= 0.0 && n.to_ambient_w_per_k.is_finite()) {
                 return Err(Error::InvalidConfig(format!(
-                    "node '{}' has negative ambient conductance",
-                    n.name
+                    "node '{}' needs a finite non-negative ambient conductance, got {}",
+                    n.name, n.to_ambient_w_per_k
                 )));
             }
         }
@@ -268,10 +276,10 @@ impl ThermalConfig {
                     e.a, e.b
                 )));
             }
-            if e.conductance_w_per_k <= 0.0 {
+            if !(e.conductance_w_per_k > 0.0 && e.conductance_w_per_k.is_finite()) {
                 return Err(Error::InvalidConfig(format!(
-                    "edge {}-{} has non-positive conductance",
-                    e.a, e.b
+                    "edge {}-{} needs a finite positive conductance, got {}",
+                    e.a, e.b, e.conductance_w_per_k
                 )));
             }
         }
@@ -282,6 +290,17 @@ impl ThermalConfig {
         }
         Ok(())
     }
+}
+
+/// The virtual whole-device sensor, °C, from the skin and board
+/// temperatures and the hottest die node.
+///
+/// A surrogate for the manufacturer's proprietary virtual sensor: a
+/// weighted blend `0.45·skin + 0.35·board + 0.20·max(die)`, which tracks
+/// "how hot the device feels plus how hot the silicon runs" just like
+/// vendor skin-temperature estimators.
+pub(crate) fn virtual_sensor_c(skin_c: f64, board_c: f64, die_max_c: f64) -> f64 {
+    0.45 * skin_c + 0.35 * board_c + 0.20 * die_max_c
 }
 
 /// Largest forward-Euler step that keeps every node of `config` stable,
@@ -309,8 +328,8 @@ pub(crate) fn max_stable_dt(config: &ThermalConfig) -> f64 {
 /// `temps_c`, `power_w` and the `flux` scratch are node-major,
 /// lane-contiguous arrays indexed `node * width + lane`; `ambient_c` has
 /// one entry per lane (ambient may differ across lanes — fleet bins).
-/// Power entries beyond the array are treated as zero, matching the
-/// scalar contract.
+/// Power entries beyond the array are treated as zero, matching
+/// [`ThermalNetwork::step`].
 ///
 /// Every lane performs exactly the floating-point operation sequence of
 /// the width-1 path, in the same order — batching is a pure interleaving
@@ -466,34 +485,6 @@ impl ThermalNetwork {
         self.temps_c[self.config.skin_node]
     }
 
-    /// Node receiving the constant platform-floor power (the board).
-    #[must_use]
-    pub fn base_power_node(&self) -> NodeId {
-        self.config.board_node
-    }
-
-    /// The virtual whole-device sensor over the given die nodes (the
-    /// platform's domain thermal nodes).
-    ///
-    /// A surrogate for the manufacturer's proprietary virtual sensor: a
-    /// weighted blend of skin, board and the hottest die node
-    /// (`0.45·skin + 0.35·board + 0.20·max(die)`), which tracks "how hot
-    /// the device feels plus how hot the silicon runs" just like vendor
-    /// skin-temperature estimators.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `die_nodes` is empty or references an invalid node.
-    #[must_use]
-    pub fn device_sensor_c(&self, die_nodes: &[NodeId]) -> f64 {
-        assert!(!die_nodes.is_empty(), "device sensor needs die nodes");
-        let die_max = die_nodes
-            .iter()
-            .map(|&n| self.temps_c[n])
-            .fold(f64::MIN, f64::max);
-        0.45 * self.skin_c() + 0.35 * self.board_c() + 0.20 * die_max
-    }
-
     /// Resets every node to ambient.
     pub fn reset(&mut self) {
         for t in &mut self.temps_c {
@@ -512,13 +503,22 @@ mod tests {
         [big, little, gpu, board, 0.0]
     }
 
+    /// The virtual device sensor of `net` over the `die` nodes.
+    fn device_c(net: &ThermalNetwork, die: &[NodeId]) -> f64 {
+        let die_max = die
+            .iter()
+            .map(|&n| net.node_temp_c(n))
+            .fold(f64::MIN, f64::max);
+        virtual_sensor_c(net.skin_c(), net.board_c(), die_max)
+    }
+
     #[test]
     fn starts_at_ambient() {
         let net = ThermalNetwork::exynos9810(21.0);
         for &t in net.temps_c() {
             assert!((t - 21.0).abs() < 1e-12);
         }
-        assert!((net.device_sensor_c(&DIE) - 21.0).abs() < 1e-9);
+        assert!((device_c(&net, &DIE) - 21.0).abs() < 1e-9);
     }
 
     #[test]
@@ -569,7 +569,7 @@ mod tests {
         assert_eq!(net.n_nodes(), 6);
         net.step(&[4.0, 1.5, 0.5, 3.0, 0.9, 0.0], 1_200.0);
         let die = [0, 1, 2, 3];
-        let dev = net.device_sensor_c(&die);
+        let dev = device_c(&net, &die);
         assert!(net.node_temp_c(0) > net.board_c());
         assert!(net.board_c() > net.skin_c());
         assert!(dev > net.skin_c() * 0.99 && dev < net.node_temp_c(0));
@@ -598,7 +598,7 @@ mod tests {
     fn device_sensor_between_skin_and_die() {
         let mut net = ThermalNetwork::exynos9810(21.0);
         net.step(&powers(6.0, 0.5, 3.0, 0.9), 600.0);
-        let dev = net.device_sensor_c(&DIE);
+        let dev = device_c(&net, &DIE);
         let skin = net.node_temp_c(node::SKIN);
         let big = net.node_temp_c(node::BIG);
         assert!(

@@ -11,8 +11,11 @@
 //! `min(policy level, thermal clamp)`. Software governors (including
 //! Next) never see or control the clamp — exactly like on the phone,
 //! where the kernel thermal framework overrides userspace.
+//!
+//! The clamp state lives in [`crate::SocBatch`], one per `domain × lane`;
+//! this module holds its configuration and the transition rule.
 
-use crate::platform::{DomainId, PerDomain, Platform};
+use crate::platform::Platform;
 
 /// Configuration of the thermal throttler.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,6 +61,12 @@ impl ThrottleConfig {
             hysteresis_c: 0.0,
         }
     }
+
+    /// Trip temperature of the domain at platform index `domain`, °C
+    /// (infinite for domains beyond the list: they never trip).
+    pub(crate) fn trip_of(&self, domain: usize) -> f64 {
+        self.trip_c.get(domain).copied().unwrap_or(f64::INFINITY)
+    }
 }
 
 impl Default for ThrottleConfig {
@@ -69,9 +78,6 @@ impl Default for ThrottleConfig {
 /// One control-interval clamp transition for a single domain: step down
 /// one OPP above `trip_c`, relax one OPP below `trip_c − hysteresis_c`
 /// (never past `top`), hold inside the hysteresis band.
-///
-/// The single transition rule behind both [`Throttler::update`]
-/// (width 1) and the batched kernel's per-lane throttle loop.
 pub(crate) fn clamp_transition(
     clamp: usize,
     top: usize,
@@ -88,167 +94,123 @@ pub(crate) fn clamp_transition(
     }
 }
 
-/// Stateful per-domain thermal clamp.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Throttler {
-    config: ThrottleConfig,
-    /// Current clamp as a maximum OPP level per domain.
-    clamp_level: PerDomain<usize>,
-    /// Top level per domain (unclamped position).
-    top_level: PerDomain<usize>,
-}
-
-impl Throttler {
-    /// Creates a throttler for ladders with the given sizes (platform
-    /// order).
-    #[must_use]
-    pub fn new(config: ThrottleConfig, table_sizes: &[usize]) -> Self {
-        let top_level = PerDomain::from_fn(table_sizes.len(), |i| table_sizes[i].saturating_sub(1));
-        Throttler {
-            config,
-            clamp_level: top_level,
-            top_level,
-        }
-    }
-
-    /// The throttler's configuration.
-    #[must_use]
-    pub fn config(&self) -> &ThrottleConfig {
-        &self.config
-    }
-
-    /// Current clamp level of one domain (top level = unclamped).
-    #[must_use]
-    pub fn clamp_level(&self, id: DomainId) -> usize {
-        self.clamp_level[id.index()]
-    }
-
-    /// Whether any domain is currently clamped below its top level.
-    #[must_use]
-    pub fn is_throttling(&self) -> bool {
-        self.config.enabled && self.clamp_level != self.top_level
-    }
-
-    /// Advances the throttle state one control interval with the
-    /// current die temperatures (°C, platform order) and returns the
-    /// clamp levels.
-    pub fn update(&mut self, die_temps_c: &[f64]) -> PerDomain<usize> {
-        if !self.config.enabled {
-            return self.top_level;
-        }
-        for (i, &temp) in die_temps_c.iter().enumerate().take(self.clamp_level.len()) {
-            let trip = self.config.trip_c.get(i).copied().unwrap_or(f64::INFINITY);
-            self.clamp_level[i] = clamp_transition(
-                self.clamp_level[i],
-                self.top_level[i],
-                trip,
-                self.config.hysteresis_c,
-                temp,
-            );
-        }
-        self.clamp_level
-    }
-
-    /// Resets all clamps to unthrottled.
-    pub fn reset(&mut self) {
-        self.clamp_level = self.top_level;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::perf::FrameDemand;
+    use crate::platform::DomainId;
+    use crate::soc::SocConfig;
+    use crate::SocBatch;
 
-    fn big() -> DomainId {
-        DomainId::new(0)
-    }
-    fn little() -> DomainId {
-        DomainId::new(1)
-    }
-    fn gpu() -> DomainId {
-        DomainId::new(2)
+    /// Top level of each Exynos 9810 ladder (big, LITTLE, GPU).
+    const TOPS: [usize; 3] = [17, 9, 5];
+
+    /// One control interval of every domain's clamp — the kernel's
+    /// throttle stage for one lane.
+    fn step(config: &ThrottleConfig, clamps: &mut [usize], tops: &[usize], temps_c: &[f64]) {
+        for (i, clamp) in clamps.iter_mut().enumerate() {
+            *clamp = clamp_transition(
+                *clamp,
+                tops[i],
+                config.trip_of(i),
+                config.hysteresis_c,
+                temps_c[i],
+            );
+        }
     }
 
-    fn throttler() -> Throttler {
-        Throttler::new(ThrottleConfig::exynos9810(), &[18, 10, 6])
+    /// A one-lane 9810 device under `throttle`, every domain pinned to
+    /// its top OPP, after `ticks` ticks of a heavy game.
+    fn pinned_heavy_batch(throttle: ThrottleConfig, ticks: usize) -> SocBatch {
+        let mut cfg = SocConfig::exynos9810();
+        cfg.throttle = throttle;
+        let mut batch = SocBatch::replicate(&cfg, 1).unwrap();
+        for (i, d) in cfg.platform.domains().iter().enumerate() {
+            batch
+                .dvfs_mut(0)
+                .pin_freq(DomainId::new(i), d.table.max().freq_khz)
+                .unwrap();
+        }
+        let demand = FrameDemand::new(22.0e6, 6.0e6, 30.0e6).with_background(0.3e9, 0.1e9, 0.0);
+        for _ in 0..ticks {
+            batch.tick(0.025, &[demand]);
+        }
+        batch
     }
 
     #[test]
     fn starts_unclamped() {
-        let t = throttler();
-        assert!(!t.is_throttling());
-        assert_eq!(t.clamp_level(big()), 17);
-        assert_eq!(t.clamp_level(gpu()), 5);
+        let batch = SocBatch::replicate(&SocConfig::exynos9810(), 2).unwrap();
+        assert!(!batch.is_throttling(0));
+        assert!(!batch.is_throttling(1));
     }
 
     #[test]
     fn hot_sensor_steps_clamp_down() {
-        let mut t = throttler();
-        t.update(&[80.0, 30.0, 30.0]);
-        assert_eq!(t.clamp_level(big()), 16);
-        assert_eq!(t.clamp_level(little()), 9, "cool domains untouched");
-        assert!(t.is_throttling());
+        let config = ThrottleConfig::exynos9810();
+        let mut clamps = TOPS;
+        step(&config, &mut clamps, &TOPS, &[80.0, 30.0, 30.0]);
+        assert_eq!(clamps[0], 16);
+        assert_eq!(clamps[1], 9, "cool domains untouched");
         for _ in 0..40 {
-            t.update(&[80.0, 30.0, 30.0]);
+            step(&config, &mut clamps, &TOPS, &[80.0, 30.0, 30.0]);
         }
-        assert_eq!(t.clamp_level(big()), 0, "clamp saturates at the floor");
+        assert_eq!(clamps[0], 0, "clamp saturates at the floor");
     }
 
     #[test]
     fn hysteresis_gates_recovery() {
-        let mut t = throttler();
+        let config = ThrottleConfig::exynos9810();
+        let mut clamps = TOPS;
         for _ in 0..3 {
-            t.update(&[80.0, 30.0, 30.0]);
+            step(&config, &mut clamps, &TOPS, &[80.0, 30.0, 30.0]);
         }
-        assert_eq!(t.clamp_level(big()), 14);
+        assert_eq!(clamps[0], 14);
         // Inside the hysteresis band: hold.
-        t.update(&[72.0, 30.0, 30.0]);
-        assert_eq!(t.clamp_level(big()), 14);
+        step(&config, &mut clamps, &TOPS, &[72.0, 30.0, 30.0]);
+        assert_eq!(clamps[0], 14);
         // Below trip − hysteresis: relax one per interval.
-        t.update(&[69.0, 30.0, 30.0]);
-        assert_eq!(t.clamp_level(big()), 15);
+        step(&config, &mut clamps, &TOPS, &[69.0, 30.0, 30.0]);
+        assert_eq!(clamps[0], 15);
         for _ in 0..10 {
-            t.update(&[60.0, 30.0, 30.0]);
+            step(&config, &mut clamps, &TOPS, &[60.0, 30.0, 30.0]);
         }
-        assert!(!t.is_throttling());
+        assert_eq!(clamps, TOPS);
     }
 
     #[test]
     fn disabled_config_never_clamps() {
-        let mut t = Throttler::new(ThrottleConfig::disabled(), &[18, 10, 6]);
-        for _ in 0..10 {
-            t.update(&[500.0, 500.0, 500.0]);
-        }
-        assert!(!t.is_throttling());
-        assert_eq!(t.clamp_level(big()), 17);
+        // Trips far below the die temperature: the clamp engages only
+        // when throttling is enabled.
+        let trips = |enabled| ThrottleConfig {
+            enabled,
+            trip_c: vec![40.0; 3],
+            hysteresis_c: 3.0,
+        };
+        let off = pinned_heavy_batch(trips(false), 8_000);
+        assert!(off.state(0).temp_hot_c > 45.0);
+        assert!(!off.is_throttling(0));
+        assert!(pinned_heavy_batch(trips(true), 8_000).is_throttling(0));
     }
 
     #[test]
     fn gpu_trips_earlier_than_cpu() {
-        let mut t = throttler();
-        t.update(&[73.0, 73.0, 73.0]);
-        assert_eq!(t.clamp_level(big()), 17, "73 C below CPU trip");
-        assert_eq!(t.clamp_level(gpu()), 4, "73 C above GPU trip");
+        let config = ThrottleConfig::exynos9810();
+        let mut clamps = TOPS;
+        step(&config, &mut clamps, &TOPS, &[73.0, 73.0, 73.0]);
+        assert_eq!(clamps[0], 17, "73 C below CPU trip");
+        assert_eq!(clamps[2], 4, "73 C above GPU trip");
     }
 
     #[test]
     fn four_domain_platform_throttles_every_domain() {
         let platform = Platform::exynos9820();
-        let sizes = platform.freq_levels();
-        let mut t = Throttler::new(ThrottleConfig::for_platform(&platform), &sizes);
-        t.update(&[90.0, 90.0, 90.0, 90.0]);
-        for (i, &len) in sizes.iter().enumerate() {
-            assert_eq!(t.clamp_level(DomainId::new(i)), len - 2, "domain {i}");
+        let config = ThrottleConfig::for_platform(&platform);
+        let tops: Vec<usize> = platform.freq_levels().iter().map(|&n| n - 1).collect();
+        let mut clamps = tops.clone();
+        step(&config, &mut clamps, &tops, &[90.0, 90.0, 90.0, 90.0]);
+        for (i, &top) in tops.iter().enumerate() {
+            assert_eq!(clamps[i], top - 1, "domain {i}");
         }
-        assert!(t.is_throttling());
-    }
-
-    #[test]
-    fn reset_unclamps() {
-        let mut t = throttler();
-        t.update(&[90.0, 90.0, 90.0]);
-        assert!(t.is_throttling());
-        t.reset();
-        assert!(!t.is_throttling());
     }
 }

@@ -1,20 +1,18 @@
 //! Batched engine entry point: N devices' sessions in lockstep.
 //!
-//! [`Engine::run_lanes_into`] is the multi-device counterpart of
-//! [`Engine::run_into`]: every 25 ms base tick advances all lanes'
-//! sessions, steps the whole [`SocBatch`] through the
-//! structure-of-arrays physics kernel, and then runs each lane's
-//! governor hooks (`observe` at tick rate, `control` at the governor's
-//! own cadence) against that lane's state and DVFS controller.
+//! [`Engine::run_lanes_traced`] is the engine's one tick loop: every
+//! 25 ms base tick advances all lanes' sessions, steps the whole
+//! [`SocBatch`] through the structure-of-arrays physics kernel, and
+//! then runs each lane's governor hooks (`observe` at tick rate,
+//! `control` at the governor's own cadence) against that lane's state
+//! and DVFS controller. [`Engine::run_into`] is its one-lane call.
 //!
-//! Per lane, the sequence of session, physics, and governor operations
-//! is **exactly** the one `run_into` performs for a single device —
-//! batching only interleaves independent lanes — so traces, learned
-//! Q-tables, and summaries are bit-identical to running the lanes one
-//! at a time. The fleet trainer and the day runner drive this path for
-//! their fan-outs and fall back to lane-sequential scalar runs only
-//! where lanes genuinely diverge (different budgets or episode
-//! chunking).
+//! Lanes never observe each other — batching only interleaves
+//! independent lanes — so lane `l`'s trace, learned Q-table and summary
+//! are bit-identical to a one-lane run on lane `l`'s inputs. The fleet
+//! trainer and the day runner drive wide batches for their fan-outs and
+//! fall back to one-lane runs only where lanes genuinely diverge
+//! (different budgets or episode chunking).
 //!
 //! # Example
 //!
@@ -191,8 +189,8 @@ mod tests {
             .collect()
     }
 
-    /// Lockstep lanes under different governors must reproduce the
-    /// scalar engine bit for bit, lane by lane.
+    /// Lockstep lanes under different governors must reproduce
+    /// one-lane runs bit for bit, lane by lane.
     #[test]
     fn batched_run_matches_scalar_runs_per_lane() {
         let engine = Engine::new();

@@ -4,18 +4,23 @@
 //! sampling period). Each tick:
 //!
 //! 1. the session produces the user-driven [`mpsoc::perf::FrameDemand`],
-//! 2. the SoC executes it (`Soc::tick`),
+//! 2. the SoC executes it (one tick of the batched kernel),
 //! 3. the governor's high-rate `observe` hook sees the new state (this
 //!    is where Next fills its frame window),
 //! 4. when the governor's control period has elapsed, `control` runs
 //!    and actuates the DVFS caps.
+//!
+//! There is one tick loop, [`Engine::run_lanes_traced`], which steps N
+//! devices in lockstep; a single-device run is its one-lane call over
+//! the [`Soc`]'s width-1 batch.
 
 use governors::Governor;
 use mpsoc::soc::Soc;
 use workload::SessionSim;
 
-use crate::metrics::{Sample, Trace};
-use crate::trace::{NullSink, TickView, TraceSink};
+use crate::batch::BatchLane;
+use crate::metrics::Trace;
+use crate::trace::{NullSink, TraceSink};
 
 /// The simulation engine (base tick configuration).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -123,6 +128,9 @@ impl Engine {
     /// tick. The sink is generic, so with the zero-sized [`NullSink`]
     /// (which is what `run_into` passes) the recording branches fold
     /// away and the tick loop is exactly the untraced one.
+    ///
+    /// This is the one-lane call of [`Engine::run_lanes_traced`] on the
+    /// device's batch.
     pub fn run_into_traced<S: TraceSink>(
         &self,
         soc: &mut Soc,
@@ -132,60 +140,13 @@ impl Engine {
         outcome: &mut RunOutcome,
         sink: &mut S,
     ) {
-        outcome.trace.clear();
-        outcome.presented_frames = 0;
-        outcome.repeated_vsyncs = 0;
-        // Hand the governor the device's domain registry before the
-        // run: per-domain governors (Int. QoS PM, Next) resolve their
-        // domain references against the platform here.
-        governor.bind(soc.platform());
-        // Hoist everything that is loop-invariant out of the 25 ms tick
-        // loop: tick count, control cadence, and the trace reservation.
-        let ticks = self.ticks_for(duration_s);
-        let control_every = self.control_every_ticks(governor.period_s());
-        #[allow(clippy::cast_possible_truncation)]
-        outcome.trace.reserve(ticks as usize);
-
-        let dt = self.tick_s;
-        let mut presented = 0u64;
-        let mut repeated = 0u64;
-        let mut until_control = control_every;
-        for _ in 0..ticks {
-            let demand = session.advance(dt);
-            let out = soc.tick(dt, &demand);
-            presented += u64::from(out.vsync.presented);
-            repeated += u64::from(out.vsync.repeated);
-            let state = soc.state();
-            governor.observe(&state);
-            until_control -= 1;
-            let mut controlled = false;
-            if until_control == 0 {
-                governor.control(&state, soc.dvfs_mut());
-                until_control = control_every;
-                controlled = true;
-            }
-            if sink.enabled() {
-                sink.record(&TickView {
-                    state: &state,
-                    dt_s: dt,
-                    decision: if controlled {
-                        governor.last_decision()
-                    } else {
-                        None
-                    },
-                });
-            }
-            outcome.trace.push(Sample {
-                time_s: state.time_s,
-                fps: out.fps,
-                power_w: out.power_w,
-                temp_hot_c: state.temp_hot_c,
-                temp_device_c: state.temp_device_c,
-                freq_khz: state.freq_khz,
-            });
-        }
-        outcome.presented_frames = presented;
-        outcome.repeated_vsyncs = repeated;
+        self.run_lanes_traced(
+            soc.batch_mut(),
+            &mut [BatchLane { governor, session }],
+            duration_s,
+            std::slice::from_mut(outcome),
+            std::slice::from_mut(sink),
+        );
     }
 }
 

@@ -2,8 +2,8 @@
 //! divergence bisect.
 //!
 //! Determinism is this workspace's load-bearing invariant: every run is
-//! a pure function of its spec, pinned byte-for-byte across scalar and
-//! batched stepping and across worker counts. This module *exploits*
+//! a pure function of its spec, pinned byte-for-byte across batch
+//! widths and across worker counts. This module *exploits*
 //! that. A [`TraceSink`] hooks the engine's tick loop and records one
 //! [`TickRecord`] per 25 ms base tick — per-domain frequency levels,
 //! node temperatures, the governor's chosen action and reward, the

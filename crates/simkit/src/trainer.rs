@@ -180,11 +180,11 @@ impl Trainer {
     /// each spec: lanes share the episode chunk sequence (the specs'
     /// budgets and episode lengths must match for lockstep), each lane
     /// keeps its own agent, session seed, and SoC bin, and a lane drops
-    /// out of the batch at the episode boundary where its scalar run
-    /// would have stopped (convergence). Specs that genuinely diverge —
-    /// different budgets or episode chunking, or structurally
-    /// incompatible SoC bins — fall back to lane-sequential scalar
-    /// training.
+    /// out of the batch at the episode boundary where its single-device
+    /// run would have stopped (convergence). Specs that genuinely
+    /// diverge — different budgets or episode chunking, or structurally
+    /// incompatible SoC bins — fall back to training one device at a
+    /// time.
     ///
     /// # Panics
     ///
@@ -223,7 +223,7 @@ impl Trainer {
         // compacts as lanes converge and drop out.
         let mut lane_spec: Vec<usize> = (0..width).collect();
         // Training reuses run outcomes purely as trace buffers, exactly
-        // like the scalar loop — nothing reads them afterwards.
+        // like the single-device loop — nothing reads them afterwards.
         let mut episode_buf: Vec<RunOutcome> = (0..width)
             .map(|_| RunOutcome {
                 trace: crate::metrics::Trace::new(),
@@ -235,7 +235,7 @@ impl Trainer {
         let mut spent = 0.0;
         let mut episode = 0u64;
         while spent < budget_s && !lane_spec.is_empty() {
-            // The scalar loop checks convergence before every episode:
+            // `train` checks convergence before every episode:
             // converged lanes leave the batch at exactly that boundary.
             let keep: Vec<bool> = lane_spec
                 .iter()
@@ -286,7 +286,7 @@ impl Trainer {
             episode += 1;
         }
         // Lanes that ran out the budget stopped at the accumulated
-        // `spent` (the same float the scalar loop ends with).
+        // `spent` (the same float `train` ends with).
         for &si in &lane_spec {
             spent_at_stop[si] = spent;
         }

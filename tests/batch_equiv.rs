@@ -1,8 +1,9 @@
-//! Property-based equivalence of the batched structure-of-arrays tick
-//! kernel: for any cohort of 1–32 device lanes mixing both platform
-//! presets, random baseline governors and random sessions, stepping the
-//! lanes in lockstep through [`SocBatch`] must be bit-identical — per
-//! lane — to running each device alone through the scalar engine.
+//! Property-based lane independence of the batched structure-of-arrays
+//! tick kernel: for any cohort of 1–32 device lanes mixing both
+//! platform presets, random baseline governors and random sessions,
+//! lane `l` of an N-lane [`SocBatch`] stepped in lockstep must be
+//! bit-identical to a one-lane device ([`Soc`], a width-1 batch) run
+//! alone on lane `l`'s inputs.
 //!
 //! This is the contract that makes batching safe to wire underneath
 //! the fleet trainer and the day runner: it is an *optimization*, never
@@ -42,7 +43,7 @@ fn empty_outcomes(n: usize) -> Vec<RunOutcome> {
 proptest! {
     /// Mixed-platform cohorts: lanes are grouped per platform (a batch
     /// shares one physics structure), each group is run batched, and
-    /// every lane must match its scalar device in trace, summary and
+    /// every lane must match its one-lane device in trace, summary and
     /// final observable state.
     #[test]
     fn batched_cohort_matches_scalar_per_lane(
@@ -61,7 +62,7 @@ proptest! {
             }
             let config = PlatformPreset::by_name(platform).unwrap().soc;
 
-            // Reference: each device alone on the scalar engine.
+            // Reference: each device alone, as a one-lane run.
             let mut scalar_states = Vec::with_capacity(group.len());
             let scalar: Vec<RunOutcome> = group
                 .iter()
@@ -132,8 +133,10 @@ proptest! {
         }
     }
 
-    /// A width-1 batch *is* the scalar device: the single-lane view of
-    /// the kernel never observably differs from `Soc`.
+    /// `Soc` + `Engine::run` and a one-lane `SocBatch` +
+    /// `Engine::run_lanes_into` are two spellings of the same one-lane
+    /// run, and must stay so: a specialised single-device path would
+    /// have to reproduce the lane loop bit for bit.
     #[test]
     fn width_one_batch_is_the_scalar_device(
         pi in 0usize..2,

@@ -89,7 +89,7 @@ fn reset_lets_a_governor_be_reused_across_sessions() {
         let mut s1 = SessionSim::new(SessionPlan::single("facebook", 20.0), 1);
         engine.run(&mut soc, gov.as_mut(), &mut s1, 20.0);
         gov.reset();
-        soc.reset();
+        let mut soc = Soc::new(SocConfig::exynos9810());
         let mut s2 = SessionSim::new(SessionPlan::single("spotify", 20.0), 2);
         let out = engine.run(&mut soc, gov.as_mut(), &mut s2, 20.0);
         assert!(out.trace.summary().avg_power_w > 0.0, "{}", gov.name());
