@@ -187,6 +187,10 @@ pub struct SocBatch {
     window_dt: VecDeque<f64>,
     /// Presented frames per window slot × lane, slot-major.
     window_frames: VecDeque<u32>,
+    /// Presented frames in the window per lane: the lane's column sum
+    /// of `window_frames`, updated as slots enter and leave, so reading
+    /// a lane's FPS does not walk the window.
+    window_frame_sum: Vec<u32>,
     /// Window length: the sum of `window_dt` minus the fronts popped
     /// since, in that order of operations.
     window_total_dt_s: f64,
@@ -214,7 +218,7 @@ impl SocBatch {
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`] on an empty cohort, a
-    /// non-positive refresh rate, an invalid thermal network, a
+    /// non-positive refresh rate, an invalid thermal network or a
     /// non-finite ambient temperature on any lane (the error names the
     /// lane), a domain referencing a thermal node outside the network,
     /// or when the lanes diverge structurally.
@@ -229,14 +233,13 @@ impl SocBatch {
                     "refresh rate must be positive".to_owned(),
                 ));
             }
-            // Ambient is the one thermal parameter that varies per lane,
-            // so the shared network check below cannot cover it.
-            if !cfg.thermal.ambient_c.is_finite() {
-                return Err(Error::InvalidConfig(format!(
-                    "lane {lane} has a non-finite ambient temperature ({})",
-                    cfg.thermal.ambient_c
-                )));
-            }
+            // Every lane's network is checked, not only lane 0's: ambient
+            // varies per lane, and the structural comparison below would
+            // misreport a NaN parameter as a divergence.
+            cfg.thermal.validate().map_err(|e| match e {
+                Error::InvalidConfig(msg) => Error::InvalidConfig(format!("lane {lane}: {msg}")),
+                other => other,
+            })?;
             for d in cfg.platform.domains() {
                 if d.thermal_node >= cfg.thermal.nodes.len() {
                     return Err(Error::InvalidConfig(format!(
@@ -273,7 +276,6 @@ impl SocBatch {
                 return mismatch("throttle configuration");
             }
         }
-        first.thermal.validate()?;
 
         let width = configs.len();
         let platform = first.platform.clone();
@@ -360,6 +362,7 @@ impl SocBatch {
             cap_snap: vec![0; n * width],
             window_dt: VecDeque::new(),
             window_frames: VecDeque::new(),
+            window_frame_sum: vec![0; width],
             window_total_dt_s: 0.0,
             platform,
         };
@@ -479,11 +482,7 @@ impl SocBatch {
         let temp_domain_c = PerDomain::from_fn(n, |d| self.temps_c[self.die_nodes[d] * w + lane]);
         let skin = self.temps_c[self.thermal_config.skin_node * w + lane];
         let board = self.temps_c[self.thermal_config.board_node * w + lane];
-        let die_max = self
-            .die_nodes
-            .iter()
-            .map(|&node| self.temps_c[node * w + lane])
-            .fold(f64::MIN, f64::max);
+        let die_max = temp_domain_c.iter().copied().fold(f64::MIN, f64::max);
         SocState {
             time_s: self.time_s[lane],
             freq_khz,
@@ -505,16 +504,10 @@ impl SocBatch {
         if self.window_total_dt_s <= 0.0 {
             return 0.0;
         }
-        let frames: u32 = self
-            .window_frames
-            .iter()
-            .skip(lane)
-            .step_by(self.width)
-            .sum();
         // VSync boundaries need not align with the window edge, so the
         // raw quotient can exceed the refresh rate by a fraction of a
         // frame; clamp to the physical maximum.
-        (f64::from(frames) / self.window_total_dt_s).min(self.refresh_hz)
+        (f64::from(self.window_frame_sum[lane]) / self.window_total_dt_s).min(self.refresh_hz)
     }
 
     /// Whether the hardware thermal throttle currently clamps any
@@ -696,17 +689,17 @@ impl SocBatch {
         //    (lockstep), per-lane presented counts per slot.
         if dt_s > 0.0 {
             self.window_dt.push_back(dt_s);
-            for l in 0..w {
-                self.window_frames
-                    .push_back(self.last_tick[l].vsync.presented);
+            for (out, sum) in self.last_tick.iter().zip(&mut self.window_frame_sum) {
+                self.window_frames.push_back(out.vsync.presented);
+                *sum += out.vsync.presented;
             }
         }
         let mut total_dt: f64 = self.window_dt.iter().sum();
         while let Some(&front_dt) = self.window_dt.front() {
             if total_dt - front_dt >= FPS_WINDOW_S {
                 self.window_dt.pop_front();
-                for _ in 0..w {
-                    self.window_frames.pop_front();
+                for sum in &mut self.window_frame_sum {
+                    *sum -= self.window_frames.pop_front().unwrap_or(0);
                 }
                 total_dt -= front_dt;
             } else {
@@ -760,6 +753,7 @@ impl SocBatch {
         retain_vec(&mut self.dvfs_dirty, keep);
         retain_vec(&mut self.ctl_stale, keep);
         retain_vec(&mut self.margin_mirror, keep);
+        retain_vec(&mut self.window_frame_sum, keep);
         retain_vec(&mut self.boost_mirror, keep);
 
         let compact = |arr: &mut Vec<f64>, rows: usize| {
@@ -1112,14 +1106,13 @@ mod tests {
         for (what, mutate) in cases {
             let mut bad = SocConfig::exynos9810();
             mutate(&mut bad);
-            assert!(Soc::try_new(bad.clone()).is_err(), "{what}: one device");
+            let err = Soc::try_new(bad.clone()).expect_err(what).to_string();
+            assert!(!err.contains("diverges"), "{what}: misreported: {err}");
             let err = SocBatch::try_from_configs(&[SocConfig::exynos9810(), bad])
                 .expect_err(what)
                 .to_string();
-            assert!(
-                err.contains("lane 1"),
-                "{what}: error must name lane 1: {err}"
-            );
+            assert!(err.contains("lane 1"), "{what}: must name lane 1: {err}");
+            assert!(!err.contains("diverges"), "{what}: misreported: {err}");
         }
     }
 

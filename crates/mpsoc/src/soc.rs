@@ -199,11 +199,8 @@ impl Soc {
     /// when the thermal network, ambient temperature or refresh rate is
     /// invalid, or a domain references a thermal node outside the
     /// network.
-    // Owned like `Soc::new`'s argument: every caller hands its config
-    // over, and the batch keeps its own copies of what it needs.
-    #[allow(clippy::needless_pass_by_value)]
     pub fn try_new(config: SocConfig) -> Result<Self> {
-        let batch = SocBatch::try_from_configs(std::slice::from_ref(&config))?;
+        let batch = SocBatch::try_from_configs(&[config])?;
         Ok(Soc { batch })
     }
 

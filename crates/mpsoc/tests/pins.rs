@@ -9,7 +9,7 @@
 
 use mpsoc::perf::FrameDemand;
 use mpsoc::throttle::ThrottleConfig;
-use mpsoc::{Soc, SocConfig, SocState};
+use mpsoc::{DomainId, Soc, SocConfig, SocState};
 
 /// Every field of `state`, in declaration order, as raw bits.
 fn state_bits(state: &SocState) -> Vec<u64> {
@@ -46,8 +46,7 @@ fn throttling_run_final_state_is_pinned() {
         .collect();
     let mut soc = Soc::new(cfg);
     for (i, &top) in tops.iter().enumerate() {
-        let id = soc.platform().ids().nth(i).unwrap();
-        soc.dvfs_mut().pin_freq(id, top).unwrap();
+        soc.dvfs_mut().pin_freq(DomainId::new(i), top).unwrap();
     }
     let demand = FrameDemand::new(22.0e6, 6.0e6, 30.0e6).with_background(0.3e9, 0.1e9, 0.0);
     for _ in 0..8_000 {

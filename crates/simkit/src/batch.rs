@@ -96,8 +96,8 @@ impl Engine {
     }
 
     /// Like [`Engine::run_lanes_into`], with one [`TraceSink`] per lane
-    /// observing that lane's ticks (the per-device counterpart of
-    /// [`Engine::run_into_traced`]).
+    /// observing that lane's ticks. This is the engine's one tick loop;
+    /// [`Engine::run_into_traced`] is its one-lane call.
     ///
     /// # Panics
     ///
@@ -123,6 +123,9 @@ impl Engine {
             outcome.repeated_vsyncs = 0;
             #[allow(clippy::cast_possible_truncation)]
             outcome.trace.reserve(ticks as usize);
+            // Hand the governor the device's domain registry before the
+            // run: per-domain governors (Int. QoS PM, Next) resolve
+            // their domain references against the platform here.
             lane.governor.bind(batch.platform());
             control_every.push(self.control_every_ticks(lane.governor.period_s()));
         }
