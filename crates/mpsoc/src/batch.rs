@@ -753,8 +753,8 @@ impl SocBatch {
         retain_vec(&mut self.dvfs_dirty, keep);
         retain_vec(&mut self.ctl_stale, keep);
         retain_vec(&mut self.margin_mirror, keep);
-        retain_vec(&mut self.window_frame_sum, keep);
         retain_vec(&mut self.boost_mirror, keep);
+        retain_vec(&mut self.window_frame_sum, keep);
 
         let compact = |arr: &mut Vec<f64>, rows: usize| {
             for row in 0..rows {
