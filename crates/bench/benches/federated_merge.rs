@@ -1,29 +1,13 @@
-//! **Federated merge comparison** — the seed's eager all-keys merge vs
-//! the streaming `MergeAccumulator` on 64 fully-populated paper-space
-//! tables (the Exynos 9810 encoder space at 2 FPS bins: 622 080
-//! states × 9 actions each, the same space `qtable_backends` uses).
+//! **Federated merge** — the streaming `MergeAccumulator` on 64
+//! fully-populated paper-space tables (the Exynos 9810 encoder space at
+//! 2 FPS bins: 622 080 states × 9 actions each, the same space
+//! `qtable_backends` uses).
 //!
-//! Three configurations:
-//!
-//! * `merge_eager_hash_64_tables` — the seed's cloud-side path: the
-//!   all-keys algorithm on the open-ended **hash** backend it was
-//!   designed around (per-state heap entries, SipHash probes). It
-//!   materialises and sorts the concatenated key sets of all 64 tables
-//!   (≈40 M keys), then probes every table once per key.
-//! * `merge_eager_dense_64_tables` — ablation: the same all-keys
-//!   algorithm, but reading the dense-arena tables (sort and per-state
-//!   allocations remain).
-//! * `merge_streaming_dense_64_tables` — the streaming dense-arena
-//!   merge: tables fold one at a time as straight zips of the
-//!   value/visit arenas, with no key materialisation at all. Here the
-//!   pass is memory-bandwidth-bound on the irreducible
-//!   `states × tables × actions` multiply-add traffic — the floor for
-//!   this workload.
-//!
-//! Target (PR acceptance): streaming-dense ≥ 5× over the seed's
-//! hash-backed all-keys merge; the dense-eager ablation isolates how
-//! much of that comes from the algorithm (no sort, no per-state
-//! allocs) versus the storage layout.
+//! `merge_streaming_dense_64_tables` folds the tables one at a time as
+//! straight zips of the value/visit arenas, with no key materialisation
+//! at all, so the pass is memory-bandwidth-bound on the irreducible
+//! `states × tables × actions` multiply-add traffic — the floor for
+//! this workload.
 //!
 //! Two distinct tables are cycled behind the 64 references so the pass
 //! merges real, differing data without holding 64 fully-populated
@@ -32,16 +16,17 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use next_core::StateEncoder;
-use qlearn::federated::{merge, merge_eager};
-use qlearn::{DenseQTable, HashStore, QStore, QTable};
+use qlearn::federated::merge;
+use qlearn::DenseQTable;
 
 /// FPS bins of the benchmark space (matches `qtable_backends`).
 const FPS_BINS: usize = 2;
 
-/// Tables per merge pass (the acceptance criterion's fleet size).
+/// Tables per merge pass.
 const TABLES: usize = 64;
 
-fn build_table<S: QStore>(mut t: QTable<S>, states: u64, salt: u64) -> QTable<S> {
+fn build_table(states: u64, salt: u64) -> DenseQTable {
+    let mut t = DenseQTable::dense_for_space(9, 0.0, states);
     for s in 0..states {
         for a in 0..9 {
             let v = ((s + salt + a as u64 * 7) % 13) as f64 - 6.0;
@@ -51,33 +36,12 @@ fn build_table<S: QStore>(mut t: QTable<S>, states: u64, salt: u64) -> QTable<S>
     t
 }
 
-fn refs<S: QStore>(distinct: &[QTable<S>; 2]) -> Vec<&QTable<S>> {
-    (0..TABLES).map(|i| &distinct[i % 2]).collect()
-}
-
 fn bench_federated_merge(crit: &mut Criterion) {
     let states = StateEncoder::exynos9810(FPS_BINS).state_space_size();
     eprintln!("merging {TABLES} fully-populated paper-space tables ({states} states x 9 actions)");
 
-    {
-        let hash = [
-            build_table(QTable::<HashStore>::empty(9, 0.0), states, 0),
-            build_table(QTable::<HashStore>::empty(9, 0.0), states, 5),
-        ];
-        let hash_refs = refs(&hash);
-        crit.bench_function("merge_eager_hash_64_tables", |bencher| {
-            bencher.iter(|| black_box(merge_eager(black_box(&hash_refs))));
-        });
-    }
-
-    let dense = [
-        build_table(DenseQTable::dense_for_space(9, 0.0, states), states, 0),
-        build_table(DenseQTable::dense_for_space(9, 0.0, states), states, 5),
-    ];
-    let dense_refs = refs(&dense);
-    crit.bench_function("merge_eager_dense_64_tables", |bencher| {
-        bencher.iter(|| black_box(merge_eager(black_box(&dense_refs))));
-    });
+    let dense = [build_table(states, 0), build_table(states, 5)];
+    let dense_refs: Vec<&DenseQTable> = (0..TABLES).map(|i| &dense[i % 2]).collect();
     crit.bench_function("merge_streaming_dense_64_tables", |bencher| {
         bencher.iter(|| black_box(merge(black_box(&dense_refs))));
     });

@@ -1,21 +1,19 @@
-//! **Q-table backend comparison** — the hot argmax+update loop on a
-//! fully-populated paper-sized state space, hash vs dense-indexed.
+//! **Q-table hot loop** — argmax and argmax+update on the dense-indexed
+//! backend over a fully-populated paper-sized state space.
 //!
 //! "Paper-sized" means the Exynos 9810 state space of the Next encoder
 //! (18×10×6 OPP ladders × fps² × 4 power × 6² temperature bins) at the
 //! coarse end of the paper's Fig. 6 FPS-bin sweep: 2 bins → 622 080
-//! states, every one populated with all 9 actions, so both tables are
-//! far larger than any cache level and the probe path dominates.
-//!
-//! The dense backend must beat the hash backend by ≥ 2× on the combined
-//! argmax+update loop — the CI perf artifact (`next-sim perf`) tracks
-//! the same ratio as `dense_speedup`.
+//! states, every one populated with all 9 actions, so the table is far
+//! larger than any cache level and the probe path dominates. The CI
+//! perf artifact (`next-sim perf`) times the same loop as its `qtable`
+//! probe.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use next_core::StateEncoder;
-use qlearn::{DenseQTable, HashStore, QLearning, QStore, QTable};
+use qlearn::{DenseQTable, QLearning};
 
 /// FPS bins for the benchmark space (Fig. 6 sweeps 1..60; 2 keeps the
 /// fully-populated table around 600k states — big, but buildable).
@@ -25,7 +23,7 @@ fn paper_space_size() -> u64 {
     StateEncoder::exynos9810(FPS_BINS).state_space_size()
 }
 
-fn populate<S: QStore>(table: &mut QTable<S>, states: u64) {
+fn populate(table: &mut DenseQTable, states: u64) {
     for s in 0..states {
         for a in 0..9 {
             let v = ((s + a as u64 * 7) % 13) as f64 - 6.0;
@@ -47,14 +45,16 @@ fn probe_keys(states: u64, n: usize) -> Vec<u64> {
         .collect()
 }
 
-fn bench_backend<S: QStore>(crit: &mut Criterion, label: &str, mut table: QTable<S>) {
+fn bench_qtable_backends(crit: &mut Criterion) {
     let states = paper_space_size();
+    eprintln!("paper space at {FPS_BINS} fps bins: {states} states, fully populated");
+    let mut table = DenseQTable::dense_for_space(9, 0.0, states);
     populate(&mut table, states);
     let keys = probe_keys(states, 4096);
     let learner = QLearning::new(0.25, 0.5);
 
     let mut cursor = 0usize;
-    crit.bench_function(&format!("{label}_argmax"), |bencher| {
+    crit.bench_function("dense_argmax", |bencher| {
         bencher.iter(|| {
             let key = keys[cursor];
             cursor = (cursor + 1) % keys.len();
@@ -63,7 +63,7 @@ fn bench_backend<S: QStore>(crit: &mut Criterion, label: &str, mut table: QTable
     });
 
     let mut upd_cursor = 0usize;
-    crit.bench_function(&format!("{label}_argmax_update"), |bencher| {
+    crit.bench_function("dense_argmax_update", |bencher| {
         bencher.iter(|| {
             let key = keys[upd_cursor];
             let next = keys[(upd_cursor + 1) % keys.len()];
@@ -72,13 +72,6 @@ fn bench_backend<S: QStore>(crit: &mut Criterion, label: &str, mut table: QTable
             black_box(learner.update(&mut table, key, action, 0.5, next))
         });
     });
-}
-
-fn bench_qtable_backends(crit: &mut Criterion) {
-    let states = paper_space_size();
-    eprintln!("paper space at {FPS_BINS} fps bins: {states} states, fully populated");
-    bench_backend(crit, "hash", QTable::<HashStore>::empty(9, 0.0));
-    bench_backend(crit, "dense", DenseQTable::dense_for_space(9, 0.0, states));
 }
 
 criterion_group!(benches, bench_qtable_backends);

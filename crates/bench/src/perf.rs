@@ -1,9 +1,9 @@
 //! The machine-readable performance harness behind `next-sim perf`.
 //!
 //! Runs a fixed governor×app×seed grid through the parallel sweep
-//! engine with per-cell wall-clock timing, microbenches the Q-table
-//! storage backends (hash vs dense-indexed) on a fully-populated
-//! synthetic table, and emits everything as a `BENCH.json` artifact —
+//! engine with per-cell wall-clock timing, microbenches the dense
+//! Q-table's argmax+update loop on a fully-populated synthetic table,
+//! and emits everything as a `BENCH.json` artifact —
 //! the document the CI `perf-smoke` job gates on and the repo's
 //! `BENCH_*.json` trajectory entries consume.
 //!
@@ -18,7 +18,7 @@ use mpsoc::perf::FrameDemand;
 use mpsoc::soc::Soc;
 use mpsoc::SocBatch;
 use next_core::NextConfig;
-use qlearn::{QLearning, QStore, QTable};
+use qlearn::{DenseQTable, DenseStore, QLearning, QStore, QTable};
 use simkit::sweep::{self, StandardEvaluator, SweepCell};
 use simkit::{Engine, PlatformPreset, Summary};
 use workload::{SessionPlan, SessionSim};
@@ -147,11 +147,11 @@ pub struct CellPerf {
     pub ns_per_control_step: f64,
 }
 
-/// Microbenchmark of one Q-table storage backend: a fully-populated
+/// Microbenchmark of the Q-table storage backend: a fully-populated
 /// table driven through the hot argmax + Q-update loop.
 #[derive(Debug, Clone)]
 pub struct BackendProbe {
-    /// Backend name (`"hash"` / `"dense"`).
+    /// Backend name (`"dense"`).
     pub backend: String,
     /// States populated (each with every action visited).
     pub states: usize,
@@ -163,9 +163,8 @@ pub struct BackendProbe {
     pub update_ns: f64,
 }
 
-/// Microbenchmark of the federated merge: the seed's eager all-keys
-/// algorithm versus the streaming accumulator on the same
-/// fully-populated dense tables — the fleet's cloud-side throughput.
+/// Microbenchmark of the federated streaming merge on fully-populated
+/// dense tables — the fleet's cloud-side throughput.
 #[derive(Debug, Clone)]
 pub struct MergeProbe {
     /// Tables merged per pass.
@@ -174,22 +173,8 @@ pub struct MergeProbe {
     pub states: usize,
     /// Actions per state.
     pub actions: usize,
-    /// Nanoseconds per full eager merge pass.
-    pub eager_ns: f64,
     /// Nanoseconds per full streaming merge pass.
     pub streaming_ns: f64,
-}
-
-impl MergeProbe {
-    /// How much faster the streaming merge ran (`eager / streaming`).
-    #[must_use]
-    pub fn speedup(&self) -> f64 {
-        if self.streaming_ns > 0.0 {
-            self.eager_ns / self.streaming_ns
-        } else {
-            0.0
-        }
-    }
 }
 
 /// Throughput probe of the structure-of-arrays tick kernel: the same
@@ -551,8 +536,8 @@ pub struct PerfReport {
     pub grid_wall_s: f64,
     /// Per-cell results, in grid order.
     pub cells: Vec<CellPerf>,
-    /// Backend microbenchmarks (hash then dense).
-    pub probes: Vec<BackendProbe>,
+    /// Dense Q-table argmax+update microbenchmark.
+    pub qtable: BackendProbe,
     /// Federated merge throughput probe (fleet cloud path).
     pub merge: MergeProbe,
     /// Batched tick-kernel throughput probe (`device_days_per_sec`).
@@ -580,7 +565,7 @@ pub fn governor_period_s(name: &str) -> f64 {
         .period_s()
 }
 
-/// Runs the harness: trains, measures the grid, probes the backends.
+/// Runs the harness: trains, measures the grid, runs the probes.
 ///
 /// # Panics
 ///
@@ -649,7 +634,7 @@ pub fn run(config: &PerfConfig) -> PerfReport {
         })
         .collect();
 
-    let probes = probe_backends(config.probe_states, probe_actions);
+    let qtable = probe_qtable(config.probe_states, probe_actions);
     let merge = probe_merge(
         config.probe_states.min(MERGE_PROBE_MAX_STATES),
         16,
@@ -669,7 +654,7 @@ pub fn run(config: &PerfConfig) -> PerfReport {
         train_wall_s,
         grid_wall_s,
         cells,
-        probes,
+        qtable,
         merge,
         batch,
         campaign,
@@ -748,7 +733,14 @@ fn time_per_op<F: FnMut(u64)>(keys: &[u64], mut op: F) -> f64 {
     started.elapsed().as_secs_f64() * 1e9 / ops as f64
 }
 
-fn probe_backend<S: QStore>(mut table: QTable<S>, states: usize) -> BackendProbe {
+/// Benchmarks the argmax + update hot loop on a fully-populated
+/// `states`-state dense table of `actions` actions (compact keys, as
+/// produced by the dense `StateSpace` encoding; the table declares the
+/// space so it gets its direct slot-table index, exactly as the agent
+/// does).
+#[must_use]
+pub fn probe_qtable(states: usize, actions: usize) -> BackendProbe {
+    let mut table = DenseQTable::dense_for_space(actions, 0.0, states as u64);
     populate(&mut table, states);
     let keys = probe_sequence(states);
     let learner = QLearning::new(0.25, 0.5);
@@ -765,7 +757,7 @@ fn probe_backend<S: QStore>(mut table: QTable<S>, states: usize) -> BackendProbe
     });
 
     BackendProbe {
-        backend: S::backend_name().to_owned(),
+        backend: DenseStore::backend_name().to_owned(),
         states,
         actions: table.n_actions(),
         argmax_ns,
@@ -777,57 +769,35 @@ fn probe_backend<S: QStore>(mut table: QTable<S>, states: usize) -> BackendProbe
 /// memory (a handful of fully-populated tables) in the tens of MB.
 const MERGE_PROBE_MAX_STATES: usize = 50_000;
 
-/// Measures one full federated merge of `tables` fully-populated
-/// `states`-state dense tables of `actions` actions (the platform's
-/// `3m`), eager vs streaming, in nanoseconds per pass. Two distinct
-/// tables are cycled so every fold sees real data without holding
-/// `tables` copies in memory.
+/// Measures one full streaming federated merge of `tables`
+/// fully-populated `states`-state dense tables of `actions` actions
+/// (the platform's `3m`), in nanoseconds per pass. Two distinct tables
+/// are cycled so every fold sees real data without holding `tables`
+/// copies in memory.
 #[must_use]
 pub fn probe_merge(states: usize, tables: usize, actions: usize) -> MergeProbe {
     let build = |salt: u64| {
-        let mut t = qlearn::DenseQTable::dense_for_space(actions, 0.0, states as u64);
+        let mut t = DenseQTable::dense_for_space(actions, 0.0, states as u64);
         populate_salted(&mut t, states, salt);
         t
     };
     let distinct = [build(0), build(5)];
-    let refs: Vec<&qlearn::DenseQTable> = (0..tables).map(|i| &distinct[i % 2]).collect();
+    let refs: Vec<&DenseQTable> = (0..tables).map(|i| &distinct[i % 2]).collect();
 
-    let time_pass = |f: &dyn Fn() -> qlearn::DenseQTable| {
-        // At least 2 passes and 20 ms, like the backend probes.
-        // qlint::allow(ND01, reason = "benchmark stopwatch; merge-throughput output only")
-        let started = Instant::now();
-        let mut passes = 0u32;
-        while passes < 2 || started.elapsed().as_secs_f64() < 0.02 {
-            std::hint::black_box(f());
-            passes += 1;
-        }
-        started.elapsed().as_secs_f64() * 1e9 / f64::from(passes)
-    };
-    let eager_ns = time_pass(&|| qlearn::federated::merge_eager(&refs));
-    let streaming_ns = time_pass(&|| qlearn::federated::merge(&refs));
+    // At least 2 passes and 20 ms, like the Q-table probe.
+    // qlint::allow(ND01, reason = "benchmark stopwatch; merge-throughput output only")
+    let started = Instant::now();
+    let mut passes = 0u32;
+    while passes < 2 || started.elapsed().as_secs_f64() < 0.02 {
+        std::hint::black_box(qlearn::federated::merge(&refs));
+        passes += 1;
+    }
     MergeProbe {
         tables,
         states,
         actions,
-        eager_ns,
-        streaming_ns,
+        streaming_ns: started.elapsed().as_secs_f64() * 1e9 / f64::from(passes),
     }
-}
-
-/// Benchmarks the argmax + update hot loop of both storage backends on
-/// a fully-populated `states`-state table of `actions` actions (compact
-/// keys, as produced by the dense `StateSpace` encoding; the dense
-/// table declares the space so it gets its direct slot-table index,
-/// exactly as the agent does).
-#[must_use]
-pub fn probe_backends(states: usize, actions: usize) -> Vec<BackendProbe> {
-    vec![
-        probe_backend(QTable::<qlearn::HashStore>::empty(actions, 0.0), states),
-        probe_backend(
-            qlearn::DenseQTable::dense_for_space(actions, 0.0, states as u64),
-            states,
-        ),
-    ]
 }
 
 impl PerfReport {
@@ -875,27 +845,19 @@ impl PerfReport {
                 ])
             })
             .collect();
-        let probes = self
-            .probes
-            .iter()
-            .map(|p| {
-                Json::Obj(vec![
-                    ("backend".into(), Json::str(&p.backend)),
-                    ("states".into(), Json::num(p.states as f64)),
-                    ("actions".into(), Json::num(p.actions as f64)),
-                    ("argmax_ns".into(), Json::num(p.argmax_ns)),
-                    ("update_ns".into(), Json::num(p.update_ns)),
-                ])
-            })
-            .collect();
-        let dense_speedup = self.dense_speedup().map_or(Json::Null, Json::num);
+        let p = &self.qtable;
+        let qtable = Json::Obj(vec![
+            ("backend".into(), Json::str(&p.backend)),
+            ("states".into(), Json::num(p.states as f64)),
+            ("actions".into(), Json::num(p.actions as f64)),
+            ("argmax_ns".into(), Json::num(p.argmax_ns)),
+            ("update_ns".into(), Json::num(p.update_ns)),
+        ]);
         let merge = Json::Obj(vec![
             ("tables".into(), Json::num(self.merge.tables as f64)),
             ("states".into(), Json::num(self.merge.states as f64)),
             ("actions".into(), Json::num(self.merge.actions as f64)),
-            ("eager_ns".into(), Json::num(self.merge.eager_ns)),
             ("streaming_ns".into(), Json::num(self.merge.streaming_ns)),
-            ("speedup".into(), Json::num(self.merge.speedup())),
         ]);
         let batch = Json::Obj(vec![
             ("width".into(), Json::num(self.batch.width as f64)),
@@ -998,24 +960,12 @@ impl PerfReport {
                     ),
                 ]),
             ),
-            ("qtable".into(), Json::Arr(probes)),
-            ("dense_speedup".into(), dense_speedup),
+            ("qtable".into(), Json::Arr(vec![qtable])),
             ("merge".into(), merge),
             ("batch".into(), batch),
             ("campaign".into(), campaign),
             ("overlay".into(), overlay),
         ])
-    }
-
-    /// How much faster the dense backend ran the argmax+update loop
-    /// than the hash backend (`hash_time / dense_time`), if both probes
-    /// are present.
-    #[must_use]
-    pub fn dense_speedup(&self) -> Option<f64> {
-        let hash = self.probes.iter().find(|p| p.backend == "hash")?;
-        let dense = self.probes.iter().find(|p| p.backend == "dense")?;
-        let dense_total = dense.argmax_ns + dense.update_ns;
-        (dense_total > 0.0).then(|| (hash.argmax_ns + hash.update_ns) / dense_total)
     }
 }
 
@@ -1329,13 +1279,9 @@ mod tests {
             );
         }
         let probes = doc.get("qtable").and_then(Json::as_array).expect("probes");
-        assert_eq!(probes.len(), 2);
+        assert_eq!(probes.len(), 1);
         assert_eq!(
             probes[0].get("backend").and_then(Json::as_str),
-            Some("hash")
-        );
-        assert_eq!(
-            probes[1].get("backend").and_then(Json::as_str),
             Some("dense")
         );
         assert!(doc
@@ -1344,7 +1290,7 @@ mod tests {
             .is_some());
         let merge = doc.get("merge").expect("merge probe section");
         assert_eq!(merge.get("tables").and_then(Json::as_f64), Some(16.0));
-        assert!(merge.get("speedup").and_then(Json::as_f64).unwrap() > 0.0);
+        assert!(merge.get("streaming_ns").and_then(Json::as_f64).unwrap() > 0.0);
         let batch = doc.get("batch").expect("batch probe section");
         assert_eq!(batch.get("width").and_then(Json::as_f64), Some(4.0));
         assert_eq!(batch.get("ticks").and_then(Json::as_f64), Some(200.0));
@@ -1440,16 +1386,15 @@ mod tests {
     }
 
     #[test]
-    fn merge_probe_measures_both_paths() {
-        // Structural checks only — the performance claim itself lives
-        // in the `federated_merge` criterion bench and the BENCH.json
-        // artifact, where wall-clock noise doesn't fail `cargo test`.
+    fn merge_probe_measures_streaming_merge() {
+        // Structural checks only — wall-clock numbers live in the
+        // `federated_merge` criterion bench and the BENCH.json artifact,
+        // where noise doesn't fail `cargo test`.
         let probe = probe_merge(2_000, 8, 9);
         assert_eq!(probe.tables, 8);
         assert_eq!(probe.states, 2_000);
         assert_eq!(probe.actions, 9);
-        assert!(probe.eager_ns > 0.0 && probe.streaming_ns > 0.0);
-        assert!(probe.speedup() > 0.0);
+        assert!(probe.streaming_ns > 0.0);
     }
 
     #[test]

@@ -1004,7 +1004,7 @@ mod tests {
             let mut agent = NextAgent::new(NextConfig::paper().with_seed(11));
             let mut soc = Soc::new(SocConfig::exynos9810());
             run_loop(&mut agent, &mut soc, &ui_demand(), 10.0);
-            agent.table().encode()
+            qlearn::encode_table(agent.table())
         };
         assert_eq!(mk(), mk());
     }
@@ -1018,7 +1018,7 @@ mod tests {
             let mut soc = Soc::new(SocConfig::exynos9810());
             run_loop(&mut agent, &mut soc, &ui_demand(), 30.0);
             assert!(agent.stats().updates > 200);
-            agent.into_table().encode()
+            qlearn::encode_table(&agent.into_table())
         };
         let a = run(config.clone());
         let b = run(config);
@@ -1067,7 +1067,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "action count mismatch")]
     fn wrong_table_arity_panics() {
-        let _ = NextAgent::with_table(NextConfig::paper(), DenseQTable::dense(4), true);
+        let _ = NextAgent::with_table(NextConfig::paper(), DenseQTable::new(4), true);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! once and the Q-table results are stored on the memory so that later
 //! when the application is executed again the agent is able to refer to
 //! the Q-table." The store keeps tables keyed by application name, with
-//! optional directory-backed persistence using the self-contained text
-//! codec of [`qlearn::qtable::QTable`].
+//! optional directory-backed persistence in the binary `NXQT` format of
+//! [`qlearn::codec`].
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -13,6 +13,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use qlearn::backend::{DenseStore, QStore};
+use qlearn::codec::{decode_table, encode_table};
 use qlearn::qtable::QTable;
 
 /// In-memory, optionally disk-backed store of per-app Q-tables.
@@ -46,7 +47,8 @@ impl<S: QStore> QTableStore<S> {
         QTableStore::default()
     }
 
-    /// A store persisting tables as `<dir>/<app>.qtable`.
+    /// A store persisting tables as `<dir>/<app>.qtable`, each an
+    /// `NXQT` full-table encoding.
     ///
     /// # Errors
     ///
@@ -79,8 +81,8 @@ impl<S: QStore> QTableStore<S> {
             return Some(t.clone());
         }
         let dir = self.dir.as_ref()?;
-        let text = fs::read_to_string(dir.join(Self::file_name(app))).ok()?;
-        let table = QTable::<S>::decode(&text).ok()?;
+        let bytes = fs::read(dir.join(Self::file_name(app))).ok()?;
+        let table = decode_table::<S>(&bytes).ok()?;
         self.cache.insert(app.to_owned(), table.clone());
         Some(table)
     }
@@ -103,7 +105,7 @@ impl<S: QStore> QTableStore<S> {
     pub fn save(&mut self, app: &str, table: &QTable<S>) -> io::Result<()> {
         self.cache.insert(app.to_owned(), table.clone());
         if let Some(dir) = &self.dir {
-            fs::write(dir.join(Self::file_name(app)), table.encode())?;
+            fs::write(dir.join(Self::file_name(app)), encode_table(table))?;
         }
         Ok(())
     }
@@ -155,7 +157,7 @@ mod tests {
     use qlearn::DenseQTable;
 
     fn sample_table() -> DenseQTable {
-        let mut t = DenseQTable::dense(9);
+        let mut t = DenseQTable::new(9);
         t.set(1, 2, 3.5);
         t.set(99, 0, -1.0);
         t

@@ -2,23 +2,19 @@
 //!
 //! The table's hot path — argmax over a state's actions, then one value
 //! update — runs every control period of every simulated session, so the
-//! storage layout matters:
+//! storage layout matters. [`DenseStore`] keeps the values and visit
+//! counts of **all** actions of a state contiguously in two arena
+//! `Vec`s, reached through a single probe of a row index (a direct slot
+//! table for bounded key spaces, a fast-hashed map otherwise). An argmax
+//! touches one index slot plus one contiguous row — no per-action
+//! probing, no pointer chasing through per-state allocations — which is
+//! what makes the learn/act loop cache-friendly.
 //!
-//! * [`HashStore`] keeps one heap-allocated entry per state in a
-//!   `HashMap`. It serves open-ended key spaces (federated merging of
-//!   tables from devices with different encoders) and is the format the
-//!   seed repo shipped.
-//! * [`DenseStore`] keeps the values and visit counts of **all** actions
-//!   of a state contiguously in two arena `Vec`s, reached through a
-//!   single probe of a fast-hashed row index. An argmax touches one
-//!   index slot plus one contiguous row — no per-action probing, no
-//!   pointer chasing through per-state allocations — which is what makes
-//!   the learn/act loop cache-friendly.
-//!
-//! Both backends expose rows through the same [`QStore`] trait, so
-//! [`crate::qtable::QTable`] implements lookup, update, argmax and the
-//! text codec exactly once; property tests assert the two backends are
-//! observationally identical under arbitrary update sequences.
+//! The copy-on-write [`crate::overlay::OverlayStore`] layers sparse
+//! private rows over an `Arc`-shared dense base. Both expose rows through
+//! the same [`QStore`] trait, so [`crate::qtable::QTable`] implements
+//! lookup, update and argmax exactly once, and [`crate::codec`] encodes
+//! either backend to the same bytes.
 
 // qlint::allow(ND03, reason = "hot-path backends; every artifact path reads keys via sorted state_keys()")
 use std::collections::HashMap;
@@ -72,9 +68,9 @@ pub type KeyHashBuilder = BuildHasherDefault<KeyHasher>;
 /// counts, keyed by [`StateKey`].
 ///
 /// A state is *touched* once [`QStore::row_mut`] has been called for it,
-/// even if every visit count is still zero (e.g. a decoded all-zero
-/// line) — the two backends must agree on this so `contains`/`len` are
-/// backend-independent.
+/// even if every visit count is still zero (e.g. a decoded row with an
+/// empty cell mask) — every backend must agree on this so
+/// `contains`/`len` are backend-independent.
 ///
 /// Fresh rows are filled with the table's default Q-value (`fill`), so
 /// the **value row alone answers every read**: `Q(s, a)` is
@@ -187,85 +183,6 @@ pub trait QStore: fmt::Debug + Clone + PartialEq {
 /// Callback receiving mutable `(state, values, visits)` for one row.
 pub type RowVisitorMut<'a> = dyn FnMut(StateKey, &mut [f64], &mut [u64]) + 'a;
 
-/// One per-state entry of the hash backend.
-#[derive(Debug, Clone, PartialEq)]
-struct Entry {
-    values: Vec<f64>,
-    visits: Vec<u64>,
-}
-
-/// The hash-map backend: one heap entry per state.
-///
-/// Keeps working for arbitrary, sparse, open-ended key spaces — the
-/// federated merger unions tables whose states need not come from the
-/// same dense state-space descriptor.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct HashStore {
-    n_actions: usize,
-    // qlint::allow(ND03, reason = "iterated only by for_each_row (documented unspecified order, per-key independent folds) and sorted state_keys()")
-    entries: HashMap<StateKey, Entry>,
-}
-
-impl QStore for HashStore {
-    fn with_actions(n_actions: usize) -> Self {
-        assert!(n_actions > 0, "action set must be non-empty");
-        HashStore {
-            n_actions,
-            // qlint::allow(ND03, reason = "constructor for the field annotated above")
-            entries: HashMap::new(),
-        }
-    }
-
-    fn backend_name() -> &'static str {
-        "hash"
-    }
-
-    fn n_actions(&self) -> usize {
-        self.n_actions
-    }
-
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    fn row(&self, state: StateKey) -> Option<(&[f64], &[u64])> {
-        self.entries
-            .get(&state)
-            .map(|e| (e.values.as_slice(), e.visits.as_slice()))
-    }
-
-    fn row_mut(&mut self, state: StateKey, fill: f64) -> (&mut [f64], &mut [u64]) {
-        let n = self.n_actions;
-        let e = self.entries.entry(state).or_insert_with(|| Entry {
-            values: vec![fill; n],
-            visits: vec![0; n],
-        });
-        (&mut e.values, &mut e.visits)
-    }
-
-    fn contains(&self, state: StateKey) -> bool {
-        self.entries.contains_key(&state)
-    }
-
-    fn state_keys(&self) -> Vec<StateKey> {
-        let mut keys: Vec<_> = self.entries.keys().copied().collect();
-        keys.sort_unstable();
-        keys
-    }
-
-    fn for_each_row(&self, f: &mut RowVisitor<'_>) {
-        for (&k, e) in &self.entries {
-            f(k, &e.values, &e.visits);
-        }
-    }
-
-    fn for_each_row_mut(&mut self, f: &mut RowVisitorMut<'_>) {
-        for (&k, e) in &mut self.entries {
-            f(k, &mut e.values, &mut e.visits);
-        }
-    }
-}
-
 /// Key → row-number index of the dense backend.
 ///
 /// With a bounded, compact key space (what `StateSpace` produces) the
@@ -318,8 +235,8 @@ impl RowIndex {
 /// The dense-indexed backend: all rows live contiguously in two arena
 /// `Vec`s, reached through a row index.
 ///
-/// * one probe per table operation (the old layout probed once *per
-///   action* during argmax) — and with the direct slot-table index
+/// * one probe per table operation, not one *per action* during
+///   argmax — and with the direct slot-table index
 ///   ([`DenseStore::with_space`]) the probe is a single array load,
 ///   not a hash,
 /// * a state's action values are one contiguous slice (branch-free
@@ -383,20 +300,6 @@ impl DenseStore {
             values: Vec::new(),
             visits: Vec::new(),
         }
-    }
-
-    /// Empty store with arena capacity pre-reserved for `rows` states —
-    /// use when the caller knows the expected working-set size.
-    #[must_use]
-    pub fn with_row_capacity(n_actions: usize, rows: usize) -> Self {
-        let mut s = <DenseStore as QStore>::with_actions(n_actions);
-        if let RowIndex::Map(map) = &mut s.index {
-            map.reserve(rows);
-        }
-        s.keys.reserve(rows);
-        s.values.reserve(rows * n_actions);
-        s.visits.reserve(rows * n_actions);
-        s
     }
 
     /// Whether the index is the direct slot table (vs the hashed map).
@@ -650,15 +553,15 @@ mod tests {
     #[test]
     fn backends_agree_on_touched_state_bookkeeping() {
         let ops = [(5u64, 1usize, 0.5f64), (9, 0, -1.0), (5, 2, 2.0)];
-        let h: HashStore = fill(&ops);
+        let o: crate::overlay::OverlayStore = fill(&ops);
         let d: DenseStore = fill(&ops);
-        assert_eq!(h.len(), d.len());
-        assert_eq!(h.state_keys(), d.state_keys());
-        for k in h.state_keys() {
-            assert_eq!(h.row(k), d.row(k));
+        assert_eq!(o.len(), d.len());
+        assert_eq!(o.state_keys(), d.state_keys());
+        for k in o.state_keys() {
+            assert_eq!(o.row(k), d.row(k));
         }
-        assert!(h.contains(5) && d.contains(5));
-        assert!(!h.contains(6) && !d.contains(6));
+        assert!(o.contains(5) && d.contains(5));
+        assert!(!o.contains(6) && !d.contains(6));
     }
 
     #[test]
@@ -711,16 +614,6 @@ mod tests {
     fn direct_index_rejects_out_of_space_writes() {
         let mut s = DenseStore::with_space(3, 10);
         let _ = s.row_mut(10, 0.0);
-    }
-
-    #[test]
-    fn with_row_capacity_behaves_like_empty() {
-        let mut s = DenseStore::with_row_capacity(3, 100);
-        assert!(s.is_empty());
-        let (v, n) = s.row_mut(42, 0.0);
-        v[1] = 1.5;
-        n[1] = 1;
-        assert_eq!(s.row(42).unwrap().0[1], 1.5);
     }
 
     #[test]

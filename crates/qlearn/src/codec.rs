@@ -2,9 +2,11 @@
 //!
 //! JSON cannot carry fleet-scale table state: a populated paper-space
 //! table is ~600k cells, and a self-describing JSON cell record costs
-//! ~60 bytes where the binary form costs ~11. Campaign checkpoints and
-//! the uplink-cost model (bytes a device actually sends per federated
-//! round) both need an exact, dependency-free encoding — exact meaning
+//! ~60 bytes where the binary form costs ~11. This is the one format
+//! tables persist in: the per-app table store's directory mode, the
+//! CLI's table files, campaign checkpoints and the uplink-cost model
+//! (bytes a device actually sends per federated round) all need an
+//! exact, dependency-free encoding — exact meaning
 //! *bit*-exact: values travel as raw IEEE-754 bits, so a decoded table
 //! re-encodes to identical bytes and a resumed campaign reproduces an
 //! uninterrupted run byte for byte.
@@ -15,7 +17,7 @@
 //! magic      4 bytes  "NXQT"
 //! version    u16      1
 //! kind       u8       1 = full table, 2 = delta
-//! n_actions  u16      > 0
+//! n_actions  u16      1..=64 (the cell mask is a u64)
 //! default_q  f64      raw bits; must be finite
 //! row_count  varint
 //! rows, sorted by ascending state key:
@@ -25,7 +27,7 @@
 //!                        must be clear
 //!   per set bit, ascending action index:
 //!     value     f64      raw bits; must be finite
-//!     visits    varint   > 0 by construction of the mask
+//!     visits    varint   > 0 (the mask marks exactly the visited cells)
 //! ```
 //!
 //! Unvisited cells are never encoded: the table invariant (enforced at
@@ -44,8 +46,9 @@
 //!
 //! Varints are unsigned LEB128 (7 bits per byte, low group first),
 //! capped at 10 bytes. Decoding validates magic, version, kind, action
-//! count, mask width, key ordering, value finiteness and exact input
-//! length, in the style of `docs/TRACE_FORMAT.md`.
+//! count, mask width, key ordering, value finiteness, non-zero visit
+//! counts and exact input length, in the style of
+//! `docs/TRACE_FORMAT.md`.
 
 use std::fmt;
 
@@ -56,6 +59,10 @@ use crate::qtable::QTable;
 pub const MAGIC: [u8; 4] = *b"NXQT";
 /// Current wire version.
 pub const VERSION: u16 = 1;
+/// Most actions a table may have: each row's cell mask is a `u64`.
+/// Platforms have at most 24 (three per DVFS domain, at most eight
+/// domains).
+pub const MAX_ACTIONS: usize = 64;
 
 const KIND_FULL: u8 = 1;
 pub(crate) const KIND_DELTA: u8 = 2;
@@ -84,6 +91,8 @@ pub enum CodecError {
     BadVarint,
     /// The header declares zero actions.
     ZeroActions,
+    /// The header declares more than [`MAX_ACTIONS`] actions.
+    TooManyActions(u16),
     /// The default-q bits decode to NaN or an infinity.
     NonFiniteDefault,
     /// A cell value's bits decode to NaN or an infinity.
@@ -94,6 +103,8 @@ pub enum CodecError {
     BadMask,
     /// A state-key gap overflowed the u64 key space.
     KeyOverflow,
+    /// A cell whose mask bit is set carries a zero visit count.
+    ZeroVisits,
     /// Delta and base disagree on action count or default value.
     DeltaMismatch {
         /// Which header field disagrees.
@@ -117,11 +128,15 @@ impl fmt::Display for CodecError {
             CodecError::TrailingBytes => write!(f, "trailing bytes after table"),
             CodecError::BadVarint => write!(f, "varint exceeds 10 bytes"),
             CodecError::ZeroActions => write!(f, "action count must be non-zero"),
+            CodecError::TooManyActions(n) => {
+                write!(f, "{n} actions exceed the NXQT limit of {MAX_ACTIONS}")
+            }
             CodecError::NonFiniteDefault => write!(f, "non-finite default q"),
             CodecError::NonFiniteValue => write!(f, "non-finite q-value"),
             CodecError::NonAscendingState => write!(f, "state keys must strictly ascend"),
             CodecError::BadMask => write!(f, "cell mask wider than the action count"),
             CodecError::KeyOverflow => write!(f, "state key gap overflows u64"),
+            CodecError::ZeroVisits => write!(f, "visited cell with a zero visit count"),
             CodecError::DeltaMismatch { field } => {
                 write!(f, "delta does not match base table: {field} differs")
             }
@@ -226,14 +241,14 @@ struct Row {
 }
 
 pub(crate) fn encode_header(out: &mut Vec<u8>, kind: u8, n_actions: usize, default_q: f64) {
+    assert!(
+        n_actions <= MAX_ACTIONS,
+        "NXQT encodes at most {MAX_ACTIONS} actions, table has {n_actions}"
+    );
     out.extend_from_slice(&MAGIC);
     put_u16(out, VERSION);
     out.push(kind);
-    put_u16(
-        out,
-        // qlint::allow(PN01, reason = "the paper's action set has 9 entries; a u16 overflow is a caller bug the codec must not mask")
-        u16::try_from(n_actions).expect("action counts are small"),
-    );
+    put_u16(out, n_actions as u16);
     put_f64(out, default_q);
 }
 
@@ -256,8 +271,7 @@ pub(crate) fn encode_row(
         }
     }
     put_varint(out, mask);
-    for (a, (&v, &n)) in values.iter().zip(visits.iter()).enumerate() {
-        debug_assert!(a < 64);
+    for (&v, &n) in values.iter().zip(visits.iter()) {
         if n > 0 {
             put_f64(out, v);
             put_varint(out, n);
@@ -267,6 +281,10 @@ pub(crate) fn encode_row(
 
 /// Encodes a full table (kind 1). The row order is the sorted key
 /// order, so the bytes are independent of insertion order and backend.
+///
+/// # Panics
+///
+/// Panics if the table has more than [`MAX_ACTIONS`] actions.
 #[must_use]
 pub fn encode_table<S: QStore>(table: &QTable<S>) -> Vec<u8> {
     let keys = table.state_keys();
@@ -302,9 +320,13 @@ fn decode_body(bytes: &[u8], want_kind: u8) -> Result<(usize, f64, Vec<Row>), Co
             got: kind,
         });
     }
-    let n_actions = r.u16()? as usize;
+    let declared_actions = r.u16()?;
+    let n_actions = usize::from(declared_actions);
     if n_actions == 0 {
         return Err(CodecError::ZeroActions);
+    }
+    if n_actions > MAX_ACTIONS {
+        return Err(CodecError::TooManyActions(declared_actions));
     }
     let default_q = r.f64()?;
     if !default_q.is_finite() {
@@ -325,7 +347,7 @@ fn decode_body(bytes: &[u8], want_kind: u8) -> Result<(usize, f64, Vec<Row>), Co
             }
         };
         let mask = r.varint()?;
-        if n_actions < 64 && mask >> n_actions != 0 {
+        if n_actions < MAX_ACTIONS && mask >> n_actions != 0 {
             return Err(CodecError::BadMask);
         }
         let mut values = vec![default_q; n_actions];
@@ -338,6 +360,9 @@ fn decode_body(bytes: &[u8], want_kind: u8) -> Result<(usize, f64, Vec<Row>), Co
                 }
                 values[a] = v;
                 visits[a] = r.varint()?;
+                if visits[a] == 0 {
+                    return Err(CodecError::ZeroVisits);
+                }
             }
         }
         rows.push(Row {
@@ -356,8 +381,9 @@ fn decode_body(bytes: &[u8], want_kind: u8) -> Result<(usize, f64, Vec<Row>), Co
 /// # Errors
 ///
 /// Returns [`CodecError`] on any malformed input: wrong magic, version
-/// or kind, truncation, trailing bytes, non-finite values, out-of-range
-/// masks or non-ascending keys.
+/// or kind, an action count outside `1..=`[`MAX_ACTIONS`], truncation,
+/// trailing bytes, non-finite values, out-of-range masks, zero visit
+/// counts under set mask bits or non-ascending keys.
 pub fn decode_table<S: QStore>(bytes: &[u8]) -> Result<QTable<S>, CodecError> {
     let (n_actions, default_q, rows) = decode_body(bytes, KIND_FULL)?;
     let mut table: QTable<S> = QTable::empty(n_actions, default_q);
@@ -397,6 +423,10 @@ pub(crate) fn row_differs(base: Option<(&[f64], &[u64])>, values: &[f64], visits
 /// action count or default value, and [`CodecError::RowRemoved`] when
 /// `base` holds a row `new` lacks (deltas cannot express removal; the
 /// federated warm start never shrinks a table).
+///
+/// # Panics
+///
+/// Panics if the tables have more than [`MAX_ACTIONS`] actions.
 pub fn delta_between<S: QStore>(base: &QTable<S>, new: &QTable<S>) -> Result<Vec<u8>, CodecError> {
     if base.n_actions() != new.n_actions() {
         return Err(CodecError::DeltaMismatch { field: "n_actions" });
@@ -456,12 +486,13 @@ pub fn apply_delta<S: QStore>(base: &QTable<S>, delta: &[u8]) -> Result<QTable<S
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{DenseStore, HashStore};
+    use crate::backend::DenseStore;
+    use crate::overlay::OverlayStore;
     use crate::qtable::DenseQTable;
     use proptest::prelude::*;
 
     fn sample_table() -> DenseQTable {
-        let mut t = DenseQTable::dense_with_default_q(9, 25.0);
+        let mut t = QTable::with_default_q(9, 25.0);
         for s in [0u64, 3, 17, 622_079] {
             for a in 0..9usize {
                 if !(s as usize + a).is_multiple_of(3) {
@@ -484,29 +515,127 @@ mod tests {
     #[test]
     fn backends_encode_identically() {
         let d = sample_table();
-        let h: QTable<HashStore> = d.to_backend();
-        assert_eq!(encode_table(&d), encode_table(&h));
-        let hd: DenseQTable = decode_table::<HashStore>(&encode_table(&d))
-            .expect("hash decodes")
+        let o: QTable<OverlayStore> = d.to_backend();
+        assert_eq!(encode_table(&d), encode_table(&o));
+        let od: DenseQTable = decode_table::<OverlayStore>(&encode_table(&d))
+            .expect("overlay decodes")
             .to_backend();
-        assert_eq!(hd, d);
+        assert_eq!(od, d);
     }
 
     #[test]
     fn empty_and_all_unvisited_rows_survive() {
-        let empty = DenseQTable::dense(4);
+        let empty = DenseQTable::new(4);
         let bytes = encode_table(&empty);
         let back: DenseQTable = decode_table(&bytes).expect("empty decodes");
         assert!(back.is_empty());
 
-        // A row that exists but has zero visits everywhere (decodable
-        // from the text format) must keep existing across the trip.
-        let t: QTable<HashStore> =
-            QTable::decode("qtable v2 2 0e0\n7 0e0 0e0 | 0 0\n").expect("text decodes");
+        // A row that exists but has zero visits everywhere must keep
+        // existing across the trip.
+        let mut t = DenseQTable::new(2);
+        t.insert_raw(7, &[0.0, 0.0], &[0, 0]);
         assert!(t.contains(7));
-        let back: QTable<HashStore> = decode_table(&encode_table(&t)).expect("decodes");
+        let back: DenseQTable = decode_table(&encode_table(&t)).expect("decodes");
         assert!(back.contains(7), "empty-mask row preserved");
         assert_eq!(back, t);
+    }
+
+    /// A full-table header for `n_actions` actions and `default_q`,
+    /// followed by `body` (row count and rows).
+    fn hand_built(n_actions: u16, default_q: f64, body: &[u8]) -> Vec<u8> {
+        let mut out = MAGIC.to_vec();
+        put_u16(&mut out, VERSION);
+        out.push(KIND_FULL);
+        put_u16(&mut out, n_actions);
+        put_f64(&mut out, default_q);
+        out.extend_from_slice(body);
+        out
+    }
+
+    /// One hand-built row: `(gap, mask, [(value, visits)])`, raw.
+    type HandRow<'a> = (u64, u64, &'a [(f64, u64)]);
+
+    /// Row-section bytes: a row count, then each row's varints and
+    /// cells.
+    fn rows(rows: &[HandRow<'_>]) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_varint(&mut out, rows.len() as u64);
+        for &(gap, mask, cells) in rows {
+            put_varint(&mut out, gap);
+            put_varint(&mut out, mask);
+            for &(v, n) in cells {
+                put_f64(&mut out, v);
+                put_varint(&mut out, n);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn rejects_each_malformed_input() {
+        let cases: [(&str, Vec<u8>, CodecError); 9] = [
+            (
+                "zero actions",
+                hand_built(0, 0.0, &rows(&[])),
+                CodecError::ZeroActions,
+            ),
+            (
+                "65 actions overflow the u64 cell mask",
+                hand_built(65, 0.0, &rows(&[(5, 1, &[(1.0, 1)])])),
+                CodecError::TooManyActions(65),
+            ),
+            (
+                "NaN default",
+                hand_built(2, f64::NAN, &rows(&[])),
+                CodecError::NonFiniteDefault,
+            ),
+            (
+                "infinite cell value",
+                hand_built(2, 0.0, &rows(&[(5, 1, &[(f64::INFINITY, 1)])])),
+                CodecError::NonFiniteValue,
+            ),
+            (
+                "repeated state key",
+                hand_built(2, 0.0, &rows(&[(5, 0, &[]), (0, 0, &[])])),
+                CodecError::NonAscendingState,
+            ),
+            (
+                "key gap past u64::MAX",
+                hand_built(2, 0.0, &rows(&[(u64::MAX, 0, &[]), (1, 0, &[])])),
+                CodecError::KeyOverflow,
+            ),
+            (
+                "mask bit beyond the action count",
+                hand_built(2, 0.0, &rows(&[(5, 0b100, &[])])),
+                CodecError::BadMask,
+            ),
+            (
+                "row count varint longer than a u64",
+                hand_built(2, 0.0, &[0xff; 10]),
+                CodecError::BadVarint,
+            ),
+            (
+                "set mask bit with zero visits",
+                hand_built(2, 0.0, &rows(&[(5, 1, &[(7.0, 0)])])),
+                CodecError::ZeroVisits,
+            ),
+        ];
+        for (what, bytes, want) in cases {
+            assert_eq!(decode_table::<DenseStore>(&bytes), Err(want), "{what}");
+        }
+        // The limit itself decodes: bit 63 of a 64-action mask is valid.
+        let widest = hand_built(64, 0.0, &rows(&[(5, 1 << 63, &[(2.5, 3)])]));
+        let t: DenseQTable = decode_table(&widest).expect("64 actions decode");
+        assert_eq!((t.q(5, 63), t.visits(5, 63)), (2.5, 3));
+        assert_eq!(encode_table(&t), widest);
+    }
+
+    #[test]
+    #[should_panic(expected = "NXQT encodes at most 64 actions, table has 70")]
+    fn encoder_rejects_more_than_64_actions() {
+        let mut t = DenseQTable::new(70);
+        t.set(1, 69, 1.0);
+        let _ = encode_table(&t);
     }
 
     #[test]
@@ -553,8 +682,8 @@ mod tests {
     #[test]
     fn full_entry_point_rejects_deltas_and_vice_versa() {
         let t = sample_table();
-        let delta = delta_between(&DenseQTable::dense_with_default_q(9, 25.0), &t)
-            .expect("delta from empty base");
+        let delta =
+            delta_between(&QTable::with_default_q(9, 25.0), &t).expect("delta from empty base");
         assert_eq!(
             decode_table::<DenseStore>(&delta).unwrap_err(),
             CodecError::WrongKind {
@@ -607,18 +736,18 @@ mod tests {
 
     #[test]
     fn delta_mismatches_are_typed_errors() {
-        let base = DenseQTable::dense(3);
-        let other = DenseQTable::dense(4);
+        let base = DenseQTable::new(3);
+        let other = DenseQTable::new(4);
         assert_eq!(
             delta_between(&base, &other).unwrap_err(),
             CodecError::DeltaMismatch { field: "n_actions" }
         );
-        let optimistic = DenseQTable::dense_with_default_q(3, 25.0);
+        let optimistic = DenseQTable::with_default_q(3, 25.0);
         assert_eq!(
             delta_between(&base, &optimistic).unwrap_err(),
             CodecError::DeltaMismatch { field: "default_q" }
         );
-        let mut shrunk = DenseQTable::dense(3);
+        let mut shrunk = DenseQTable::new(3);
         shrunk.set(5, 0, 1.0);
         assert_eq!(
             delta_between(&shrunk, &base).unwrap_err(),
@@ -634,9 +763,9 @@ mod tests {
 
     #[test]
     fn minus_zero_flip_is_a_detected_change() {
-        let mut base = DenseQTable::dense(2);
+        let mut base = DenseQTable::new(2);
         base.set(1, 0, 0.0);
-        let mut new = DenseQTable::dense(2);
+        let mut new = DenseQTable::new(2);
         new.set(1, 0, -0.0);
         let delta = delta_between(&base, &new).expect("delta encodes");
         let rows = decode_body(&delta, KIND_DELTA).expect("decodes").2;
@@ -654,7 +783,7 @@ mod tests {
                 (0u64..100_000, 0usize..9, -1.0e3f64..1.0e3), 0..60),
             default_q in -10.0f64..30.0,
         ) {
-            let mut t = DenseQTable::dense_with_default_q(9, default_q);
+            let mut t = DenseQTable::with_default_q(9, default_q);
             for (s, a, v) in cells {
                 t.set(s, a, v);
             }
@@ -671,7 +800,7 @@ mod tests {
             extra_cells in proptest::collection::vec(
                 (0u64..10_000, 0usize..4, -1.0e2f64..1.0e2), 0..40),
         ) {
-            let mut base = DenseQTable::dense(4);
+            let mut base = DenseQTable::new(4);
             for (s, a, v) in base_cells {
                 base.set(s, a, v);
             }
@@ -685,20 +814,21 @@ mod tests {
             prop_assert_eq!(encode_table(&back), encode_table(&new));
         }
 
-        #[test]
-        fn corrupted_bytes_never_panic(
-            flip_at in 0usize..200,
-            flip_to in 0u16..256,
-        ) {
-            let mut bytes = encode_table(&sample_table());
-            if flip_at < bytes.len() {
-                #[allow(clippy::cast_possible_truncation)]
-                {
-                    bytes[flip_at] = flip_to as u8;
-                }
+    }
+
+    /// Every single-bit flip at every offset of a valid encoding must
+    /// decode to `Ok` or a typed error — never panic, in debug and
+    /// release builds alike. (Every truncation is rejected by
+    /// `rejects_bad_magic_version_kind_and_truncation`.)
+    #[test]
+    fn corrupted_bytes_never_panic() {
+        let bytes = encode_table(&sample_table());
+        for at in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut bad = bytes.clone();
+                bad[at] ^= 1 << bit;
+                let _ = decode_table::<DenseStore>(&bad);
             }
-            // Must return Ok or a typed error — never panic.
-            let _ = decode_table::<DenseStore>(&bytes);
         }
     }
 }

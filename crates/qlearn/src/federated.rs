@@ -15,16 +15,15 @@
 //! tables are folded one at a time, each fold touching every input row
 //! exactly once, with memory bounded by the *union* of visited states —
 //! a device's table can be dropped (or streamed from the network) the
-//! moment it has been folded. The seed implementation
-//! ([`merge_eager`]) instead materialised and sorted the concatenated
-//! key set of *every* table before probing each table per key; it is
-//! kept as the reference the equivalence tests and the perf probes
-//! compare against.
+//! moment it has been folded. The eager all-keys merge (materialise
+//! and sort the concatenated key set of *every* table, then probe each
+//! table per key) survives only as the oracle of this module's tests.
 //!
 //! On the dense backend the fold zips the value/visit arenas directly
 //! when the row layouts line up (see [`QStore::fold_weighted`]) — no
-//! sorting, no key decoding, no per-key hashing. Heterogeneous
-//! encoders keep working through the open-ended hash backend.
+//! sorting, no key decoding, no per-key hashing. Keys beyond a table's
+//! declared state space move the accumulator onto the dense store's
+//! hashed row index, so tables from different encoders still merge.
 
 // qlint::allow(ND03, reason = "touched-row counters; iterated only in the finish fold where each key contributes independently")
 use std::collections::HashMap;
@@ -84,9 +83,8 @@ impl std::error::Error for MergeError {}
 /// Internally the store holds per-pair numerators `Σ(visits·q)` in the
 /// value cells and denominators `Σ visits` in the visit cells; `finish`
 /// normalises in place. Memory stays proportional to the union of
-/// visited states — tables never need to coexist, unlike the eager
-/// reference ([`merge_eager`]) which keeps every table alive and sorts
-/// their concatenated key sets.
+/// visited states — tables never need to coexist, and no key set is
+/// ever sorted.
 ///
 /// ```
 /// use qlearn::federated::MergeAccumulator;
@@ -106,7 +104,7 @@ impl std::error::Error for MergeError {}
 /// assert_eq!(fleet.visits(7, 1), 2);
 /// ```
 #[derive(Debug, Clone)]
-pub struct MergeAccumulator<S: QStore = crate::backend::HashStore> {
+pub struct MergeAccumulator<S: QStore = DenseStore> {
     store: S,
     default_q: f64,
     folded: usize,
@@ -356,50 +354,6 @@ pub fn merge<S: QStore>(tables: &[&QTable<S>]) -> QTable<S> {
     }
 }
 
-/// The seed repo's eager merge: materialises and sorts the concatenated
-/// key set of every table, then probes each table once per key.
-///
-/// Kept as the reference implementation: the equivalence tests assert
-/// [`try_merge`] reproduces it bit for bit (the per-pair fold order is
-/// identical, so even the floating-point rounding matches), and the
-/// perf harness measures the streaming speedup against it.
-///
-/// # Panics
-///
-/// Panics if `tables` is empty or the action counts disagree.
-#[must_use]
-pub fn merge_eager<S: QStore>(tables: &[&QTable<S>]) -> QTable<S> {
-    assert!(!tables.is_empty(), "cannot merge zero tables");
-    let n_actions = tables[0].n_actions();
-    assert!(
-        tables.iter().all(|t| t.n_actions() == n_actions),
-        "all tables must share the action space"
-    );
-    let mut merged: QTable<S> = QTable::empty(n_actions, tables[0].default_q());
-    let mut all_states: Vec<_> = tables.iter().flat_map(|t| t.state_keys()).collect();
-    all_states.sort_unstable();
-    all_states.dedup();
-    for state in all_states {
-        let mut values = vec![0.0f64; n_actions];
-        let mut weights = vec![0u64; n_actions];
-        for t in tables {
-            if let Some((v, n)) = t.entry_raw(state) {
-                for a in 0..n_actions {
-                    values[a] += v[a] * n[a] as f64;
-                    weights[a] += n[a];
-                }
-            }
-        }
-        for a in 0..n_actions {
-            if weights[a] > 0 {
-                values[a] /= weights[a] as f64;
-            }
-        }
-        merged.insert_raw(state, &values, &weights);
-    }
-    merged
-}
-
 /// Timing model for cloud/offline training (Fig. 6).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CloudModel {
@@ -440,8 +394,40 @@ impl CloudModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{DenseStore, HashStore};
-    use crate::qtable::DenseQTable;
+    use crate::codec::encode_table;
+    use proptest::prelude::*;
+
+    /// The eager all-keys merge: materialises and sorts the
+    /// concatenated key set of every table, then probes each table once
+    /// per key. It is the oracle of the streaming merge — the per-pair
+    /// fold order is identical, so even the floating-point rounding
+    /// must match.
+    fn merge_eager(tables: &[&DenseQTable]) -> DenseQTable {
+        let n_actions = tables[0].n_actions();
+        let mut merged = QTable::with_default_q(n_actions, tables[0].default_q());
+        let mut all_states: Vec<_> = tables.iter().flat_map(|t| t.state_keys()).collect();
+        all_states.sort_unstable();
+        all_states.dedup();
+        for state in all_states {
+            let mut values = vec![0.0f64; n_actions];
+            let mut weights = vec![0u64; n_actions];
+            for t in tables {
+                if let Some((v, n)) = t.entry_raw(state) {
+                    for a in 0..n_actions {
+                        values[a] += v[a] * n[a] as f64;
+                        weights[a] += n[a];
+                    }
+                }
+            }
+            for a in 0..n_actions {
+                if weights[a] > 0 {
+                    values[a] /= weights[a] as f64;
+                }
+            }
+            merged.insert_raw(state, &values, &weights);
+        }
+        merged
+    }
 
     fn table_with(state: u64, action: usize, value: f64, visits: u64) -> QTable {
         let mut t = QTable::new(3);
@@ -505,12 +491,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "zero tables")]
     fn merge_rejects_empty_input() {
-        let _ = merge::<HashStore>(&[]);
+        let _ = merge::<DenseStore>(&[]);
     }
 
     #[test]
     fn try_merge_returns_typed_errors() {
-        assert_eq!(try_merge::<HashStore>(&[]), Err(MergeError::NoTables));
+        assert_eq!(try_merge::<DenseStore>(&[]), Err(MergeError::NoTables));
         let a = QTable::new(2);
         let b = QTable::new(3);
         assert_eq!(
@@ -592,20 +578,11 @@ mod tests {
         let eager = merge_eager(&refs);
         let streaming = merge(&refs);
         assert_eq!(streaming, eager);
-        assert_eq!(streaming.encode(), eager.encode(), "bit-identical");
-    }
-
-    #[test]
-    fn dense_merge_matches_hash_merge() {
-        let hash_tables = [
-            table_with(3, 0, 2.0, 2),
-            table_with(3, 1, -1.0, 4),
-            table_with(700, 2, 9.0, 1),
-        ];
-        let dense_tables: Vec<DenseQTable> = hash_tables.iter().map(QTable::to_backend).collect();
-        let h = merge(&hash_tables.iter().collect::<Vec<_>>());
-        let d = merge(&dense_tables.iter().collect::<Vec<_>>());
-        assert_eq!(h.encode(), d.encode(), "backends must merge identically");
+        assert_eq!(
+            encode_table(&streaming),
+            encode_table(&eager),
+            "bit-identical"
+        );
     }
 
     #[test]
@@ -616,7 +593,7 @@ mod tests {
         let mut a = DenseQTable::dense_for_space(3, 0.0, 10);
         a.set(4, 1, 2.0);
         a.set(2, 0, 1.0);
-        let mut b = DenseQTable::dense(3);
+        let mut b = QTable::new(3);
         b.set(2, 0, 3.0);
         b.set(5_000, 2, -1.0);
         let mut acc: MergeAccumulator<DenseStore> = MergeAccumulator::new(3, 0.0);
@@ -628,11 +605,8 @@ mod tests {
         assert_eq!(merged.q(5_000, 2), -1.0);
         assert_eq!(merged.len(), 3);
 
-        // Same inputs through the hash backend give the same bytes.
-        let ha: QTable = a.to_backend();
-        let hb: QTable = b.to_backend();
-        let hashed = merge(&[&ha, &hb]);
-        assert_eq!(merged.encode(), hashed.encode());
+        // The eager oracle gives the same bytes.
+        assert_eq!(encode_table(&merged), encode_table(&merge_eager(&[&a, &b])));
     }
 
     #[test]
@@ -719,11 +693,19 @@ mod tests {
             .clone()
             .finish_normalized()
             .expect("tables folded");
-        assert_eq!(fast_n.encode(), ref_n.encode(), "normalized merge bits");
+        assert_eq!(
+            encode_table(&fast_n),
+            encode_table(&ref_n),
+            "normalized merge bits"
+        );
 
         let fast_t = fast.finish().expect("tables folded");
         let ref_t = reference.finish().expect("tables folded");
-        assert_eq!(fast_t.encode(), ref_t.encode(), "summed merge bits");
+        assert_eq!(
+            encode_table(&fast_t),
+            encode_table(&ref_t),
+            "summed merge bits"
+        );
         // The merged row set is the union: all base rows plus novels.
         assert_eq!(fast_t.len(), base.len() + 4);
     }
@@ -739,7 +721,7 @@ mod tests {
         let merged = acc.finish_normalized().expect("tables folded");
         // Averaging N identical copies is the identity on values, and
         // normalisation brings the visit magnitudes back to one copy.
-        assert_eq!(merged.encode(), base.encode());
+        assert_eq!(encode_table(&merged), encode_table(&*base));
     }
 
     #[test]
@@ -754,7 +736,7 @@ mod tests {
             Err(MergeError::BaseMismatch)
         );
         assert_eq!(
-            acc.fold(&DenseQTable::dense(3)),
+            acc.fold(&QTable::new(3)),
             Err(MergeError::MixedFold),
             "plain fold after overlay fold"
         );
@@ -762,13 +744,13 @@ mod tests {
         assert!(acc.finish().is_ok());
 
         let mut plain: MergeAccumulator<DenseStore> = MergeAccumulator::new(3, 0.0);
-        plain.fold(&DenseQTable::dense(3)).expect("plain fold");
+        plain.fold(&QTable::new(3)).expect("plain fold");
         assert_eq!(
             plain.fold_overlay(&QTable::overlay(base)),
             Err(MergeError::MixedFold),
             "overlay fold after plain fold"
         );
-        let wrong_width = QTable::overlay(Arc::new(DenseQTable::dense(2)));
+        let wrong_width = QTable::overlay(Arc::new(QTable::new(2)));
         let mut acc2: MergeAccumulator<DenseStore> = MergeAccumulator::new(3, 0.0);
         assert_eq!(
             acc2.fold_overlay(&wrong_width),
@@ -792,5 +774,29 @@ mod tests {
     fn cloud_time_monotonic_in_online_time() {
         let cloud = CloudModel::xeon_e7_8860v3();
         assert!(cloud.cloud_time_s(100.0) < cloud.cloud_time_s(300.0));
+    }
+
+    /// Strategy: an arbitrary small Q-table with 9 actions.
+    fn arb_table() -> impl Strategy<Value = DenseQTable> {
+        proptest::collection::vec((0u64..500, 0usize..9, -50.0..50.0f64, 1usize..4), 0..40)
+            .prop_map(|entries| {
+                let mut t = QTable::new(9);
+                for (s, a, v, visits) in entries {
+                    for _ in 0..visits {
+                        t.set(s, a, v);
+                    }
+                }
+                t
+            })
+    }
+
+    proptest! {
+        /// The streaming merge reproduces the eager all-keys merge bit
+        /// for bit on arbitrary tables.
+        #[test]
+        fn streaming_merge_matches_eager(a in arb_table(), b in arb_table(), c in arb_table()) {
+            let refs = [&a, &b, &c];
+            prop_assert_eq!(encode_table(&merge(&refs)), encode_table(&merge_eager(&refs)));
+        }
     }
 }

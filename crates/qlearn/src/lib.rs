@@ -10,17 +10,14 @@
 //!
 //! This crate provides the reusable machinery:
 //!
-//! * [`qtable`] — the Q-table with visit counting and a self-contained
-//!   text codec for on-device persistence (the paper stores
-//!   per-application tables and reloads them on later runs),
-//! * [`backend`] — the [`QStore`] storage abstraction with three
-//!   backends: the hash map for open-ended key spaces, the
-//!   dense-indexed arena ([`DenseQTable`]) whose contiguous rows make
-//!   the per-control-period argmax+update loop cache-friendly, and
-//!   the copy-on-write [`overlay`] over an `Arc`-shared base,
+//! * [`qtable`] — the Q-table with visit counting, generic over its
+//!   storage backend,
+//! * [`backend`] — the [`QStore`] storage abstraction and the
+//!   dense-indexed arena ([`DenseStore`]) whose contiguous rows make
+//!   the per-control-period argmax+update loop cache-friendly,
 //! * [`overlay`] — [`OverlayStore`], the campaign's per-device
-//!   backend: O(1) warm start from a shared merged global, O(touched)
-//!   resident memory and delta extraction,
+//!   backend: a copy-on-write view of an `Arc`-shared dense base, with
+//!   O(1) warm start, O(touched) resident memory and delta extraction,
 //! * [`policy`] — ε-greedy action selection with decay schedules,
 //! * [`learner`] — the Q-learning update rule,
 //! * [`discretize`] — uniform quantisers, including the FPS quantiser
@@ -28,8 +25,11 @@
 //! * [`federated`] — streaming visit-weighted federated averaging of
 //!   device tables ([`MergeAccumulator`]: bounded memory, dense arena
 //!   fast path) plus the cloud-training time model of §IV-C,
-//! * [`codec`] — the compact `NXQT` binary table/delta codec used by
-//!   campaign checkpoints and the delta-bytes uplink cost model.
+//! * [`codec`] — the compact `NXQT` binary table/delta codec, the one
+//!   format tables persist in: the per-app table store, campaign
+//!   checkpoints, the delta-bytes uplink cost model and the CLI's
+//!   table files (the paper stores per-application tables and reloads
+//!   them on later runs).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,19 +37,17 @@
 pub mod backend;
 pub mod codec;
 pub mod discretize;
-pub mod double_q;
 pub mod federated;
 pub mod learner;
 pub mod overlay;
 pub mod policy;
 pub mod qtable;
 
-pub use backend::{DenseStore, HashStore, QStore};
+pub use backend::{DenseStore, QStore};
 pub use codec::{apply_delta, decode_table, delta_between, encode_table, CodecError};
 pub use discretize::Quantizer;
-pub use double_q::DoubleQ;
 pub use federated::{CloudModel, MergeAccumulator, MergeError};
 pub use learner::QLearning;
 pub use overlay::OverlayStore;
 pub use policy::EpsilonGreedy;
-pub use qtable::{DecodeQTableError, DenseQTable, QTable, StateKey};
+pub use qtable::{DenseQTable, QTable, StateKey};

@@ -2,45 +2,19 @@
 //!
 //! States are pre-encoded by the caller into a [`StateKey`] (the Next
 //! agent packs its discretised observation tuple into the key), so the
-//! table itself is domain-agnostic. Storage is pluggable through
-//! [`QStore`]: [`HashStore`] for open-ended key spaces (federated
-//! merging), [`DenseStore`] for the cache-friendly learn/act hot path —
-//! see [`crate::backend`]. The text codec is shared, so a table encoded
-//! on one backend decodes into the other bit-for-bit.
+//! table itself is domain-agnostic. Storage goes through [`QStore`]:
+//! [`DenseStore`] for the cache-friendly learn/act hot path, or the
+//! copy-on-write [`crate::overlay::OverlayStore`] over a shared dense
+//! base — see [`crate::backend`]. Tables persist through the `NXQT`
+//! codec ([`crate::codec`]), which encodes both backends to the same
+//! bytes.
 
-use std::fmt;
-use std::fmt::Write as _;
-
-use crate::backend::{DenseStore, HashStore, QStore};
+use crate::backend::{DenseStore, QStore};
 
 pub use crate::backend::StateKey;
 
-/// Error returned when decoding a persisted table fails.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DecodeQTableError {
-    line: usize,
-    reason: String,
-}
-
-impl DecodeQTableError {
-    /// 1-based input line the error was detected on.
-    #[must_use]
-    pub fn line(&self) -> usize {
-        self.line
-    }
-}
-
-impl fmt::Display for DecodeQTableError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid q-table at line {}: {}", self.line, self.reason)
-    }
-}
-
-impl std::error::Error for DecodeQTableError {}
-
 /// Action-value table: `Q(s, a)` for a fixed-size action set, stored in
-/// backend `S` (hash-map by default; see [`DenseQTable`] for the dense
-/// hot-path backend).
+/// backend `S` (the dense arena by default).
 ///
 /// Unvisited state-action pairs read the table's *default value*
 /// (0 unless configured). Setting an **optimistic** default — above any
@@ -48,7 +22,7 @@ impl std::error::Error for DecodeQTableError {}
 /// action of every visited state at least once, the classic cure for
 /// premature exploitation under positive rewards.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct QTable<S: QStore = HashStore> {
+pub struct QTable<S: QStore = DenseStore> {
     default_q: f64,
     store: S,
 }
@@ -58,20 +32,20 @@ pub struct QTable<S: QStore = HashStore> {
 /// and argmax is a single probe plus one slice scan.
 pub type DenseQTable = QTable<DenseStore>;
 
-impl QTable<HashStore> {
-    /// Creates an empty hash-backed table for `n_actions` actions with a
-    /// default value of 0.
+impl QTable<DenseStore> {
+    /// Creates an empty table for `n_actions` actions with a default
+    /// value of 0.
     ///
     /// # Panics
     ///
     /// Panics if `n_actions` is zero.
     #[must_use]
     pub fn new(n_actions: usize) -> Self {
-        QTable::with_default_q(n_actions, 0.0)
+        QTable::empty(n_actions, 0.0)
     }
 
-    /// Creates an empty hash-backed table whose unvisited pairs read
-    /// `default_q` (use an optimistic value to drive exploration).
+    /// Creates an empty table whose unvisited pairs read `default_q`
+    /// (use an optimistic value to drive exploration).
     ///
     /// # Panics
     ///
@@ -79,45 +53,6 @@ impl QTable<HashStore> {
     #[must_use]
     pub fn with_default_q(n_actions: usize, default_q: f64) -> Self {
         QTable::empty(n_actions, default_q)
-    }
-}
-
-impl QTable<DenseStore> {
-    /// Creates an empty dense-backed table for `n_actions` actions with
-    /// a default value of 0.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_actions` is zero.
-    #[must_use]
-    pub fn dense(n_actions: usize) -> Self {
-        QTable::empty(n_actions, 0.0)
-    }
-
-    /// Creates an empty dense-backed table whose unvisited pairs read
-    /// `default_q`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_actions` is zero or `default_q` is not finite.
-    #[must_use]
-    pub fn dense_with_default_q(n_actions: usize, default_q: f64) -> Self {
-        QTable::empty(n_actions, default_q)
-    }
-
-    /// Dense table with arena capacity pre-reserved for `rows` states
-    /// (e.g. the expected visited-state count of a `StateSpace`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_actions` is zero or `default_q` is not finite.
-    #[must_use]
-    pub fn dense_with_capacity(n_actions: usize, default_q: f64, rows: usize) -> Self {
-        assert!(default_q.is_finite(), "default q must be finite");
-        QTable {
-            default_q,
-            store: DenseStore::with_row_capacity(n_actions, rows),
-        }
     }
 
     /// Dense table for a **bounded** key space of `n_states` states
@@ -130,11 +65,7 @@ impl QTable<DenseStore> {
     /// Panics if `n_actions` is zero or `default_q` is not finite.
     #[must_use]
     pub fn dense_for_space(n_actions: usize, default_q: f64, n_states: u64) -> Self {
-        assert!(default_q.is_finite(), "default q must be finite");
-        QTable {
-            default_q,
-            store: DenseStore::with_space(n_actions, n_states),
-        }
+        QTable::empty_for_space(n_actions, default_q, n_states)
     }
 }
 
@@ -214,8 +145,7 @@ impl<S: QStore> QTable<S> {
         self.default_q
     }
 
-    /// The storage backend's name (`"hash"`, `"dense"` or
-    /// `"overlay"`).
+    /// The storage backend's name (`"dense"` or `"overlay"`).
     #[must_use]
     pub fn backend_name(&self) -> &'static str {
         S::backend_name()
@@ -352,7 +282,7 @@ impl<S: QStore> QTable<S> {
     }
 
     /// Rebuilds the table on a different storage backend, preserving all
-    /// rows (and therefore the encoded form).
+    /// rows (and therefore the encoded bytes).
     #[must_use]
     pub fn to_backend<T: QStore>(&self) -> QTable<T> {
         let mut out: QTable<T> = QTable::empty(self.n_actions(), self.default_q);
@@ -363,142 +293,6 @@ impl<S: QStore> QTable<S> {
             n.copy_from_slice(visits);
         });
         out
-    }
-
-    /// Serialises the table to a line-oriented text format:
-    ///
-    /// ```text
-    /// qtable v2 <n_actions> <default_q>
-    /// <state> v0 v1 ... | n0 n1 ...
-    /// ```
-    ///
-    /// The format carries no backend information: both backends encode
-    /// identically (keys sorted) and decode into either.
-    #[must_use]
-    pub fn encode(&self) -> String {
-        let mut out = format!("qtable v2 {} {:e}\n", self.n_actions(), self.default_q);
-        for k in self.store.state_keys() {
-            // qlint::allow(PN01, reason = "k comes from state_keys() of the same store, so the row exists")
-            let (values, visits) = self.store.row(k).expect("listed key has a row");
-            let vals: Vec<String> = values.iter().map(|v| format!("{v:e}")).collect();
-            let vis: Vec<String> = visits.iter().map(u64::to_string).collect();
-            let _ = writeln!(out, "{k} {} | {}", vals.join(" "), vis.join(" "));
-        }
-        out
-    }
-
-    /// Parses the format produced by [`QTable::encode`] into this
-    /// backend.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeQTableError`] on any malformed input, including a
-    /// state key that appears on more than one line (a silent last-wins
-    /// merge would mask corrupted or hand-edited files).
-    pub fn decode(text: &str) -> Result<Self, DecodeQTableError> {
-        let mut lines = text.lines().enumerate();
-        let (_, header) = lines.next().ok_or_else(|| DecodeQTableError {
-            line: 1,
-            reason: "empty input".to_owned(),
-        })?;
-        let mut parts = header.split_whitespace();
-        let magic = parts.next();
-        let version = parts.next();
-        if magic != Some("qtable") || !matches!(version, Some("v1" | "v2")) {
-            return Err(DecodeQTableError {
-                line: 1,
-                reason: "bad header".to_owned(),
-            });
-        }
-        let n_actions: usize = parts
-            .next()
-            .and_then(|s| s.parse().ok())
-            .filter(|&n| n > 0)
-            .ok_or_else(|| DecodeQTableError {
-                line: 1,
-                reason: "bad action count".to_owned(),
-            })?;
-        let default_q: f64 = if version == Some("v2") {
-            parts
-                .next()
-                .and_then(|s| s.parse().ok())
-                .filter(|q: &f64| q.is_finite())
-                .ok_or_else(|| DecodeQTableError {
-                    line: 1,
-                    reason: "bad default q".to_owned(),
-                })?
-        } else {
-            0.0
-        };
-        let mut table: QTable<S> = QTable::empty(n_actions, default_q);
-        for (idx, line) in lines {
-            let lineno = idx + 1;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let (left, right) = line.split_once('|').ok_or_else(|| DecodeQTableError {
-                line: lineno,
-                reason: "missing visit separator".to_owned(),
-            })?;
-            let mut left_it = left.split_whitespace();
-            let state: StateKey =
-                left_it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| DecodeQTableError {
-                        line: lineno,
-                        reason: "bad state key".to_owned(),
-                    })?;
-            let values: Vec<f64> = left_it
-                .map(str::parse)
-                .collect::<Result<Vec<f64>, _>>()
-                .map_err(|e| DecodeQTableError {
-                    line: lineno,
-                    reason: e.to_string(),
-                })?;
-            let visits: Vec<u64> = right
-                .split_whitespace()
-                .map(str::parse)
-                .collect::<Result<Vec<u64>, _>>()
-                .map_err(|e| DecodeQTableError {
-                    line: lineno,
-                    reason: e.to_string(),
-                })?;
-            if values.len() != n_actions || visits.len() != n_actions {
-                return Err(DecodeQTableError {
-                    line: lineno,
-                    reason: format!(
-                        "expected {n_actions} values and visits, got {} and {}",
-                        values.len(),
-                        visits.len()
-                    ),
-                });
-            }
-            if values.iter().any(|v| !v.is_finite()) {
-                return Err(DecodeQTableError {
-                    line: lineno,
-                    reason: "non-finite q-value".to_owned(),
-                });
-            }
-            if table.store.contains(state) {
-                return Err(DecodeQTableError {
-                    line: lineno,
-                    reason: format!("duplicate state {state}"),
-                });
-            }
-            let (v, n) = table.store.row_mut(state, default_q);
-            v.copy_from_slice(&values);
-            n.copy_from_slice(&visits);
-            // Canonicalise: an unvisited cell always *stores* the
-            // default it reads as, whatever the input file carried —
-            // that stored value is unobservable through q()/argmax.
-            for (cell, &count) in v.iter_mut().zip(n.iter()) {
-                if count == 0 {
-                    *cell = default_q;
-                }
-            }
-        }
-        Ok(table)
     }
 
     /// Wraps a raw store into a table. The caller guarantees the store
@@ -551,6 +345,8 @@ impl<S: QStore> QTable<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{decode_table, encode_table};
+    use crate::overlay::OverlayStore;
 
     #[test]
     fn unvisited_states_read_zero() {
@@ -575,38 +371,11 @@ mod tests {
     }
 
     #[test]
-    fn dense_matches_hash_on_basics() {
-        let mut h = QTable::new(3);
-        let mut d = DenseQTable::dense(3);
-        for (s, a, v) in [
-            (7u64, 0usize, 0.1f64),
-            (7, 1, 0.9),
-            (3, 2, -0.5),
-            (7, 1, 0.7),
-        ] {
-            h.set(s, a, v);
-            d.set(s, a, v);
-        }
-        assert_eq!(h.best_action(7), d.best_action(7));
-        assert_eq!(h.best_actions(3), d.best_actions(3));
-        assert_eq!(h.values(7), d.values(7));
-        assert_eq!(h.total_visits(), d.total_visits());
-        assert_eq!(h.state_keys(), d.state_keys());
-        assert_eq!(h.encode(), d.encode());
-        assert_eq!(h.backend_name(), "hash");
-        assert_eq!(d.backend_name(), "dense");
-    }
-
-    #[test]
     fn ties_break_to_lowest_index() {
         let mut t = QTable::new(3);
         t.set(1, 2, 0.5);
         t.set(1, 0, 0.5);
         assert_eq!(t.best_action(1).0, 0);
-        let mut d = DenseQTable::dense(3);
-        d.set(1, 2, 0.5);
-        d.set(1, 0, 0.5);
-        assert_eq!(d.best_action(1).0, 0);
     }
 
     #[test]
@@ -616,34 +385,38 @@ mod tests {
         t.set(9_999_999_999, 3, 1e-7);
         t.set(5, 2, 42.0);
         t.set(5, 2, 43.5); // overwrite, second visit
-        let text = t.encode();
-        let back = QTable::decode(&text).expect("roundtrip");
+        let bytes = encode_table(&t);
+        let back: DenseQTable = decode_table(&bytes).expect("roundtrip");
         assert_eq!(back, t);
         assert_eq!(back.visits(5, 2), 2);
     }
 
     #[test]
     fn codec_crosses_backends() {
-        let mut d = DenseQTable::dense_with_default_q(4, 1.5);
+        let mut d = QTable::with_default_q(4, 1.5);
         d.set(11, 3, -2.0);
         d.set(2, 0, 0.25);
-        let text = d.encode();
-        let h: QTable = QTable::decode(&text).expect("hash decodes dense encoding");
-        assert_eq!(h.encode(), text, "hash re-encoding must be byte-identical");
-        let d2: DenseQTable = DenseQTable::decode(&h.encode()).expect("dense decodes hash");
+        let bytes = encode_table(&d);
+        let o: QTable<OverlayStore> = decode_table(&bytes).expect("overlay decodes dense bytes");
+        assert_eq!(
+            encode_table(&o),
+            bytes,
+            "overlay re-encoding is byte-identical"
+        );
+        let d2: DenseQTable = decode_table(&encode_table(&o)).expect("dense decodes overlay");
         assert_eq!(d2, d);
     }
 
     #[test]
     fn to_backend_preserves_rows() {
-        let mut h = QTable::with_default_q(3, 9.0);
-        h.set(1, 0, 2.0);
-        h.set(500, 2, -1.0);
-        let d: DenseQTable = h.to_backend();
-        assert_eq!(d.encode(), h.encode());
-        assert_eq!(d.default_q(), 9.0);
-        let h2: QTable = d.to_backend();
-        assert_eq!(h2, h);
+        let mut d = QTable::with_default_q(3, 9.0);
+        d.set(1, 0, 2.0);
+        d.set(500, 2, -1.0);
+        let o: QTable<OverlayStore> = d.to_backend();
+        assert_eq!(encode_table(&o), encode_table(&d));
+        assert_eq!(o.default_q(), 9.0);
+        let d2: DenseQTable = o.to_backend();
+        assert_eq!(d2, d);
     }
 
     #[test]
@@ -664,43 +437,6 @@ mod tests {
     }
 
     #[test]
-    fn decode_rejects_garbage() {
-        let dec = QTable::<HashStore>::decode;
-        assert!(dec("").is_err());
-        assert!(dec("nope v1 3").is_err());
-        assert!(dec("qtable v1 0").is_err());
-        assert!(
-            dec("qtable v1 2\n5 1.0 | 1 1").is_err(),
-            "wrong value arity"
-        );
-        assert!(
-            dec("qtable v1 2\n5 1.0 2.0 1 1").is_err(),
-            "missing separator"
-        );
-        assert!(dec("qtable v1 2\nx 1.0 2.0 | 1 1").is_err(), "bad key");
-        assert!(dec("qtable v1 2\n5 NaN 2.0 | 1 1").is_err(), "NaN value");
-    }
-
-    #[test]
-    fn decode_rejects_duplicate_state_lines() {
-        let text = "qtable v1 2\n5 1.0 2.0 | 1 1\n7 0.0 0.0 | 0 0\n5 9.0 9.0 | 2 2\n";
-        let err = QTable::<HashStore>::decode(text).expect_err("duplicate state must be rejected");
-        assert_eq!(err.line(), 4, "error must name the offending line");
-        assert!(err.to_string().contains("duplicate state 5"), "got: {err}");
-        // Dense backend rejects identically.
-        let derr = DenseQTable::decode(text).expect_err("dense rejects too");
-        assert_eq!(derr, err);
-    }
-
-    #[test]
-    fn decode_accepts_blank_lines_and_v1_headers() {
-        let t: QTable =
-            QTable::decode("qtable v1 2\n\n5 1.0 2.0 | 1 1\n\n").expect("blank lines ok");
-        assert_eq!(t.q(5, 1), 2.0);
-        assert_eq!(t.default_q(), 0.0, "v1 tables default to 0");
-    }
-
-    #[test]
     fn optimistic_default_applies_to_unvisited_pairs_only() {
         let mut t = QTable::with_default_q(3, 25.0);
         assert_eq!(t.q(7, 1), 25.0);
@@ -713,7 +449,7 @@ mod tests {
             vec![0, 2],
             "untried actions tie at the optimum"
         );
-        let back = QTable::decode(&t.encode()).expect("v2 roundtrip");
+        let back: DenseQTable = decode_table(&encode_table(&t)).expect("roundtrip");
         assert_eq!(back, t);
         assert_eq!(back.default_q(), 25.0);
     }
@@ -747,8 +483,8 @@ mod tests {
         b.set(3, 1, 2.0);
         b.set(10, 0, 1.0);
         assert_eq!(
-            a.encode(),
-            b.encode(),
+            encode_table(&a),
+            encode_table(&b),
             "encoding must not depend on insertion order"
         );
     }

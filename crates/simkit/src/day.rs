@@ -829,6 +829,7 @@ pub fn replay_day(meta: &TraceMeta, workers: usize) -> Result<(DayReport, TickTr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qlearn::encode_table;
     use workload::{DayPlanConfig, Persona};
 
     /// Default-backend store — the tests exercise the dense path; the
@@ -896,16 +897,16 @@ mod tests {
         // Populate the store once (train-on-first-use), then snapshot.
         let _ = run_day(&base_spec, &mut seed_store);
         let apps = base_spec.plan.distinct_apps();
-        let before: Vec<String> = apps
+        let before: Vec<Vec<u8>> = apps
             .iter()
-            .map(|a| seed_store.load(a).expect("seeded").encode())
+            .map(|a| encode_table(&seed_store.load(a).expect("seeded")))
             .collect();
 
         // An inference day leaves the store untouched.
         let mut store = clone_store(&mut seed_store, &apps);
         let inference = run_day(&base_spec, &mut store);
         for (a, b) in apps.iter().zip(&before) {
-            assert_eq!(&store.load(a).expect("kept").encode(), b);
+            assert_eq!(&encode_table(&store.load(a).expect("kept")), b);
         }
 
         // An online-training day writes updated tables back…
@@ -915,7 +916,7 @@ mod tests {
         let changed = apps
             .iter()
             .zip(&before)
-            .any(|(a, b)| &store1.load(a).expect("kept").encode() != b);
+            .any(|(a, b)| &encode_table(&store1.load(a).expect("kept")) != b);
         assert!(changed, "online day must update at least one table");
         assert_eq!(online.trainings, 0, "warm start is not a training");
         assert_eq!(online.pickup_count(), inference.pickup_count());
@@ -926,8 +927,8 @@ mod tests {
         assert_eq!(online2.sessions, online.sessions);
         for a in &apps {
             assert_eq!(
-                store1.load(a).expect("kept").encode(),
-                store2.load(a).expect("kept").encode()
+                encode_table(&store1.load(a).expect("kept")),
+                encode_table(&store2.load(a).expect("kept"))
             );
         }
     }

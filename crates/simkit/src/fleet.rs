@@ -624,8 +624,8 @@ mod tests {
         let b = run_fleet(&config, 4);
         assert_eq!(a.rounds, b.rounds, "telemetry must not depend on workers");
         assert_eq!(
-            a.tables[0].table.encode(),
-            b.tables[0].table.encode(),
+            qlearn::encode_table(&a.tables[0].table),
+            qlearn::encode_table(&b.tables[0].table),
             "merged table must be byte-identical across worker counts"
         );
     }

@@ -310,6 +310,7 @@ impl Trainer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qlearn::encode_table;
 
     #[test]
     fn trainer_matches_seed_protocol_wrapper() {
@@ -319,8 +320,8 @@ mod tests {
         let wrapped =
             crate::experiment::train_next_for_app("facebook", NextConfig::paper(), 3, 90.0);
         assert_eq!(
-            direct.agent.table().encode(),
-            wrapped.agent.table().encode()
+            encode_table(direct.agent.table()),
+            encode_table(wrapped.agent.table())
         );
         assert_eq!(direct.training_time_s, wrapped.training_time_s);
         assert_eq!(direct.converged, wrapped.converged);
@@ -350,8 +351,8 @@ mod tests {
         let stock = Trainer::new().train(base.clone());
         let hot = Trainer::new().train(base.with_soc(SocConfig::exynos9810_at_ambient(35.0)));
         assert_ne!(
-            stock.agent.table().encode(),
-            hot.agent.table().encode(),
+            encode_table(stock.agent.table()),
+            encode_table(hot.agent.table()),
             "a hotter device must experience different transitions"
         );
     }
@@ -362,10 +363,10 @@ mod tests {
             |ep: f64| TrainSpec::new("home", NextConfig::paper(), 2, 50.0).with_episode_s(ep);
         let a = Trainer::new().train(spec(25.0));
         let b = Trainer::new().train(spec(25.0));
-        assert_eq!(a.agent.table().encode(), b.agent.table().encode());
+        assert_eq!(encode_table(a.agent.table()), encode_table(b.agent.table()));
         // Different chunking changes session boundaries, hence the run.
         let c = Trainer::new().train(spec(10.0));
-        assert_ne!(a.agent.table().encode(), c.agent.table().encode());
+        assert_ne!(encode_table(a.agent.table()), encode_table(c.agent.table()));
     }
 
     #[test]
@@ -391,8 +392,8 @@ mod tests {
         assert_eq!(batched.len(), sequential.len());
         for (l, (b, s)) in batched.iter().zip(&sequential).enumerate() {
             assert_eq!(
-                b.agent.table().encode(),
-                s.agent.table().encode(),
+                encode_table(b.agent.table()),
+                encode_table(s.agent.table()),
                 "lane {l} learned a different table"
             );
             assert_eq!(b.training_time_s, s.training_time_s, "lane {l}");
@@ -411,7 +412,7 @@ mod tests {
             specs.iter().cloned().map(|s| trainer.train(s)).collect();
         let batched = trainer.train_batch(specs);
         for (b, s) in batched.iter().zip(&sequential) {
-            assert_eq!(b.agent.table().encode(), s.agent.table().encode());
+            assert_eq!(encode_table(b.agent.table()), encode_table(s.agent.table()));
             assert_eq!(b.training_time_s, s.training_time_s);
         }
     }

@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! next-sim run     --app <name> --governor <schedutil|intqos|next|performance|powersave|ondemand>
-//!                  [--duration <s>] [--seed <n>] [--train-budget <s>] [--table <file>]
-//! next-sim train   --app <name> [--budget <s>] [--seed <n>] [--out <file>]
+//!                  [--duration <s>] [--seed <n>] [--train-budget <s>] [--table <file.qtable>]
+//! next-sim train   --app <name> [--budget <s>] [--seed <n>] [--out <file.qtable>]
 //! next-sim compare --app <name> [--duration <s>] [--seed <n>]
 //! next-sim sweep   [--apps <a,b,..|all>] [--governors <g,h,..>] [--seeds <n,m,..>]
 //!                  [--duration <s>] [--train-budget <s>] [--workers <n>]
@@ -33,7 +33,7 @@ use next_mpsoc::bench::{
 };
 use next_mpsoc::governors::{self, IntQosPm, Schedutil};
 use next_mpsoc::next_core::{NextAgent, NextConfig};
-use next_mpsoc::qlearn::DenseQTable;
+use next_mpsoc::qlearn::{decode_table, encode_table, DenseQTable};
 use next_mpsoc::simkit::campaign::{
     run_campaign_with, CampaignConfig, CampaignOptions, CampaignOutcome,
 };
@@ -154,13 +154,16 @@ governors: schedutil | intqos | next | performance | powersave | ondemand
 platforms: exynos9810 (default, m=3, 9 actions) | exynos9820 (m=4, 12 actions)
 personas: gamer | socialite | commuter | reader
 
+train --out writes the trained Q-table as an NXQT binary file; run
+--table loads one, whose action count must match the platform's.
+
 sweep runs the full governor x app x seed grid in parallel (defaults:
 the six paper apps, schedutil+intqos+next, seed 1000, paper session
 lengths, all CPU cores) and prints a deterministic report — identical
 bytes for any --workers value.
 
-perf runs a fixed measurement grid plus a Q-table backend
-microbenchmark and writes a machine-readable BENCH.json (--out,
+perf runs a fixed measurement grid plus Q-table and merge
+microbenchmarks and writes a machine-readable BENCH.json (--out,
 default stdout). With --baseline it exits non-zero when aggregate
 throughput falls below --min-ratio (default 0.5) of the baseline's
 ticks_per_sec — the CI perf gate. --quick selects the small smoke
@@ -302,9 +305,19 @@ fn print_summary(label: &str, s: &Summary) {
 
 fn make_next_agent(app: &str, flags: &Flags) -> Result<NextAgent, String> {
     if let Some(path) = flags.get("table") {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-        let table = DenseQTable::decode(&text).map_err(|e| format!("parsing {path}: {e}"))?;
-        return Ok(NextAgent::with_table(NextConfig::paper(), table, false));
+        let bytes = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
+        let table: DenseQTable =
+            decode_table(&bytes).map_err(|e| format!("parsing {path}: {e}"))?;
+        let config = NextConfig::paper();
+        let want = config.platform.action_count();
+        if table.n_actions() != want {
+            return Err(format!(
+                "{path}: table has {} actions, the {} platform has {want}",
+                table.n_actions(),
+                config.platform.name()
+            ));
+        }
+        return Ok(NextAgent::with_table(config, table, false));
     }
     let budget = get_f64(flags, "train-budget", 600.0)?;
     let seed = get_u64(flags, "seed", 7)?;
@@ -352,7 +365,7 @@ fn cmd_train(flags: &Flags) -> Result<(), String> {
         out.agent.table().total_visits()
     );
     if let Some(path) = flags.get("out") {
-        std::fs::write(path, out.agent.table().encode())
+        std::fs::write(path, encode_table(out.agent.table()))
             .map_err(|e| format!("writing {path}: {e}"))?;
         println!("table written to {path}");
     }
@@ -490,9 +503,6 @@ fn cmd_perf(flags: &Flags) -> Result<(), String> {
         report.train_wall_s,
         perf::throughput_ticks_per_sec(&report)
     );
-    if let Some(speedup) = report.dense_speedup() {
-        eprintln!("perf: dense backend {speedup:.2}x faster than hash on argmax+update");
-    }
 
     let text = report.to_json().render();
     debug_assert!(Json::parse(&text).is_ok(), "BENCH.json must be valid JSON");
