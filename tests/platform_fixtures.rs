@@ -9,9 +9,14 @@
 //! 2. **`m` really varies**: the `exynos9820` preset runs end to end
 //!    with `Action::count == 12` and a dense Q-table sized to the
 //!    4-domain state space.
+//! 3. **Mixed-platform campaigns stay put**: a campaign over both
+//!    presets renders byte-identically to
+//!    `tests/fixtures/campaign_mixed.json`.
 
+use next_mpsoc::bench::campaign::campaign_to_json;
 use next_mpsoc::bench::fleet as bench_fleet;
 use next_mpsoc::next_core::{Action, NextAgent, StateEncoder};
+use next_mpsoc::simkit::campaign::{run_campaign, CampaignConfig};
 use next_mpsoc::simkit::experiment::evaluate_governor_on;
 use next_mpsoc::simkit::fleet::{run_fleet, FleetConfig};
 use next_mpsoc::simkit::{sweep, PlatformPreset, StandardEvaluator, TrainSpec, Trainer};
@@ -74,6 +79,25 @@ fn fleet_on_exynos9810_is_byte_identical_to_the_seed_fixture() {
     assert_eq!(
         rendered, fixture,
         "exynos9810 fleet.json drifted from the pre-refactor fixture"
+    );
+}
+
+/// The exact campaign the JSON fixture was captured with:
+/// `next-sim campaign --devices 8 --rounds 2 --quick --seed 7
+///  --platform exynos9810,exynos9820`. Eight devices cover all four
+/// hardware bins on both presets, and the rounds ledger carries the
+/// link model's payload-priced `comm_s`.
+#[test]
+fn mixed_campaign_is_byte_identical_to_the_pinned_fixture() {
+    let fixture = include_str!("fixtures/campaign_mixed.json");
+    let config = CampaignConfig::quick(8, 2, 7).with_platforms(&["exynos9810", "exynos9820"]);
+    let rendered = format!(
+        "{}\n",
+        campaign_to_json(&run_campaign(&config, 2), "quick").render()
+    );
+    assert_eq!(
+        rendered, fixture,
+        "mixed-platform campaign.json drifted from the pinned fixture"
     );
 }
 
