@@ -2,15 +2,11 @@
 //! `next-sim campaign` — plus the JSON interchange encoding of a
 //! Q-table the binary codec's size claim is measured against.
 //!
-//! Schema v7 of the `BENCH.json` family (see
-//! [`crate::fleet::parse_document`], which accepts it alongside every
-//! earlier version — v7 adds the per-round `table_bytes` working-set
-//! ledger to `rounds_log`, a pure addition, so v6 documents parse
-//! unchanged). Everything
-//! rendered here is a pure function of the [`CampaignReport`] — no
-//! wall clock — so a campaign document is **byte-identical** for a
-//! fixed config across worker counts, machines, and kill/resume
-//! points. Exact-integer fields (byte totals, visit counts) go through
+//! A `BENCH.json`-family document (see
+//! [`crate::perf::parse_document`]). Everything rendered here is a
+//! pure function of the [`CampaignReport`] — no wall clock — so a
+//! campaign document is **byte-identical** for a fixed config across
+//! worker counts, machines, and kill/resume points. Exact-integer fields (byte totals, visit counts) go through
 //! [`Json::num_u64`], so counts past 2^53 survive digit for digit.
 
 use qlearn::{QStore, QTable};
@@ -51,8 +47,8 @@ pub fn campaign_to_json(report: &CampaignReport, mode: &str) -> Json {
     let config = Json::Obj(vec![
         ("devices".into(), Json::num(cfg.devices as f64)),
         ("rounds".into(), Json::num(cfg.rounds as f64)),
-        // Seeds are full-range u64s; they travel as strings, the
-        // fleet.json convention (predates Json::num_u64 and is frozen).
+        // Seeds are full-range u64s; they travel as strings (the
+        // convention predates Json::num_u64 and is frozen).
         ("seed".into(), Json::str(cfg.seed.to_string())),
         ("shard_size".into(), Json::num(cfg.shard_size as f64)),
         (
@@ -176,7 +172,7 @@ pub fn table_json_cells<S: QStore>(table: &QTable<S>) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fleet::parse_document;
+    use crate::perf::parse_document;
     use qlearn::{encode_table, DenseQTable};
     use simkit::campaign::{run_campaign, CampaignConfig};
 
@@ -192,13 +188,8 @@ mod tests {
         let doc = campaign_to_json(&report, "test");
         let text = doc.render();
         let parsed = parse_document(&text).expect("own rendering parses");
-        assert_eq!(parsed.schema, 7);
-        let campaign = parsed.campaign.expect("campaign section present");
-        assert_eq!(
-            parsed.doc.render(),
-            text,
-            "render ∘ parse must be a fixpoint"
-        );
+        let campaign = parsed.get("campaign").expect("campaign section present");
+        assert_eq!(parsed.render(), text, "render ∘ parse must be a fixpoint");
         let config = campaign.get("config").expect("config");
         assert_eq!(config.get("devices").and_then(Json::as_f64), Some(4.0));
         assert_eq!(
@@ -260,28 +251,6 @@ mod tests {
         for t in tables {
             assert!(t.get("bytes").and_then(Json::as_u64).unwrap() > 0);
         }
-    }
-
-    #[test]
-    fn pinned_v6_documents_still_parse() {
-        // A frozen pre-overlay rounds_log record (no `table_bytes`):
-        // v6 documents in the trajectory must keep parsing unchanged.
-        let v6 = "{\"schema\":6,\"harness\":\"next-sim campaign\",\"campaign\":{\
-                  \"rounds_log\":[{\"round\":0,\"uplink_bytes\":123,\"comm_s\":0.5}]}}";
-        let parsed = parse_document(v6).expect("pinned v6 document parses");
-        assert_eq!(parsed.schema, 6);
-        let rounds = parsed
-            .campaign
-            .expect("campaign section")
-            .get("rounds_log")
-            .and_then(Json::as_array)
-            .expect("rounds_log")
-            .to_vec();
-        assert_eq!(
-            rounds[0].get("uplink_bytes").and_then(Json::as_u64),
-            Some(123)
-        );
-        assert!(rounds[0].get("table_bytes").is_none());
     }
 
     /// Builds a populated paper-space-sized table with full-mantissa

@@ -7,11 +7,10 @@
 //! run's governor when `schedutil` was not in the grid) — the
 //! horizon-level comparison the paper's §I premise actually calls for.
 //!
-//! Schema v4 of the `BENCH.json` family (see
-//! [`crate::fleet::parse_document`], which accepts it). Everything
-//! rendered here is a pure function of the [`DayReport`]s — no wall
-//! clock — so a day document is **byte-identical** for fixed inputs
-//! across worker counts and machines.
+//! A `BENCH.json`-family document (see [`crate::perf::parse_document`]).
+//! Everything rendered here is a pure function of the [`DayReport`]s —
+//! no wall clock — so a day document is **byte-identical** for fixed
+//! inputs across worker counts and machines.
 
 use simkit::day::DayReport;
 
@@ -64,7 +63,7 @@ fn run_json(report: &DayReport) -> Json {
     Json::Obj(vec![
         ("persona".into(), Json::str(&report.plan.persona)),
         // Seeds are full-range u64s; JSON numbers (f64) round above
-        // 2^53, so they travel as strings (the fleet convention).
+        // 2^53, so they travel as strings (the campaign convention).
         ("seed".into(), Json::str(report.plan.seed.to_string())),
         ("governor".into(), Json::str(&report.governor)),
         ("platform".into(), Json::str(&report.platform)),
@@ -168,7 +167,7 @@ pub fn days_to_json(reports: &[DayReport], mode: &str) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fleet::parse_document;
+    use crate::perf::parse_document;
     use simkit::day::run_days;
     use simkit::PlatformPreset;
     use workload::{DayPlan, DayPlanConfig, Persona};
@@ -196,8 +195,7 @@ mod tests {
         let reports = tiny_reports();
         let text = days_to_json(&reports, "test").render();
         let parsed = parse_document(&text).expect("own rendering parses");
-        assert_eq!(parsed.schema, crate::perf::SCHEMA_VERSION);
-        let day = parsed.day.expect("day section present");
+        let day = parsed.get("day").expect("day section present");
         let runs = day.get("runs").and_then(Json::as_array).expect("runs");
         assert_eq!(runs.len(), 2);
         assert_eq!(runs[0].get("governor").and_then(Json::as_str), Some("next"));
@@ -208,11 +206,7 @@ mod tests {
             .expect("per-session log");
         assert_eq!(sessions.len(), 3);
         assert!(sessions[0].get("ppdw").and_then(Json::as_f64).unwrap() > 0.0);
-        assert_eq!(
-            parsed.doc.render(),
-            text,
-            "render ∘ parse must be a fixpoint"
-        );
+        assert_eq!(parsed.render(), text, "render ∘ parse must be a fixpoint");
     }
 
     #[test]

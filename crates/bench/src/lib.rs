@@ -11,7 +11,6 @@
 
 pub mod campaign;
 pub mod day;
-pub mod fleet;
 pub mod json;
 pub mod perf;
 pub mod report;

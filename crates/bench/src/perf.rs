@@ -25,24 +25,36 @@ use workload::{SessionPlan, SessionSim};
 
 use crate::json::Json;
 
-/// Version of the `BENCH.json` schema family this harness writes. Bump
-/// when a field changes meaning; additions are backwards-compatible.
-/// v2 added the optional `fleet` section (`next-sim fleet`) and the
-/// federated merge probe; v3 added the `platform` field (the preset
-/// the grid ran on) and per-platform fleet sections; v4 added the `day`
-/// section (`next-sim day` battery-day documents); v5 added the `batch`
-/// section — the structure-of-arrays tick-kernel throughput probe and
-/// its `device_days_per_sec` metric; v6 adds the `campaign` section
-/// (`next-sim campaign` documents) and the end-to-end campaign probe
-/// with its `devices_per_sec` metric; v7 splits the campaign probe's
-/// warm-seed training out of its round wall-clock (so
-/// `devices_per_sec` measures steady-state rounds only), adds
-/// per-round `table_bytes` to campaign documents, and adds the
+/// Version of the `BENCH.json` schema family: `BENCH.json`, `day.json`
+/// and `campaign.json` all declare it, and [`parse_document`] reads no
+/// other. Bump it when a field is added or changes meaning. v7 split
+/// the campaign probe's warm-seed training out of its round wall-clock
+/// (so `devices_per_sec` measures steady-state rounds only), added
+/// per-round `table_bytes` to campaign documents, and added the
 /// `overlay` section — copy-on-write warm-start and delta-extraction
 /// latencies (`warm_start_ns`, `delta_extract_ns`).
-/// [`crate::fleet::parse_document`] still accepts every earlier
-/// version.
 pub const SCHEMA_VERSION: u32 = 7;
+
+/// Parses a `BENCH.json`-family document (`BENCH.json`, `day.json` or
+/// `campaign.json`) and checks that it declares [`SCHEMA_VERSION`].
+///
+/// # Errors
+///
+/// Returns a human-readable description on malformed JSON or a
+/// missing or different `schema` field.
+pub fn parse_document(text: &str) -> Result<Json, String> {
+    let doc = Json::parse(text).map_err(|e| e.to_string())?;
+    let schema = doc
+        .get("schema")
+        .and_then(Json::as_f64)
+        .ok_or("missing numeric 'schema' field")?;
+    if schema != f64::from(SCHEMA_VERSION) {
+        return Err(format!(
+            "unsupported schema version {schema} (this build reads {SCHEMA_VERSION})"
+        ));
+    }
+    Ok(doc)
+}
 
 /// Configuration of one perf-harness run.
 #[derive(Debug, Clone)]
@@ -1144,26 +1156,25 @@ fn gate_ceiling(
     ))
 }
 
-/// Applies the CI performance floors: the report's aggregate ticks/sec
-/// must reach `min_ratio` of the baseline's `ticks_per_sec`, and — when
-/// the baseline carries a `device_days_per_sec` or `devices_per_sec`
-/// entry — the batched tick-kernel probe and the end-to-end campaign
-/// probe must reach `min_ratio` of those too. Baselines carrying
-/// `warm_start_ns` / `delta_extract_ns` additionally gate the overlay
-/// probe's latencies as **ceilings** (baseline / `min_ratio` — smaller
-/// is better). Older baselines without any of these fields skip the
-/// corresponding gates, keeping the checker backward-accepting like
-/// [`crate::fleet::parse_document`].
+/// Signature shared by [`gate_metric`] and [`gate_ceiling`].
+type Gate = fn(&'static str, f64, f64, f64) -> Result<String, GateError>;
+
+/// Applies the CI performance gates. The baseline must carry all five
+/// gated fields. Three are throughput **floors** the report must reach
+/// `min_ratio` of: the aggregate `ticks_per_sec`, the batched
+/// tick-kernel probe's `device_days_per_sec` and the end-to-end
+/// campaign probe's `devices_per_sec`. Two are overlay-probe latency
+/// **ceilings** (baseline / `min_ratio` — smaller is better):
+/// `warm_start_ns` and `delta_extract_ns`.
 ///
 /// `baseline_text` is the checked-in baseline JSON (see
-/// `ci/perf-baseline.json`); it needs a top-level numeric
-/// `ticks_per_sec` field.
+/// `ci/perf-baseline.json`).
 ///
 /// # Errors
 ///
-/// Returns a typed [`GateError`] — distinguishing an unreadable or
-/// degenerate baseline from a genuine floor violation — which renders
-/// as the human-readable gate message via `Display`.
+/// Returns a typed [`GateError`] — distinguishing an unreadable,
+/// incomplete or degenerate baseline from a genuine floor violation —
+/// which renders as the human-readable gate message via `Display`.
 pub fn check_floor(
     report: &PerfReport,
     baseline_text: &str,
@@ -1171,58 +1182,35 @@ pub fn check_floor(
 ) -> Result<String, GateError> {
     let baseline =
         Json::parse(baseline_text).map_err(|e| GateError::BaselineUnreadable(e.to_string()))?;
-    let base_tps = baseline_metric(&baseline, "ticks_per_sec")?;
-    let mut verdict = gate_metric(
-        "ticks_per_sec",
-        throughput_ticks_per_sec(report),
-        base_tps,
-        min_ratio,
-    )?;
-    if baseline.get("device_days_per_sec").is_some() {
-        let base_ddps = baseline_metric(&baseline, "device_days_per_sec")?;
-        let line = gate_metric(
+    let gates: [(&'static str, f64, Gate); 5] = [
+        (
+            "ticks_per_sec",
+            throughput_ticks_per_sec(report),
+            gate_metric,
+        ),
+        (
             "device_days_per_sec",
             report.batch.device_days_per_sec,
-            base_ddps,
-            min_ratio,
-        )?;
-        verdict.push_str("; ");
-        verdict.push_str(&line);
-    }
-    if baseline.get("devices_per_sec").is_some() {
-        let base_campaign = baseline_metric(&baseline, "devices_per_sec")?;
-        let line = gate_metric(
+            gate_metric,
+        ),
+        (
             "devices_per_sec",
             report.campaign.devices_per_sec,
-            base_campaign,
-            min_ratio,
-        )?;
-        verdict.push_str("; ");
-        verdict.push_str(&line);
-    }
-    if baseline.get("warm_start_ns").is_some() {
-        let base_warm = baseline_metric(&baseline, "warm_start_ns")?;
-        let line = gate_ceiling(
-            "warm_start_ns",
-            report.overlay.warm_start_ns,
-            base_warm,
-            min_ratio,
-        )?;
-        verdict.push_str("; ");
-        verdict.push_str(&line);
-    }
-    if baseline.get("delta_extract_ns").is_some() {
-        let base_delta = baseline_metric(&baseline, "delta_extract_ns")?;
-        let line = gate_ceiling(
+            gate_metric,
+        ),
+        ("warm_start_ns", report.overlay.warm_start_ns, gate_ceiling),
+        (
             "delta_extract_ns",
             report.overlay.delta_extract_ns,
-            base_delta,
-            min_ratio,
-        )?;
-        verdict.push_str("; ");
-        verdict.push_str(&line);
+            gate_ceiling,
+        ),
+    ];
+    let mut lines = Vec::with_capacity(gates.len());
+    for (metric, measured, gate) in gates {
+        let base = baseline_metric(&baseline, metric)?;
+        lines.push(gate(metric, measured, base, min_ratio)?);
     }
-    Ok(verdict)
+    Ok(lines.join("; "))
 }
 
 #[cfg(test)]
@@ -1409,14 +1397,40 @@ mod tests {
         }
     }
 
+    /// Renders a baseline carrying all five gated fields with 10×
+    /// slack over what `report` measured. Each override replaces one
+    /// field's value, or drops the field when the value is `None`.
+    fn baseline_with(report: &PerfReport, overrides: &[(&str, Option<f64>)]) -> String {
+        let generous = [
+            ("ticks_per_sec", throughput_ticks_per_sec(report) / 10.0),
+            (
+                "device_days_per_sec",
+                report.batch.device_days_per_sec / 10.0,
+            ),
+            ("devices_per_sec", report.campaign.devices_per_sec / 10.0),
+            ("warm_start_ns", report.overlay.warm_start_ns * 10.0),
+            ("delta_extract_ns", report.overlay.delta_extract_ns * 10.0),
+        ];
+        let fields = generous
+            .into_iter()
+            .filter_map(|(name, value)| {
+                let value = match overrides.iter().find(|(n, _)| *n == name) {
+                    Some(&(_, replaced)) => replaced?,
+                    None => value,
+                };
+                Some((name.to_owned(), Json::num(value)))
+            })
+            .collect();
+        Json::Obj(fields).render()
+    }
+
     #[test]
     fn floor_check_passes_and_fails_correctly() {
         let report = run(&tiny_config());
         let tps = throughput_ticks_per_sec(&report);
         assert!(tps > 0.0);
-        let generous = format!("{{\"ticks_per_sec\": {}}}", tps / 10.0);
-        assert!(check_floor(&report, &generous, 0.5).is_ok());
-        let impossible = format!("{{\"ticks_per_sec\": {}}}", tps * 1e6);
+        assert!(check_floor(&report, &baseline_with(&report, &[]), 0.5).is_ok());
+        let impossible = baseline_with(&report, &[("ticks_per_sec", Some(tps * 1e6))]);
         assert!(matches!(
             check_floor(&report, &impossible, 0.5),
             Err(GateError::FloorViolated {
@@ -1429,21 +1443,12 @@ mod tests {
     #[test]
     fn floor_check_gates_device_days_when_baseline_carries_it() {
         let report = run(&tiny_config());
-        let tps = throughput_ticks_per_sec(&report);
         let ddps = report.batch.device_days_per_sec;
         assert!(ddps > 0.0);
-        let both_pass = format!(
-            "{{\"ticks_per_sec\": {}, \"device_days_per_sec\": {}}}",
-            tps / 10.0,
-            ddps / 10.0
-        );
-        let verdict = check_floor(&report, &both_pass, 0.5).expect("both gates pass");
+        let verdict =
+            check_floor(&report, &baseline_with(&report, &[]), 0.5).expect("all gates pass");
         assert!(verdict.contains("device_days_per_sec"));
-        let batch_fails = format!(
-            "{{\"ticks_per_sec\": {}, \"device_days_per_sec\": {}}}",
-            tps / 10.0,
-            ddps * 1e6
-        );
+        let batch_fails = baseline_with(&report, &[("device_days_per_sec", Some(ddps * 1e6))]);
         assert!(matches!(
             check_floor(&report, &batch_fails, 0.5),
             Err(GateError::FloorViolated {
@@ -1451,30 +1456,17 @@ mod tests {
                 ..
             })
         ));
-        // Older baselines without the field skip the batch gate.
-        let legacy = format!("{{\"ticks_per_sec\": {}}}", tps / 10.0);
-        let verdict = check_floor(&report, &legacy, 0.5).expect("legacy baseline passes");
-        assert!(!verdict.contains("device_days_per_sec"));
     }
 
     #[test]
     fn floor_check_gates_campaign_throughput_when_baseline_carries_it() {
         let report = run(&tiny_config());
-        let tps = throughput_ticks_per_sec(&report);
         let dps = report.campaign.devices_per_sec;
         assert!(dps > 0.0);
-        let both_pass = format!(
-            "{{\"ticks_per_sec\": {}, \"devices_per_sec\": {}}}",
-            tps / 10.0,
-            dps / 10.0
-        );
-        let verdict = check_floor(&report, &both_pass, 0.5).expect("both gates pass");
+        let verdict =
+            check_floor(&report, &baseline_with(&report, &[]), 0.5).expect("all gates pass");
         assert!(verdict.contains("devices_per_sec"));
-        let campaign_fails = format!(
-            "{{\"ticks_per_sec\": {}, \"devices_per_sec\": {}}}",
-            tps / 10.0,
-            dps * 1e6
-        );
+        let campaign_fails = baseline_with(&report, &[("devices_per_sec", Some(dps * 1e6))]);
         assert!(matches!(
             check_floor(&report, &campaign_fails, 0.5),
             Err(GateError::FloorViolated {
@@ -1482,33 +1474,20 @@ mod tests {
                 ..
             })
         ));
-        let legacy = format!("{{\"ticks_per_sec\": {}}}", tps / 10.0);
-        let verdict = check_floor(&report, &legacy, 0.5).expect("legacy baseline passes");
-        assert!(!verdict.contains("devices_per_sec"));
     }
 
     #[test]
     fn floor_check_gates_overlay_latency_ceilings_when_baseline_carries_them() {
         let report = run(&tiny_config());
-        let tps = throughput_ticks_per_sec(&report);
         let warm = report.overlay.warm_start_ns;
         let delta = report.overlay.delta_extract_ns;
         assert!(warm > 0.0 && delta > 0.0);
-        let both_pass = format!(
-            "{{\"ticks_per_sec\": {}, \"warm_start_ns\": {}, \"delta_extract_ns\": {}}}",
-            tps / 10.0,
-            warm * 10.0,
-            delta * 10.0
-        );
-        let verdict = check_floor(&report, &both_pass, 0.5).expect("ceilings pass");
+        let verdict =
+            check_floor(&report, &baseline_with(&report, &[]), 0.5).expect("ceilings pass");
         assert!(verdict.contains("warm_start_ns"));
         assert!(verdict.contains("delta_extract_ns"));
         // A latency regression trips the ceiling.
-        let warm_fails = format!(
-            "{{\"ticks_per_sec\": {}, \"warm_start_ns\": {}}}",
-            tps / 10.0,
-            warm / 1e6
-        );
+        let warm_fails = baseline_with(&report, &[("warm_start_ns", Some(warm / 1e6))]);
         assert!(matches!(
             check_floor(&report, &warm_fails, 0.5),
             Err(GateError::CeilingViolated {
@@ -1516,10 +1495,6 @@ mod tests {
                 ..
             })
         ));
-        // Legacy baselines without the latency fields skip the gates.
-        let legacy = format!("{{\"ticks_per_sec\": {}}}", tps / 10.0);
-        let verdict = check_floor(&report, &legacy, 0.5).expect("legacy baseline passes");
-        assert!(!verdict.contains("warm_start_ns"));
     }
 
     #[test]
@@ -1542,6 +1517,13 @@ mod tests {
         assert_eq!(
             check_floor(&report, "{\"ticks_per_sec\": \"fast\"}", 0.5),
             Err(GateError::MissingMetric("ticks_per_sec"))
+        );
+        // Every gated field is required: a baseline without the
+        // campaign floor is rejected, not skipped.
+        let no_campaign = baseline_with(&report, &[("devices_per_sec", None)]);
+        assert_eq!(
+            check_floor(&report, &no_campaign, 0.5),
+            Err(GateError::MissingMetric("devices_per_sec"))
         );
     }
 
@@ -1659,6 +1641,23 @@ mod tests {
         for gov in StandardEvaluator::GOVERNORS {
             assert!(governor_period_s(gov) > 0.0, "{gov}");
         }
+    }
+
+    #[test]
+    fn parser_rejects_bad_documents() {
+        assert!(parse_document("not json").is_err());
+        assert!(
+            parse_document("{\"mode\":\"quick\"}").is_err(),
+            "missing schema"
+        );
+        for other in [1, 6, 8] {
+            assert!(
+                parse_document(&format!("{{\"schema\":{other}}}")).is_err(),
+                "schema {other} must be rejected"
+            );
+        }
+        let doc = parse_document("{\"schema\":7,\"campaign\":{}}").expect("schema 7 parses");
+        assert!(doc.get("campaign").is_some());
     }
 
     #[test]

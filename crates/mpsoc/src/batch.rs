@@ -718,83 +718,6 @@ impl SocBatch {
         self.level_snap.copy_from_slice(&self.lvl_cur);
         self.cap_snap.copy_from_slice(&self.lvl_max);
     }
-
-    /// Compacts the batch to the lanes with `keep[lane] == true`,
-    /// preserving every kept lane's state (training fleets drop lanes
-    /// as their agents converge).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `keep.len()` equals the batch width.
-    pub fn retain_lanes(&mut self, keep: &[bool]) {
-        fn retain_vec<T>(v: &mut Vec<T>, keep: &[bool]) {
-            let mut it = keep.iter();
-            // qlint::allow(PN01, reason = "the assert below guarantees one keep flag per lane")
-            v.retain(|_| *it.next().expect("keep flag per element"));
-        }
-
-        assert_eq!(keep.len(), self.width, "one keep flag per lane");
-        let kept: Vec<usize> = (0..self.width).filter(|&l| keep[l]).collect();
-        if kept.len() == self.width {
-            return;
-        }
-        let old_w = self.width;
-        let new_w = kept.len();
-        let n = self.platform.n_domains();
-        let n_nodes = self.thermal_config.nodes.len();
-
-        retain_vec(&mut self.dvfs, keep);
-        retain_vec(&mut self.vsync, keep);
-        retain_vec(&mut self.ambient_c, keep);
-        retain_vec(&mut self.base_w, keep);
-        retain_vec(&mut self.time_s, keep);
-        retain_vec(&mut self.energy_j, keep);
-        retain_vec(&mut self.last_tick, keep);
-        retain_vec(&mut self.dvfs_dirty, keep);
-        retain_vec(&mut self.ctl_stale, keep);
-        retain_vec(&mut self.margin_mirror, keep);
-        retain_vec(&mut self.boost_mirror, keep);
-        retain_vec(&mut self.window_frame_sum, keep);
-
-        let compact = |arr: &mut Vec<f64>, rows: usize| {
-            for row in 0..rows {
-                for (new_l, &old_l) in kept.iter().enumerate() {
-                    arr[row * new_w + new_l] = arr[row * old_w + old_l];
-                }
-            }
-            arr.truncate(rows * new_w);
-        };
-        compact(&mut self.temps_c, n_nodes);
-        let compact_usize = |arr: &mut Vec<usize>, rows: usize| {
-            for row in 0..rows {
-                for (new_l, &old_l) in kept.iter().enumerate() {
-                    arr[row * new_w + new_l] = arr[row * old_w + old_l];
-                }
-            }
-            arr.truncate(rows * new_w);
-        };
-        compact_usize(&mut self.clamp_level, n);
-        compact_usize(&mut self.level_snap, n);
-        compact_usize(&mut self.cap_snap, n);
-        compact_usize(&mut self.lvl_cur, n);
-        compact_usize(&mut self.lvl_min, n);
-        compact_usize(&mut self.lvl_max, n);
-        compact(&mut self.last_utils, n);
-        self.flux.truncate(n_nodes * new_w);
-        self.node_power.truncate(n_nodes * new_w);
-        self.domain_w.truncate(n * new_w);
-
-        let slots = self.window_dt.len();
-        let old_frames: Vec<u32> = self.window_frames.iter().copied().collect();
-        self.window_frames.clear();
-        for slot in 0..slots {
-            for &old_l in &kept {
-                self.window_frames
-                    .push_back(old_frames[slot * old_w + old_l]);
-            }
-        }
-        self.width = new_w;
-    }
 }
 
 /// One domain's round of the in-kernel utilisation-tracking policy
@@ -1009,40 +932,6 @@ mod tests {
             }
             for (l, single) in singles.iter().enumerate() {
                 assert!(single.state() == batch.state(l), "tick {t} lane {l}");
-            }
-        }
-    }
-
-    #[test]
-    fn retain_lanes_preserves_kept_state() {
-        let cfg = SocConfig::exynos9810();
-        let mut batch = SocBatch::replicate(&cfg, 4).unwrap();
-        let mut singles: Vec<Soc> = (0..4).map(|_| Soc::new(cfg.clone())).collect();
-        let mut demands = vec![FrameDemand::default(); 4];
-        for t in 0..200 {
-            for (l, d) in demands.iter_mut().enumerate() {
-                *d = demand_at(t, l);
-            }
-            batch.tick(0.025, &demands);
-            for (l, single) in singles.iter_mut().enumerate() {
-                single.tick(0.025, &demands[l]);
-            }
-        }
-        batch.retain_lanes(&[true, false, false, true]);
-        assert_eq!(batch.width(), 2);
-        let kept = [0usize, 3];
-        let mut demands = vec![FrameDemand::default(); 2];
-        for t in 200..400 {
-            for (slot, &lane) in kept.iter().enumerate() {
-                demands[slot] = demand_at(t, lane);
-            }
-            batch.tick(0.025, &demands);
-            for (slot, &lane) in kept.iter().enumerate() {
-                singles[lane].tick(0.025, &demands[slot]);
-                assert!(
-                    singles[lane].state() == batch.state(slot),
-                    "tick {t} kept lane {lane}"
-                );
             }
         }
     }

@@ -9,10 +9,8 @@
 //!
 //! Lanes never observe each other — batching only interleaves
 //! independent lanes — so lane `l`'s trace, learned Q-table and summary
-//! are bit-identical to a one-lane run on lane `l`'s inputs. The fleet
-//! trainer and the day runner drive wide batches for their fan-outs and
-//! fall back to one-lane runs only where lanes genuinely diverge
-//! (different budgets or episode chunking).
+//! are bit-identical to a one-lane run on lane `l`'s inputs. The day
+//! runner drives wide batches for its governor fan-out.
 //!
 //! # Example
 //!

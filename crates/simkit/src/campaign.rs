@@ -1,13 +1,12 @@
 //! Million-device campaign runner: sharded, checkpointed federated
 //! battery-days (§IV-C run at production scale and day granularity).
 //!
-//! Where [`crate::fleet`] federates *training sessions*, a campaign
-//! federates **whole days**: every federated round, every device lives
-//! one full [`workload::DayPlan`] — persona-driven pickups, screen-off
-//! cooling, per-app Q-tables — with online learning enabled
-//! ([`DaySpec::train_online`]), uploads the **binary delta** of what it
-//! learned (`qlearn::codec`), and receives the merged per-platform
-//! tables back:
+//! A campaign federates **whole days**: every federated round, every
+//! device lives one full [`workload::DayPlan`] — persona-driven
+//! pickups, screen-off cooling, per-app Q-tables — with online learning
+//! enabled ([`DaySpec::train_online`]), uploads the **binary delta** of
+//! what it learned (`qlearn::codec`), and receives the merged
+//! per-platform tables back:
 //!
 //! ```text
 //!         ┌──────────────── one campaign round ────────────────┐
@@ -56,6 +55,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use mpsoc::soc::SocConfig;
 use next_core::QTableStore;
 use qlearn::{decode_table, encode_table, DenseQTable, DenseStore, OverlayStore};
 use qlearn::{MergeAccumulator, QTable};
@@ -63,7 +63,6 @@ use workload::scenario::{splitmix64, DayPlanConfig};
 use workload::{DayPlan, Persona};
 
 use crate::day::{run_day, DaySpec};
-use crate::fleet::{device_profiles, soc_config_for, DeviceProfile, LinkModel, SOC_BINS};
 use crate::metrics::Battery;
 use crate::platform::PlatformPreset;
 use crate::sweep::{parallel_map, StandardEvaluator};
@@ -99,6 +98,134 @@ const CKPT_MAGIC: [u8; 4] = *b"NXCP";
 /// to the ledger records (overlay working-set accounting).
 const CKPT_VERSION: u16 = 2;
 
+/// Up-/down-link latency of one federated round — the configurable
+/// generalisation of Fig. 6's measured ≤4 s round-trip overhead.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LinkModel {
+    /// Device → cloud table upload latency, seconds.
+    pub uplink_s: f64,
+    /// Cloud → device merged-table push latency, seconds.
+    pub downlink_s: f64,
+}
+
+impl LinkModel {
+    /// The paper's measured round trip: ≤4 s, split evenly.
+    #[must_use]
+    pub fn paper() -> Self {
+        LinkModel {
+            uplink_s: 2.0,
+            downlink_s: 2.0,
+        }
+    }
+
+    /// Modeled device uplink throughput, bytes per second (~8 Mbit/s,
+    /// a conservative mobile uplink).
+    pub const UPLINK_BYTES_PER_S: f64 = 1_000_000.0;
+
+    /// Modeled device downlink throughput, bytes per second
+    /// (~32 Mbit/s; downlinks are typically several times faster).
+    pub const DOWNLINK_BYTES_PER_S: f64 = 4_000_000.0;
+
+    /// Time to upload a payload of `bytes`: the fixed uplink latency
+    /// plus the transfer at [`LinkModel::UPLINK_BYTES_PER_S`].
+    #[must_use]
+    #[allow(clippy::cast_precision_loss)]
+    pub fn uplink_time_s(&self, bytes: u64) -> f64 {
+        self.uplink_s + bytes as f64 / Self::UPLINK_BYTES_PER_S
+    }
+
+    /// Time to download a payload of `bytes`: the fixed downlink
+    /// latency plus the transfer at [`LinkModel::DOWNLINK_BYTES_PER_S`].
+    #[must_use]
+    #[allow(clippy::cast_precision_loss)]
+    pub fn downlink_time_s(&self, bytes: u64) -> f64 {
+        self.downlink_s + bytes as f64 / Self::DOWNLINK_BYTES_PER_S
+    }
+}
+
+impl Default for LinkModel {
+    fn default() -> Self {
+        LinkModel::paper()
+    }
+}
+
+/// One hardware bin of the fleet: the silicon/thermal lottery a real
+/// production run exhibits.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SocBin {
+    /// Bin label (recorded as a cohort's `bin` in the campaign
+    /// artifact).
+    pub name: &'static str,
+    /// Ambient temperature the device lives at, °C (thermal bin).
+    pub ambient_c: f64,
+    /// Multiplier on the platform's base power floor (power bin:
+    /// leakier or better-binned silicon).
+    pub power_scale: f64,
+}
+
+/// The fleet's hardware bins; devices are assigned round-robin.
+pub const SOC_BINS: [SocBin; 4] = [
+    SocBin {
+        name: "typical",
+        ambient_c: 21.0,
+        power_scale: 1.0,
+    },
+    SocBin {
+        name: "warm-climate",
+        ambient_c: 27.0,
+        power_scale: 1.0,
+    },
+    SocBin {
+        name: "leaky-silicon",
+        ambient_c: 21.0,
+        power_scale: 1.15,
+    },
+    SocBin {
+        name: "cool-efficient",
+        ambient_c: 15.0,
+        power_scale: 0.9,
+    },
+];
+
+/// Builds the simulated device for a hardware bin: the given platform's
+/// stock device at the bin's ambient with its base-power scale applied.
+#[must_use]
+pub fn soc_config_for(base: &SocConfig, bin: &SocBin) -> SocConfig {
+    let mut cfg = base.clone().with_ambient(bin.ambient_c);
+    cfg.platform.scale_base_power(bin.power_scale);
+    cfg
+}
+
+/// One device of the simulated fleet.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DeviceProfile {
+    /// Device number (stable across rounds).
+    pub id: usize,
+    /// Index into [`SOC_BINS`].
+    pub bin: usize,
+    /// Index into [`CampaignConfig::platforms`] — which platform this
+    /// device is.
+    pub platform: usize,
+    /// Base seed of this device's user (per-round seeds derive from
+    /// it, so every round sees fresh but reproducible behaviour).
+    pub user_seed: u64,
+}
+
+/// Derives the deterministic device roster of a fleet: bins and
+/// platforms assigned round-robin, user seeds split from the master
+/// seed (platform assignment does not perturb the seed stream).
+#[must_use]
+pub fn device_profiles(devices: usize, seed: u64, platforms: usize) -> Vec<DeviceProfile> {
+    (0..devices)
+        .map(|id| DeviceProfile {
+            id,
+            bin: id % SOC_BINS.len(),
+            platform: id % platforms.max(1),
+            user_seed: splitmix64(seed ^ (id as u64).wrapping_mul(0xa076_1d64_78bd_642f)),
+        })
+        .collect()
+}
+
 /// Configuration of a campaign — the complete regeneration recipe.
 /// Every quantity in a [`CampaignReport`] is a pure function of this
 /// struct; the checkpoint embeds it verbatim and a resume validates it
@@ -115,8 +242,9 @@ pub struct CampaignConfig {
     /// Devices simulated per shard. Peak memory is proportional to the
     /// shard size (trained tables in flight), never the fleet size.
     pub shard_size: usize,
-    /// Platform presets, assigned round-robin by device id (same
-    /// convention as [`crate::fleet::FleetConfig::platforms`]).
+    /// Platform presets, assigned round-robin by device id. The cloud
+    /// keeps one merged table per (platform, app), so a name may appear
+    /// only once.
     pub platforms: Vec<String>,
     /// Shape of every simulated day.
     pub plan: DayPlanConfig,
@@ -180,8 +308,8 @@ impl CampaignConfig {
     /// # Errors
     ///
     /// Returns the human-readable violation: zero devices/rounds/shard,
-    /// an unknown platform, an infeasible day plan, or a non-positive
-    /// gap tick or training budget.
+    /// an unknown or repeated platform, an infeasible day plan, or a
+    /// non-positive gap tick or training budget.
     pub fn validate(&self) -> Result<(), String> {
         if self.devices == 0 {
             return Err("campaign needs at least one device".to_owned());
@@ -195,9 +323,12 @@ impl CampaignConfig {
         if self.platforms.is_empty() {
             return Err("campaign needs at least one platform".to_owned());
         }
-        for p in &self.platforms {
+        for (i, p) in self.platforms.iter().enumerate() {
             if PlatformPreset::by_name(p).is_none() {
                 return Err(format!("unknown platform preset '{p}'"));
+            }
+            if self.platforms[..i].contains(p) {
+                return Err(format!("platform '{p}' is listed twice"));
             }
         }
         self.plan.validate()?;
@@ -1276,6 +1407,13 @@ mod tests {
         let mut bad = CampaignConfig::quick(1, 1, 1);
         bad.shard_size = 0;
         assert!(bad.validate().unwrap_err().contains("shard"));
+        // A repeated platform would split its devices into disjoint
+        // merged tables.
+        let err = CampaignConfig::quick(4, 1, 7)
+            .with_platforms(&["exynos9810", "exynos9810"])
+            .validate()
+            .unwrap_err();
+        assert!(err.contains("exynos9810") && err.contains("twice"), "{err}");
     }
 
     #[test]
@@ -1492,6 +1630,49 @@ mod tests {
         assert!(decode_checkpoint(&trailing, &config)
             .unwrap_err()
             .contains("trailing"));
+    }
+
+    #[test]
+    fn device_roster_is_deterministic_and_heterogeneous() {
+        let a = device_profiles(8, 42, 1);
+        let b = device_profiles(8, 42, 1);
+        assert_eq!(a, b);
+        let bins: std::collections::HashSet<usize> = a.iter().map(|d| d.bin).collect();
+        assert_eq!(bins.len(), SOC_BINS.len(), "8 devices cover all 4 bins");
+        let seeds: std::collections::HashSet<u64> = a.iter().map(|d| d.user_seed).collect();
+        assert_eq!(seeds.len(), 8, "every device gets its own user");
+        assert_ne!(device_profiles(8, 43, 1), a, "master seed matters");
+        // Platform assignment does not perturb user seeds.
+        let mixed = device_profiles(8, 42, 2);
+        for (x, y) in a.iter().zip(&mixed) {
+            assert_eq!(x.user_seed, y.user_seed);
+        }
+    }
+
+    #[test]
+    fn link_bytes_model_extends_the_fixed_constant() {
+        let link = LinkModel::paper();
+        // Zero payload costs exactly the fixed latencies.
+        assert_eq!(link.uplink_time_s(0), link.uplink_s);
+        assert_eq!(link.downlink_time_s(0), link.downlink_s);
+        // Payload time adds on top, asymmetrically per direction.
+        let t = link.uplink_time_s(1_000_000) + link.downlink_time_s(4_000_000);
+        let fixed = link.uplink_s + link.downlink_s;
+        assert!((t - (fixed + 2.0)).abs() < 1e-12, "got {t}");
+        assert!(link.uplink_time_s(500_000) > link.uplink_s);
+        assert!(
+            link.uplink_time_s(1_000_000) > link.downlink_time_s(1_000_000),
+            "uplink is the slow direction"
+        );
+    }
+
+    #[test]
+    fn soc_bins_shape_the_device() {
+        let base = SocConfig::exynos9810();
+        let leaky = soc_config_for(&base, &SOC_BINS[2]);
+        assert!(leaky.platform.base_power_w() > base.platform.base_power_w());
+        let warm = soc_config_for(&base, &SOC_BINS[1]);
+        assert!(warm.thermal.ambient_c > base.thermal.ambient_c);
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! [`DaySpec`] plus the store's initial contents — [`run_days`] fans
 //! plans × governors out on the work-stealing
 //! [`crate::sweep::parallel_map`] and is byte-identical for any worker
-//! count, the same 1-vs-N guarantee the sweep and fleet engines give.
+//! count, the same 1-vs-N guarantee the sweep and campaign engines give.
 
 use std::collections::BTreeMap;
 

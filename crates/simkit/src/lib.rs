@@ -16,20 +16,18 @@
 //!   and 8),
 //! * [`experiment`] — the paper's evaluation protocol: train Next once
 //!   per app, then measure per-governor sessions,
-//! * [`trainer`] — the reusable training loop (episode budget,
-//!   convergence stop, warm starts, per-device SoC bins) behind both
-//!   the experiment protocol and the fleet,
-//! * [`fleet`] — fleet-scale federated training: R rounds over D
-//!   heterogeneous devices with streaming cloud merges and held-out
-//!   evaluation (§IV-C at production scale),
+//! * [`trainer`] — the reusable training loop (fixed-length episodes,
+//!   a budget, a convergence stop, per-device SoC configs) behind the
+//!   experiment protocol and the warm-seed tables,
 //! * [`day`] — battery-day simulation: a whole [`workload::DayPlan`]
 //!   of pickups and screen-off gaps executed on one continuous device
 //!   state, with per-app Q-tables fetched/stored through the §IV-B
 //!   store,
-//! * [`campaign`] — the sharded, checkpointed million-device campaign
-//!   runner: federated rounds of whole battery-days from seeded
-//!   cohorts, binary Q-table deltas pricing the uplink, and an
-//!   atomically-written `NXCP` checkpoint that resumes byte-identically,
+//! * [`campaign`] — the federated runner (§IV-C at production scale):
+//!   sharded, checkpointed rounds of whole battery-days over seeded
+//!   device cohorts (persona × platform × hardware bin), binary
+//!   Q-table deltas pricing the uplink, and an atomically-written
+//!   `NXCP` checkpoint that resumes byte-identically,
 //! * [`report`] — plain-text tables and series for the bench harness,
 //! * [`sweep`] — the work-stealing parallel runner for governor×app×seed
 //!   grids, with deterministic row merging,
@@ -45,7 +43,6 @@ pub mod campaign;
 pub mod day;
 pub mod engine;
 pub mod experiment;
-pub mod fleet;
 pub mod metrics;
 pub mod platform;
 pub mod report;
@@ -65,7 +62,6 @@ pub use day::{
 };
 pub use engine::{Engine, RunOutcome};
 pub use experiment::{train_next_for_app, EvalResult};
-pub use fleet::{run_fleet, FleetConfig, FleetReport};
 pub use metrics::{Battery, Sample, Summary, Trace};
 pub use platform::PlatformPreset;
 pub use sweep::{parallel_map, run_cells, StandardEvaluator, SweepCell, SweepRow};

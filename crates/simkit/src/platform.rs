@@ -1,7 +1,7 @@
 //! Named platform presets for the experiment layers.
 //!
-//! A [`PlatformPreset`] bundles everything the sweep, perf and fleet
-//! front ends need to run a named platform end to end: the device
+//! A [`PlatformPreset`] bundles everything the sweep, perf, day and
+//! campaign front ends need to run a named platform end to end: the device
 //! ([`SocConfig`]) and the matching agent configuration
 //! ([`NextConfig`], whose action and state spaces are shaped by the
 //! same platform descriptor). The `--platform` CLI flag resolves

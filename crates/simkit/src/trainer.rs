@@ -1,24 +1,25 @@
 //! Reusable training layer: episode-chunked Q-learning runs with a
-//! budget, a convergence stop, and warm starts from a fleet table.
+//! budget and a convergence stop.
 //!
 //! The §V protocol trains Next by leaving an app open on a dedicated
 //! simulated device while the agent explores: training runs as a
 //! sequence of fixed-length episodes (app sessions) until either the
 //! TD-error convergence criterion fires or the simulated-time budget
 //! is spent. [`Trainer`] owns that loop; the single-device protocol
-//! ([`crate::experiment::train_next_for_app`]) and the federated fleet
-//! rounds ([`crate::fleet`]) are both thin clients of it — the fleet
-//! additionally warm-starts every round from the merged cloud table
-//! and trains on per-device SoC bins.
+//! ([`crate::experiment::train_next_for_app`]), the sweep evaluator's
+//! per-app tables and the day runner's train-on-first-use tables are
+//! all thin clients of it.
 
 use mpsoc::soc::{Soc, SocConfig};
-use mpsoc::SocBatch;
 use next_core::{NextAgent, NextConfig};
-use qlearn::DenseQTable;
 use workload::{SessionPlan, SessionSim};
 
-use crate::batch::BatchLane;
 use crate::engine::{Engine, RunOutcome};
+
+/// Episode length, simulated seconds: training is chunked into app
+/// sessions of this length (the paper leaves the app open; 60 s
+/// episodes reproduce the seed protocol).
+pub const EPISODE_S: f64 = 60.0;
 
 /// Result of one training run.
 #[derive(Debug)]
@@ -32,8 +33,8 @@ pub struct TrainOutcome {
     pub converged: bool,
 }
 
-/// One fully-specified training run: what to train, for how long, on
-/// which simulated device, and from which starting table.
+/// One fully-specified training run: what to train, for how long, and
+/// on which simulated device.
 #[derive(Debug, Clone)]
 pub struct TrainSpec {
     /// Application to train on (must resolve via `workload::apps`).
@@ -44,21 +45,13 @@ pub struct TrainSpec {
     pub session_seed: u64,
     /// Total simulated-seconds budget.
     pub budget_s: f64,
-    /// Episode length, simulated seconds: training is chunked into app
-    /// sessions of this length (the paper leaves the app open; 60 s
-    /// episodes reproduce the seed protocol).
-    pub episode_s: f64,
-    /// The simulated device to train on — fleet devices pass their own
-    /// SoC power/thermal bin here.
+    /// The simulated device to train on.
     pub soc: SocConfig,
-    /// Warm-start table (e.g. the merged fleet table pushed down from
-    /// the cloud); `None` trains from scratch.
-    pub warm_start: Option<DenseQTable>,
 }
 
 impl TrainSpec {
-    /// Spec with the seed protocol's defaults: 60 s episodes on the
-    /// stock Exynos 9810, training from scratch.
+    /// Spec on the seed protocol's device, the stock Exynos 9810. The
+    /// agent starts from an empty table.
     #[must_use]
     pub fn new(app: &str, config: NextConfig, session_seed: u64, budget_s: f64) -> Self {
         TrainSpec {
@@ -66,38 +59,14 @@ impl TrainSpec {
             config,
             session_seed,
             budget_s,
-            episode_s: 60.0,
             soc: SocConfig::exynos9810(),
-            warm_start: None,
         }
-    }
-
-    /// Overrides the episode length.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `episode_s` is positive and finite.
-    #[must_use]
-    pub fn with_episode_s(mut self, episode_s: f64) -> Self {
-        assert!(
-            episode_s > 0.0 && episode_s.is_finite(),
-            "episode length must be positive"
-        );
-        self.episode_s = episode_s;
-        self
     }
 
     /// Trains on a specific simulated device (SoC bin).
     #[must_use]
     pub fn with_soc(mut self, soc: SocConfig) -> Self {
         self.soc = soc;
-        self
-    }
-
-    /// Warm-starts from a previously learned table.
-    #[must_use]
-    pub fn with_warm_start(mut self, table: DenseQTable) -> Self {
-        self.warm_start = Some(table);
         self
     }
 }
@@ -117,7 +86,7 @@ impl Trainer {
         }
     }
 
-    /// Runs one training job: episodes of `spec.episode_s` until the
+    /// Runs one training job: episodes of [`EPISODE_S`] until the
     /// agent converges or the budget is spent, then switches the agent
     /// to greedy inference.
     ///
@@ -133,14 +102,9 @@ impl Trainer {
             config,
             session_seed,
             budget_s,
-            episode_s,
             soc,
-            warm_start,
         } = spec;
-        let mut agent = match warm_start {
-            Some(table) => NextAgent::warm_start(config, table),
-            None => NextAgent::new(config),
-        };
+        let mut agent = NextAgent::new(config);
         let mut soc = Soc::new(soc);
         let mut spent = 0.0;
         let mut episode = 0u64;
@@ -152,7 +116,7 @@ impl Trainer {
             repeated_vsyncs: 0,
         };
         while spent < budget_s && !agent.is_converged() {
-            let chunk = episode_s.min(budget_s - spent);
+            let chunk = EPISODE_S.min(budget_s - spent);
             let mut session = SessionSim::new(
                 SessionPlan::single(&app, chunk),
                 session_seed.wrapping_add(episode),
@@ -171,139 +135,6 @@ impl Trainer {
             training_time_s,
             converged,
         }
-    }
-
-    /// Runs many training jobs in lockstep through the batched
-    /// structure-of-arrays kernel, one device lane per spec.
-    ///
-    /// Outcomes are **bit-identical** to calling [`Trainer::train`] on
-    /// each spec: lanes share the episode chunk sequence (the specs'
-    /// budgets and episode lengths must match for lockstep), each lane
-    /// keeps its own agent, session seed, and SoC bin, and a lane drops
-    /// out of the batch at the episode boundary where its single-device
-    /// run would have stopped (convergence). Specs that genuinely
-    /// diverge — different budgets or episode chunking, or structurally
-    /// incompatible SoC bins — fall back to training one device at a
-    /// time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a spec references an unknown application.
-    #[must_use]
-    #[allow(clippy::too_many_lines)]
-    pub fn train_batch(&self, specs: Vec<TrainSpec>) -> Vec<TrainOutcome> {
-        if specs.len() < 2 {
-            return specs.into_iter().map(|s| self.train(s)).collect();
-        }
-        let lockstep = specs
-            .iter()
-            .all(|s| s.budget_s == specs[0].budget_s && s.episode_s == specs[0].episode_s);
-        let soc_configs: Vec<SocConfig> = specs.iter().map(|s| s.soc.clone()).collect();
-        let batch = if lockstep {
-            SocBatch::try_from_configs(&soc_configs).ok()
-        } else {
-            None
-        };
-        let Some(mut batch) = batch else {
-            // Genuinely divergent plans: lane-sequential fallback.
-            return specs.into_iter().map(|s| self.train(s)).collect();
-        };
-
-        let budget_s = specs[0].budget_s;
-        let episode_s = specs[0].episode_s;
-        let width = specs.len();
-        let mut agents: Vec<NextAgent> = specs
-            .iter()
-            .map(|s| match &s.warm_start {
-                Some(table) => NextAgent::warm_start(s.config.clone(), table.clone()),
-                None => NextAgent::new(s.config.clone()),
-            })
-            .collect();
-        // Lane → original spec index (sorted ascending): the batch
-        // compacts as lanes converge and drop out.
-        let mut lane_spec: Vec<usize> = (0..width).collect();
-        // Training reuses run outcomes purely as trace buffers, exactly
-        // like the single-device loop — nothing reads them afterwards.
-        let mut episode_buf: Vec<RunOutcome> = (0..width)
-            .map(|_| RunOutcome {
-                trace: crate::metrics::Trace::new(),
-                presented_frames: 0,
-                repeated_vsyncs: 0,
-            })
-            .collect();
-        let mut spent_at_stop = vec![budget_s; width];
-        let mut spent = 0.0;
-        let mut episode = 0u64;
-        while spent < budget_s && !lane_spec.is_empty() {
-            // `train` checks convergence before every episode:
-            // converged lanes leave the batch at exactly that boundary.
-            let keep: Vec<bool> = lane_spec
-                .iter()
-                .map(|&si| !agents[si].is_converged())
-                .collect();
-            if keep.iter().any(|&k| !k) {
-                for (slot, &k) in keep.iter().enumerate() {
-                    if !k {
-                        spent_at_stop[lane_spec[slot]] = spent;
-                    }
-                }
-                batch.retain_lanes(&keep);
-                let mut it = keep.iter();
-                // qlint::allow(PN01, reason = "keep was sized to the lane count just above")
-                lane_spec.retain(|_| *it.next().expect("flag per lane"));
-                if lane_spec.is_empty() {
-                    break;
-                }
-            }
-            let chunk = episode_s.min(budget_s - spent);
-            let mut sessions: Vec<SessionSim> = lane_spec
-                .iter()
-                .map(|&si| {
-                    SessionSim::new(
-                        SessionPlan::single(&specs[si].app, chunk),
-                        specs[si].session_seed.wrapping_add(episode),
-                    )
-                })
-                .collect();
-            let mut lanes: Vec<BatchLane<'_>> = agents
-                .iter_mut()
-                .enumerate()
-                .filter(|(i, _)| lane_spec.binary_search(i).is_ok())
-                .map(|(_, a)| a)
-                .zip(sessions.iter_mut())
-                .map(|(agent, session)| {
-                    agent.start_session();
-                    BatchLane {
-                        governor: agent,
-                        session,
-                    }
-                })
-                .collect();
-            let n_live = lanes.len();
-            self.engine
-                .run_lanes_into(&mut batch, &mut lanes, chunk, &mut episode_buf[..n_live]);
-            spent += chunk;
-            episode += 1;
-        }
-        // Lanes that ran out the budget stopped at the accumulated
-        // `spent` (the same float `train` ends with).
-        for &si in &lane_spec {
-            spent_at_stop[si] = spent;
-        }
-        agents
-            .into_iter()
-            .zip(spent_at_stop)
-            .map(|(mut agent, lane_spent)| {
-                let converged = agent.is_converged();
-                let training_time_s = agent.stats().converged_at_s.unwrap_or(lane_spent);
-                agent.set_training(false);
-                TrainOutcome {
-                    agent,
-                    training_time_s,
-                    converged,
-                }
-            })
-            .collect()
     }
 }
 
@@ -328,24 +159,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_resumes_from_the_given_table() {
-        let cold = Trainer::new().train(TrainSpec::new("spotify", NextConfig::paper(), 5, 60.0));
-        let states_before = cold.agent.table().len();
-        let visits_before = cold.agent.table().total_visits();
-        assert!(states_before > 0);
-
-        let warm = Trainer::new().train(
-            TrainSpec::new("spotify", NextConfig::paper(), 6, 60.0)
-                .with_warm_start(cold.agent.into_table()),
-        );
-        assert!(
-            warm.agent.table().total_visits() > visits_before,
-            "continued training must add visits"
-        );
-        assert!(warm.agent.table().len() >= states_before);
-    }
-
-    #[test]
     fn soc_bin_changes_the_learned_table() {
         let base = TrainSpec::new("facebook", NextConfig::paper(), 11, 60.0);
         let stock = Trainer::new().train(base.clone());
@@ -355,65 +168,5 @@ mod tests {
             encode_table(hot.agent.table()),
             "a hotter device must experience different transitions"
         );
-    }
-
-    #[test]
-    fn episode_length_is_respected_deterministically() {
-        let spec =
-            |ep: f64| TrainSpec::new("home", NextConfig::paper(), 2, 50.0).with_episode_s(ep);
-        let a = Trainer::new().train(spec(25.0));
-        let b = Trainer::new().train(spec(25.0));
-        assert_eq!(encode_table(a.agent.table()), encode_table(b.agent.table()));
-        // Different chunking changes session boundaries, hence the run.
-        let c = Trainer::new().train(spec(10.0));
-        assert_ne!(encode_table(a.agent.table()), encode_table(c.agent.table()));
-    }
-
-    #[test]
-    #[should_panic(expected = "episode length must be positive")]
-    fn zero_episode_rejected() {
-        let _ = TrainSpec::new("home", NextConfig::paper(), 1, 10.0).with_episode_s(0.0);
-    }
-
-    #[test]
-    fn train_batch_is_bit_identical_to_sequential_training() {
-        // Heterogeneous lanes: different apps, seeds, and SoC bins
-        // (fleet shape) under one shared budget.
-        let specs = vec![
-            TrainSpec::new("facebook", NextConfig::paper(), 3, 90.0),
-            TrainSpec::new("spotify", NextConfig::paper().with_seed(17), 5, 90.0),
-            TrainSpec::new("facebook", NextConfig::paper(), 9, 90.0)
-                .with_soc(SocConfig::exynos9810_at_ambient(27.0)),
-        ];
-        let trainer = Trainer::new();
-        let sequential: Vec<TrainOutcome> =
-            specs.iter().cloned().map(|s| trainer.train(s)).collect();
-        let batched = trainer.train_batch(specs);
-        assert_eq!(batched.len(), sequential.len());
-        for (l, (b, s)) in batched.iter().zip(&sequential).enumerate() {
-            assert_eq!(
-                encode_table(b.agent.table()),
-                encode_table(s.agent.table()),
-                "lane {l} learned a different table"
-            );
-            assert_eq!(b.training_time_s, s.training_time_s, "lane {l}");
-            assert_eq!(b.converged, s.converged, "lane {l}");
-        }
-    }
-
-    #[test]
-    fn train_batch_divergent_budgets_fall_back_and_still_match() {
-        let specs = vec![
-            TrainSpec::new("home", NextConfig::paper(), 2, 50.0),
-            TrainSpec::new("home", NextConfig::paper(), 4, 30.0),
-        ];
-        let trainer = Trainer::new();
-        let sequential: Vec<TrainOutcome> =
-            specs.iter().cloned().map(|s| trainer.train(s)).collect();
-        let batched = trainer.train_batch(specs);
-        for (b, s) in batched.iter().zip(&sequential) {
-            assert_eq!(encode_table(b.agent.table()), encode_table(s.agent.table()));
-            assert_eq!(b.training_time_s, s.training_time_s);
-        }
     }
 }

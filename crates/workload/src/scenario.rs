@@ -14,8 +14,8 @@
 //!   durations sum *exactly* to the configured day length, so a day
 //!   runner that honours the plan accounts for every simulated second.
 //!
-//! Plans are pure functions of `(persona, config, seed)` — the fleet's
-//! determinism contract extended to the day horizon.
+//! Plans are pure functions of `(persona, config, seed)` — the
+//! campaign's determinism contract extended to the day horizon.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -24,9 +24,10 @@ use crate::apps;
 use crate::user::{SessionLengthStats, UserModel};
 
 /// SplitMix64 — derives independent, well-mixed seed streams from one
-/// master seed. The day generator's RNG streams and the fleet's device
-/// roster (`simkit::fleet`) both split their seeds through this one
-/// function, so the two layers cannot drift apart.
+/// master seed. The day generator's RNG streams and the campaign's
+/// device roster (`simkit::campaign::device_profiles`) both split their
+/// seeds through this one function, so the two layers cannot drift
+/// apart.
 #[must_use]
 pub fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);

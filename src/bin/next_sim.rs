@@ -9,8 +9,6 @@
 //!                  [--duration <s>] [--train-budget <s>] [--workers <n>]
 //! next-sim perf    [--quick] [--out <BENCH.json>] [--baseline <file>]
 //!                  [--min-ratio <f>] [--workers <n>]
-//! next-sim fleet   --devices <D> --rounds <R> --seed <S> [--app <name>]
-//!                  [--round-budget <s>] [--quick] [--workers <n>] [--out <fleet.json>]
 //! next-sim campaign --devices <D> --rounds <R> --seed <S> [--checkpoint <dir> [--resume]]
 //!                  [--stop-after <n>] [--shard-size <n>] [--platform <name>[,<name>..]]
 //!                  [--quick] [--workers <n>] [--out <campaign.json>]
@@ -28,9 +26,7 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use next_mpsoc::bench::{
-    campaign as bench_campaign, day as bench_day, fleet as bench_fleet, json::Json, perf, report,
-};
+use next_mpsoc::bench::{campaign as bench_campaign, day as bench_day, json::Json, perf, report};
 use next_mpsoc::governors::{self, IntQosPm, Schedutil};
 use next_mpsoc::next_core::{NextAgent, NextConfig};
 use next_mpsoc::qlearn::{decode_table, encode_table, DenseQTable};
@@ -38,7 +34,6 @@ use next_mpsoc::simkit::campaign::{
     run_campaign_with, CampaignConfig, CampaignOptions, CampaignOutcome,
 };
 use next_mpsoc::simkit::experiment::{evaluate_governor, train_next_for_app};
-use next_mpsoc::simkit::fleet::{self, FleetConfig};
 use next_mpsoc::simkit::trace::{bisect, TickTrace};
 use next_mpsoc::simkit::{day, sweep, Battery, PlatformPreset, StandardEvaluator, Summary};
 use next_mpsoc::workload::{apps, DayPlan, DayPlanConfig, Persona, SessionPlan};
@@ -62,7 +57,6 @@ fn main() -> ExitCode {
         "compare" => cmd_compare(&flags),
         "sweep" => cmd_sweep(&flags),
         "perf" => cmd_perf(&flags),
-        "fleet" => cmd_fleet(&flags),
         "campaign" => cmd_campaign(&flags),
         "day" => cmd_day(&flags),
         "replay" => cmd_replay(&flags),
@@ -132,9 +126,6 @@ USAGE:
                    [--platform <name>]
   next-sim perf    [--quick] [--out <BENCH.json>] [--baseline <file>]
                    [--min-ratio <f>] [--workers <n>] [--platform <name>]
-  next-sim fleet   [--devices <D>] [--rounds <R>] [--seed <S>] [--app <name>]
-                   [--round-budget <s>] [--quick] [--workers <n>] [--out <fleet.json>]
-                   [--platform <name>[,<name>..]]
   next-sim campaign [--devices <D>] [--rounds <R>] [--seed <S>]
                    [--checkpoint <dir> [--resume]] [--stop-after <n>]
                    [--shard-size <n>] [--platform <name>[,<name>..]]
@@ -164,35 +155,29 @@ bytes for any --workers value.
 
 perf runs a fixed measurement grid plus Q-table and merge
 microbenchmarks and writes a machine-readable BENCH.json (--out,
-default stdout). With --baseline it exits non-zero when aggregate
-throughput falls below --min-ratio (default 0.5) of the baseline's
-ticks_per_sec — the CI perf gate. --quick selects the small smoke
-grid.
+default stdout). With --baseline it exits non-zero when a throughput
+(ticks_per_sec, device_days_per_sec, devices_per_sec) falls below
+--min-ratio (default 0.5) of the baseline's, or an overlay latency
+(warm_start_ns, delta_extract_ns) rises above baseline / --min-ratio —
+the CI perf gate. The baseline must carry all five fields. --quick
+selects the small smoke grid.
 
-fleet simulates federated training (§IV-C at scale): D heterogeneous
-devices (per-device SoC power/thermal bins and users) train the app
-locally for R rounds, the cloud streaming-merges their Q-tables each
-round, and the merged table is scored on a held-out session grid.
---platform takes a comma list: devices are assigned platforms
-round-robin and the cloud keeps one federated table per platform. The
-JSON artifact (--out, default stdout) is byte-identical for a fixed
---seed across any --workers value (schema v2 for the default
-homogeneous exynos9810 fleet, v3 otherwise). --quick shortens the
-local rounds for CI smoke runs.
-
-campaign scales the federated loop to whole days: every round each
-device lives its persona's full day (pickups, session plans,
-screen-off cooling) on its own SoC bin while training online, uploads
-its binary Q-table delta (the NXQT codec — uplink cost is the actual
-encoded bytes), and the cloud merges per (platform, app). Devices run
-in shards so memory stays bounded at any fleet size. With --checkpoint
-a versioned NXCP checkpoint is written after every round; --resume
-continues a killed campaign from it, and the final campaign.json
-(schema v6: rounds ledger, persona x platform x thermal-bin cohort
-quantiles, merged-table artifacts) is byte-identical to an
-uninterrupted run for any --workers value. --stop-after N exits
-gracefully at a round boundary (the kill half of kill-and-resume);
---quick shrinks days for CI smoke runs. See docs/CAMPAIGN.md.
+campaign simulates federated training (§IV-C at scale) over whole
+days: every round each device lives its persona's full day (pickups,
+session plans, screen-off cooling) on its own SoC power/thermal bin
+while training online, uploads its binary Q-table delta (the NXQT
+codec — uplink cost is the actual encoded bytes), and the cloud merges
+per (platform, app). --platform takes a comma list of distinct names:
+devices are assigned platforms round-robin and the cloud keeps one
+federated table per platform and app. Devices run in shards so memory
+stays bounded at any fleet size. With --checkpoint a versioned NXCP
+checkpoint is written after every round; --resume continues a killed
+campaign from it, and the final campaign.json (schema v7: rounds
+ledger, persona x platform x thermal-bin cohort quantiles,
+merged-table artifacts) is byte-identical to an uninterrupted run for
+any --workers value. --stop-after N exits gracefully at a round
+boundary (the kill half of kill-and-resume); --quick shrinks days for
+CI smoke runs. See docs/CAMPAIGN.md.
 
 day simulates a whole waking day (default: 52 pickups, the paper's
 Deloitte statistic) as one continuous device: persona-driven app
@@ -223,7 +208,7 @@ marker. Exits non-zero on any unsuppressed finding; --format json
 writes the versioned lint.json CI archives. Deterministic: identical
 bytes for identical trees.
 
-sweep/perf/fleet/campaign/day accept --platform to run on a different
+sweep/perf/campaign/day accept --platform to run on a different
 SoC preset; run/train/compare always use the paper's exynos9810.";
 
 type Flags = HashMap<String, String>;
@@ -525,111 +510,6 @@ fn cmd_perf(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_fleet(flags: &Flags) -> Result<(), String> {
-    let app = match flags.get("app") {
-        None => "facebook".to_owned(),
-        Some(app) => {
-            if apps::by_name(app).is_none() {
-                return Err(format!("unknown app '{app}' (see `next-sim apps`)"));
-            }
-            app.clone()
-        }
-    };
-    let devices = usize::try_from(get_u64(flags, "devices", 16)?)
-        .map_err(|_| "--devices out of range".to_owned())?;
-    let rounds = usize::try_from(get_u64(flags, "rounds", 5)?)
-        .map_err(|_| "--rounds out of range".to_owned())?;
-    if devices == 0 || rounds == 0 {
-        return Err("--devices and --rounds must be at least 1".to_owned());
-    }
-    let seed = get_u64(flags, "seed", 42)?;
-    let quick = flags.contains_key("quick");
-    let mut config = if quick {
-        FleetConfig::quick(&app, devices, rounds, seed)
-    } else {
-        FleetConfig::new(&app, devices, rounds, seed)
-    };
-    if let Some(list) = flags.get("platform") {
-        let platforms: Vec<String> = list
-            .split(',')
-            .map(|s| s.trim().to_owned())
-            .filter(|s| !s.is_empty())
-            .collect();
-        if platforms.is_empty() {
-            return Err("--platform needs at least one name".to_owned());
-        }
-        for (i, name) in platforms.iter().enumerate() {
-            if PlatformPreset::by_name(name).is_none() {
-                return Err(format!(
-                    "unknown platform '{name}' (available: {})",
-                    PlatformPreset::names().join(", ")
-                ));
-            }
-            if platforms[..i].contains(name) {
-                return Err(format!("--platform lists '{name}' twice"));
-            }
-        }
-        config = config.with_platforms(platforms);
-    }
-    if flags.contains_key("round-budget") {
-        let budget = get_f64(flags, "round-budget", config.round_budget_s)?;
-        if !(budget > 0.0 && budget.is_finite()) {
-            return Err(format!("--round-budget must be positive, got {budget}"));
-        }
-        config.round_budget_s = budget;
-    }
-    let workers = usize::try_from(get_u64(flags, "workers", sweep::default_workers() as u64)?)
-        .map_err(|_| "--workers out of range".to_owned())?;
-    if workers == 0 {
-        return Err("--workers must be at least 1".to_owned());
-    }
-
-    eprintln!(
-        "fleet: {devices} devices x {rounds} rounds on {app} ({}), \
-         {:.0} s local budget per round, {workers} workers ...",
-        config.platforms.join("+"),
-        config.round_budget_s
-    );
-    // qlint::allow(ND01, reason = "wall-clock progress reporting on stderr; artifacts never contain it")
-    let started = std::time::Instant::now();
-    let report = fleet::run_fleet(&config, workers);
-    eprintln!(
-        "fleet: finished in {:.1} s wall clock; final tables {} states / {} visits",
-        started.elapsed().as_secs_f64(),
-        report.total_states(),
-        report.total_visits()
-    );
-    for round in &report.rounds {
-        eprintln!(
-            "fleet: round {}: {} states, {:.1} fps / {:.2} W / ppdw {:.3} on held-out grid, \
-             modeled round time {:.0} s ({:.0} s comm)",
-            round.round,
-            round.states,
-            round.eval.avg_fps,
-            round.eval.avg_power_w,
-            round.eval.ppdw,
-            round.round_time_s,
-            round.comm_s
-        );
-    }
-
-    let mode = if quick { "quick" } else { "full" };
-    let text = bench_fleet::fleet_to_json(&report, mode).render();
-    debug_assert!(
-        bench_fleet::parse_document(&text).is_ok(),
-        "fleet.json must round-trip its own schema"
-    );
-    match flags.get("out") {
-        Some(path) => {
-            std::fs::write(path, format!("{text}\n"))
-                .map_err(|e| format!("writing {path}: {e}"))?;
-            eprintln!("fleet: wrote {path}");
-        }
-        None => println!("{text}"),
-    }
-    Ok(())
-}
-
 #[allow(clippy::too_many_lines)]
 fn cmd_campaign(flags: &Flags) -> Result<(), String> {
     let devices = usize::try_from(get_u64(flags, "devices", 64)?)
@@ -655,15 +535,12 @@ fn cmd_campaign(flags: &Flags) -> Result<(), String> {
         if platforms.is_empty() {
             return Err("--platform needs at least one name".to_owned());
         }
-        for (i, name) in platforms.iter().enumerate() {
+        for name in &platforms {
             if PlatformPreset::by_name(name).is_none() {
                 return Err(format!(
                     "unknown platform '{name}' (available: {})",
                     PlatformPreset::names().join(", ")
                 ));
-            }
-            if platforms[..i].contains(name) {
-                return Err(format!("--platform lists '{name}' twice"));
             }
         }
         let refs: Vec<&str> = platforms.iter().map(String::as_str).collect();
@@ -706,6 +583,7 @@ fn cmd_campaign(flags: &Flags) -> Result<(), String> {
                 .to_owned(),
         );
     }
+    config.validate()?;
 
     eprintln!(
         "campaign: {devices} devices x {rounds} rounds on {} ({} cohorts, shard {}), \
@@ -749,7 +627,7 @@ fn cmd_campaign(flags: &Flags) -> Result<(), String> {
     let mode = if quick { "quick" } else { "full" };
     let text = bench_campaign::campaign_to_json(&report, mode).render();
     debug_assert!(
-        bench_fleet::parse_document(&text).is_ok(),
+        perf::parse_document(&text).is_ok(),
         "campaign.json must round-trip its own schema"
     );
     match flags.get("out") {
@@ -904,7 +782,7 @@ fn cmd_day(flags: &Flags) -> Result<(), String> {
     let mode = if quick { "quick" } else { "full" };
     let text = bench_day::days_to_json(&reports, mode).render();
     debug_assert!(
-        bench_fleet::parse_document(&text).is_ok(),
+        perf::parse_document(&text).is_ok(),
         "day.json must round-trip its own schema"
     );
     match flags.get("out") {

@@ -15,12 +15,13 @@
 //! * [`next_core`] — **Next**, the paper's user-interaction-aware RL
 //!   DVFS agent (frame window, PPDW metric, 9-action Q-learning),
 //! * [`simkit`] — the closed-loop simulation engine, metrics, the
-//!   §V evaluation protocol, the reusable trainer layer and the
-//!   federated fleet simulator behind `next-sim fleet`,
+//!   §V evaluation protocol, the reusable trainer layer, battery days
+//!   and the federated campaign runner behind `next-sim campaign`,
 //! * [`bench`](mod@bench) — the figure-reproduction protocol plus the
-//!   machine-readable perf/fleet harnesses behind `next-sim perf` and
-//!   `next-sim fleet` (the `BENCH.json`/`fleet.json` artifacts CI
-//!   gates on and archives),
+//!   machine-readable perf, day and campaign documents behind
+//!   `next-sim perf`, `next-sim day` and `next-sim campaign` (the
+//!   `BENCH.json`/`day.json`/`campaign.json` artifacts CI gates on and
+//!   archives),
 //! * [`qlint`] — the static determinism lint behind `next-sim lint`:
 //!   a dep-free token scanner and rule engine that enforces the
 //!   invariants of `docs/ARCHITECTURE.md` at the source line (see

@@ -6,8 +6,7 @@
 //! alone on lane `l`'s inputs.
 //!
 //! This is the contract that makes batching safe to wire underneath
-//! the fleet trainer and the day runner: it is an *optimization*, never
-//! an approximation.
+//! the day runner: it is an *optimization*, never an approximation.
 
 use proptest::prelude::*;
 

