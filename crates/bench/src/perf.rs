@@ -512,7 +512,7 @@ pub fn probe_batch(
     // workload traces: batching must be unobservable.
     for (lane, soc) in socs.iter().enumerate() {
         assert!(
-            batch.state(lane) == soc.state(),
+            *batch.state(lane) == soc.state(),
             "batched lane {lane} diverged from its one-lane device"
         );
     }

@@ -5,10 +5,11 @@
 //! models, throttle trips) while every per-device *state* — node
 //! temperatures, frequencies, throttle clamps, utilisations, energy —
 //! lives in contiguous arrays keyed `domain × lane` or `node × lane`.
-//! The physics hot loops (thermal RC update, power model, throttle
-//! transitions) run as tight lane-inner loops over those arrays with no
-//! per-lane heap allocation and no `dyn` dispatch, so the compiler can
-//! vectorise across devices.
+//! The physics hot loops (power model, throttle transitions) run as
+//! tight lane-inner loops over those arrays with no per-lane heap
+//! allocation and no `dyn` dispatch, so the compiler can vectorise
+//! across devices; the thermal RC update walks each lane's network in
+//! turn, which is cheaper at the widths the simulator runs.
 //!
 //! # Arena layout
 //!
@@ -26,6 +27,15 @@
 //! cross-lane dependencies; structure-level constants (trip points,
 //! capacitances, conductances, Hz ladders) are hoisted out of the lane
 //! loops and shared by every device.
+//!
+//! # Observable state
+//!
+//! Every lane's [`SocState`] is kept inside the batch: the constructor
+//! materialises it and [`SocBatch::tick`] refreshes it in place as its
+//! last stage, so [`SocBatch::state`] is a reference into that snapshot
+//! and reading it costs nothing. Governor actuation between ticks
+//! (through [`SocBatch::dvfs_mut`] or [`SocBatch::state_and_dvfs_mut`])
+//! reaches the kernel at the next tick and never changes the snapshot.
 //!
 //! # Lane independence
 //!
@@ -61,19 +71,19 @@
 //!     single.tick(0.025, &idle);
 //! }
 //! assert_eq!(batch.state(0), batch.state(1), "identical lanes stay identical");
-//! assert_eq!(batch.state(0), single.state(), "batching is unobservable");
+//! assert_eq!(*batch.state(0), single.state(), "batching is unobservable");
 //! ```
 
 use std::collections::VecDeque;
 
 use crate::dvfs::DvfsController;
-use crate::freq::{KiloHertz, Opp};
+use crate::freq::Opp;
 use crate::perf::{self, FrameDemand};
 use crate::platform::{DomainId, PerDomain, Platform};
-use crate::power::{DomainPowerModel, PowerBreakdown};
+use crate::power::DomainPowerModel;
 use crate::soc::{SocConfig, SocState, TickOutput};
 use crate::thermal::{self, NodeId, ThermalConfig};
-use crate::vsync::{VsyncOutput, VsyncPipeline};
+use crate::vsync::VsyncPipeline;
 use crate::{Error, Result};
 
 /// Length of the rolling window behind [`SocState::fps`], seconds.
@@ -101,11 +111,9 @@ pub struct SocBatch {
     /// lane-wise utilisation-tracking selection scans (precomputed once
     /// instead of converting kHz per probe, per lane, per tick).
     hz_ladder: Vec<Vec<f64>>,
-    /// Frequency of every OPP in kHz, per domain (state materialisation).
-    khz_ladder: Vec<Vec<KiloHertz>>,
     /// Full OPP descriptor of every level, per domain — shared across
     /// lanes (construction enforces structural equality with each
-    /// lane's controller table).
+    /// lane's controller table); the state reads its kHz.
     opp_ladder: Vec<Vec<Opp>>,
     // --- DVFS level mirror (SoA) ---
     /// Current frequency level per `domain × lane`: a write-through
@@ -172,15 +180,13 @@ pub struct SocBatch {
     time_s: Vec<f64>,
     /// Lifetime energy per lane, joules (battery accounting).
     energy_j: Vec<f64>,
-    /// Full per-lane output of the most recent tick.
+    /// Per-lane output of the most recent tick.
     last_tick: Vec<TickOutput>,
-    /// Frequency level per `domain × lane` as of the end of the last
-    /// tick (a snapshot, so [`SocBatch::state`] reports the levels the
-    /// tick ran at, not control actuation applied since).
-    level_snap: Vec<usize>,
-    /// `maxfreq` cap level per `domain × lane` at the end of the last
-    /// tick.
-    cap_snap: Vec<usize>,
+    /// Per-lane observable state as of the end of the most recent tick,
+    /// refreshed in place by the tick's last stage. The DVFS fields are
+    /// read from the level mirror, which actuation between ticks leaves
+    /// alone (dirty lanes are re-read when the next tick starts).
+    states: Vec<SocState>,
     // --- shared FPS window ---
     /// Tick lengths of the rolling window — one entry per tick, shared
     /// by every lane (lockstep means identical dt history).
@@ -194,6 +200,13 @@ pub struct SocBatch {
     /// Window length: the sum of `window_dt` minus the fronts popped
     /// since, in that order of operations.
     window_total_dt_s: f64,
+    /// How many of the newest `window_dt` entries are bit-equal to the
+    /// newest one; the window is uniform when this equals its length.
+    window_run: usize,
+    /// `(tick length bits, entry count, sum)` of the last uniform window
+    /// that was summed. A uniform window's sum is the same fold of the
+    /// same values, so a matching key reuses it bit for bit.
+    window_sum_memo: (u64, usize, f64),
 }
 
 impl SocBatch {
@@ -287,11 +300,6 @@ impl SocBatch {
             .iter()
             .map(|d| d.table.iter().map(crate::freq::Opp::freq_hz).collect())
             .collect();
-        let khz_ladder: Vec<Vec<KiloHertz>> = platform
-            .domains()
-            .iter()
-            .map(|d| d.table.iter().map(|o| o.freq_khz).collect())
-            .collect();
         let opp_ladder: Vec<Vec<Opp>> = platform
             .domains()
             .iter()
@@ -311,17 +319,18 @@ impl SocBatch {
         for node in 0..n_nodes {
             temps_c[node * width..(node + 1) * width].copy_from_slice(&ambient_c);
         }
-        let zero_tick = TickOutput {
-            dt_s: 0.0,
+        let blank_state = SocState {
+            time_s: 0.0,
+            freq_khz: PerDomain::new(n),
+            freq_level: PerDomain::new(n),
+            max_cap_level: PerDomain::new(n),
             fps: 0.0,
-            vsync: VsyncOutput::default(),
-            power: PowerBreakdown {
-                domain_w: PerDomain::new(n),
-                base_w: 0.0,
-            },
             power_w: 0.0,
+            temp_domain_c: PerDomain::new(n),
+            temp_hot_c: 0.0,
+            temp_device_c: 0.0,
+            temp_battery_c: 0.0,
             util: PerDomain::new(n),
-            opps: PerDomain::new(n),
         };
         let mut batch = SocBatch {
             width,
@@ -330,7 +339,6 @@ impl SocBatch {
             dvfs,
             vsync: vec![VsyncPipeline::new(first.refresh_hz); width],
             hz_ladder,
-            khz_ladder,
             opp_ladder,
             lvl_cur: vec![0; n * width],
             lvl_min: vec![0; n * width],
@@ -357,13 +365,14 @@ impl SocBatch {
             last_utils: vec![0.0; n * width],
             time_s: vec![0.0; width],
             energy_j: vec![0.0; width],
-            last_tick: vec![zero_tick; width],
-            level_snap: vec![0; n * width],
-            cap_snap: vec![0; n * width],
+            last_tick: vec![TickOutput::default(); width],
+            states: vec![blank_state; width],
             window_dt: VecDeque::new(),
             window_frames: VecDeque::new(),
             window_frame_sum: vec![0; width],
             window_total_dt_s: 0.0,
+            window_run: 0,
+            window_sum_memo: (0, 0, 0.0),
             platform,
         };
         for d in 0..n {
@@ -374,7 +383,7 @@ impl SocBatch {
         for l in 0..width {
             batch.resync_lane_dvfs(l);
         }
-        batch.snapshot_dvfs();
+        batch.refresh_states();
         Ok(batch)
     }
 
@@ -404,9 +413,17 @@ impl SocBatch {
     /// level mirror before it is handed out, and the lane is marked for
     /// a mirror re-read when the next tick starts.
     pub fn dvfs_mut(&mut self, lane: usize) -> &mut DvfsController {
+        self.state_and_dvfs_mut(lane).1
+    }
+
+    /// One lane's state next to its DVFS controller: what a governor's
+    /// control step reads and actuates. The controller is handed out as
+    /// by [`SocBatch::dvfs_mut`]; the state is the end-of-tick snapshot
+    /// of [`SocBatch::state`].
+    pub fn state_and_dvfs_mut(&mut self, lane: usize) -> (&SocState, &mut DvfsController) {
         self.flush_lane_ctl(lane);
         self.dvfs_dirty[lane] = true;
-        &mut self.dvfs[lane]
+        (&self.states[lane], &mut self.dvfs[lane])
     }
 
     /// Write-behind flush: pushes the lane's mirror levels into its
@@ -469,45 +486,49 @@ impl SocBatch {
     }
 
     /// The governor-visible state of one lane after the most recent
-    /// tick. Materialised on demand from the arenas; DVFS-derived fields
-    /// come from the end-of-tick snapshot, so control actuation between
-    /// ticks does not leak into the observation.
+    /// tick: the snapshot the tick refreshed as its last stage, so
+    /// control actuation between ticks does not leak into the
+    /// observation.
     #[must_use]
-    pub fn state(&self, lane: usize) -> SocState {
-        let n = self.platform.n_domains();
-        let w = self.width;
-        let freq_level = PerDomain::from_fn(n, |d| self.level_snap[d * w + lane]);
-        let max_cap_level = PerDomain::from_fn(n, |d| self.cap_snap[d * w + lane]);
-        let freq_khz = PerDomain::from_fn(n, |d| self.khz_ladder[d][freq_level[d]]);
-        let temp_domain_c = PerDomain::from_fn(n, |d| self.temps_c[self.die_nodes[d] * w + lane]);
-        let skin = self.temps_c[self.thermal_config.skin_node * w + lane];
-        let board = self.temps_c[self.thermal_config.board_node * w + lane];
-        let die_max = temp_domain_c.iter().copied().fold(f64::MIN, f64::max);
-        SocState {
-            time_s: self.time_s[lane],
-            freq_khz,
-            freq_level,
-            max_cap_level,
-            fps: self.windowed_fps(lane),
-            power_w: self.last_tick[lane].power_w,
-            temp_domain_c,
-            temp_hot_c: temp_domain_c[self.platform.hot_domain().index()],
-            temp_device_c: thermal::virtual_sensor_c(skin, board, die_max),
-            temp_battery_c: board,
-            util: PerDomain::from_fn(n, |d| self.last_utils[d * w + lane]),
-        }
+    pub fn state(&self, lane: usize) -> &SocState {
+        &self.states[lane]
     }
 
-    /// Rolling-window FPS of one lane: presented frames over the
-    /// shared window's length.
-    fn windowed_fps(&self, lane: usize) -> f64 {
-        if self.window_total_dt_s <= 0.0 {
-            return 0.0;
+    /// Refreshes every lane's state snapshot from the arenas (the
+    /// tick's last stage, and construction).
+    fn refresh_states(&mut self) {
+        let n = self.platform.n_domains();
+        let w = self.width;
+        let hot = self.platform.hot_domain().index();
+        let skin_base = self.thermal_config.skin_node * w;
+        let board_base = self.thermal_config.board_node * w;
+        for (l, s) in self.states.iter_mut().enumerate() {
+            s.time_s = self.time_s[l];
+            // Die temperatures fold into their maximum in platform
+            // order, from `f64::MIN`.
+            let mut die_max = f64::MIN;
+            for d in 0..n {
+                let level = self.lvl_cur[d * w + l];
+                let temp_c = self.temps_c[self.die_nodes[d] * w + l];
+                s.freq_level[d] = level;
+                s.max_cap_level[d] = self.lvl_max[d * w + l];
+                s.freq_khz[d] = self.opp_ladder[d][level].freq_khz;
+                s.temp_domain_c[d] = temp_c;
+                s.util[d] = self.last_utils[d * w + l];
+                die_max = f64::max(die_max, temp_c);
+            }
+            let board = self.temps_c[board_base + l];
+            s.fps = windowed_fps(
+                self.window_frame_sum[l],
+                self.window_total_dt_s,
+                self.refresh_hz,
+            );
+            s.power_w = self.last_tick[l].power_w;
+            s.temp_hot_c = s.temp_domain_c[hot];
+            s.temp_device_c =
+                thermal::virtual_sensor_c(self.temps_c[skin_base + l], board, die_max);
+            s.temp_battery_c = board;
         }
-        // VSync boundaries need not align with the window edge, so the
-        // raw quotient can exceed the refresh rate by a fraction of a
-        // frame; clamp to the physical maximum.
-        (f64::from(self.window_frame_sum[lane]) / self.window_total_dt_s).min(self.refresh_hz)
     }
 
     /// Whether the hardware thermal throttle currently clamps any
@@ -522,16 +543,24 @@ impl SocBatch {
     /// frame demand lane `lane` executes. Performs, per lane: in-kernel
     /// frequency selection from the previous tick's utilisation,
     /// throttle transition, frame execution + VSync, power integration
-    /// at the pre-step die temperatures, thermal update.
+    /// at the pre-step die temperatures, thermal update, and finally
+    /// the refresh of the lane's [`SocState`] snapshot.
     ///
     /// # Panics
     ///
-    /// Panics unless `demands.len()` equals the batch width.
+    /// Panics unless `demands.len()` equals the batch width, and unless
+    /// `dt_s` is finite and non-negative (an infinite tick would never
+    /// finish its VSync slicing, and a NaN one would poison every
+    /// temperature from the next tick on).
     #[allow(clippy::too_many_lines)]
     pub fn tick(&mut self, dt_s: f64, demands: &[FrameDemand]) {
         let w = self.width;
         let n = self.platform.n_domains();
         assert_eq!(demands.len(), w, "one FrameDemand per lane");
+        assert!(
+            dt_s.is_finite() && dt_s >= 0.0,
+            "tick length must be finite and non-negative, got {dt_s}"
+        );
 
         // 0. Refresh the level mirror of any lane whose controller was
         //    actuated directly since the last tick.
@@ -601,21 +630,16 @@ impl SocBatch {
             let opps = PerDomain::from_fn(n, |d| self.opp_ladder[d][self.lvl_cur[d * w + l]]);
             let plan = perf::plan(demand, &opps, &self.platform);
             let vout = self.vsync[l].tick(dt_s, plan.frame_period_s);
-            let fps = vout.fps(dt_s);
             // The renderer runs at its natural rate until the display
             // caps it at the refresh rate; that achieved production
             // rate — not the presented FPS — is what loads the domains.
             let produced_rate = plan.render_rate_hz().min(self.refresh_hz);
-            let util = PerDomain::from_fn(n, |i| plan.utilization(DomainId::new(i), produced_rate));
             for d in 0..n {
-                self.last_utils[d * w + l] = util[d];
+                self.last_utils[d * w + l] = plan.utilization(DomainId::new(d), produced_rate);
             }
             let out = &mut self.last_tick[l];
-            out.dt_s = dt_s;
-            out.fps = fps;
+            out.fps = vout.fps(dt_s);
             out.vsync = vout;
-            out.util = util;
-            out.opps = opps;
         }
 
         // 5. Power at the pre-step die temperatures — SoA over
@@ -665,36 +689,32 @@ impl SocBatch {
         );
 
         // 7. Per-lane accounting: domain powers in platform order, then
-        //    the floor power (the order `PowerBreakdown::total_w` sums).
+        //    the floor power.
         for l in 0..w {
             let mut total_w = 0.0;
             for d in 0..n {
                 total_w += self.domain_w[d * w + l];
             }
             total_w += self.base_w[l];
-            let out = &mut self.last_tick[l];
-            out.power = PowerBreakdown {
-                domain_w: PerDomain::from_fn(n, |d| self.domain_w[d * w + l]),
-                base_w: self.base_w[l],
-            };
-            out.power_w = total_w;
-            self.time_s[l] += dt_s.max(0.0);
+            self.last_tick[l].power_w = total_w;
+            self.time_s[l] += dt_s;
             if dt_s > 0.0 {
                 self.energy_j[l] += total_w * dt_s;
             }
         }
-        self.snapshot_dvfs();
 
         // 8. Shared FPS window: one dt history for the whole batch
         //    (lockstep), per-lane presented counts per slot.
         if dt_s > 0.0 {
+            let repeat = self.window_dt.back().map(|b| b.to_bits()) == Some(dt_s.to_bits());
+            self.window_run = if repeat { self.window_run + 1 } else { 1 };
             self.window_dt.push_back(dt_s);
             for (out, sum) in self.last_tick.iter().zip(&mut self.window_frame_sum) {
                 self.window_frames.push_back(out.vsync.presented);
                 *sum += out.vsync.presented;
             }
         }
-        let mut total_dt: f64 = self.window_dt.iter().sum();
+        let mut total_dt = self.window_dt_sum();
         while let Some(&front_dt) = self.window_dt.front() {
             if total_dt - front_dt >= FPS_WINDOW_S {
                 self.window_dt.pop_front();
@@ -706,18 +726,42 @@ impl SocBatch {
                 break;
             }
         }
+        self.window_run = self.window_run.min(self.window_dt.len());
         self.window_total_dt_s = total_dt;
+
+        // 9. The observable state every lane reads until the next tick.
+        self.refresh_states();
     }
 
-    /// Records the end-of-tick frequency levels and caps (what
-    /// [`SocBatch::state`] reports until the next tick). The mirror is
-    /// authoritative here — dirty lanes are re-read at tick start and
-    /// in-tick writes land in the mirror — so this is a pair of
-    /// straight copies.
-    fn snapshot_dvfs(&mut self) {
-        self.level_snap.copy_from_slice(&self.lvl_cur);
-        self.cap_snap.copy_from_slice(&self.lvl_max);
+    /// `window_dt.iter().sum()`, reused from the memo when the window
+    /// holds `len` copies of one tick length (the session engine's
+    /// steady state).
+    fn window_dt_sum(&mut self) -> f64 {
+        let len = self.window_dt.len();
+        let uniform = match self.window_dt.back() {
+            Some(&dt) if self.window_run == len => dt.to_bits(),
+            _ => return self.window_dt.iter().sum(),
+        };
+        let (bits, memo_len, memo_sum) = self.window_sum_memo;
+        if bits == uniform && memo_len == len {
+            return memo_sum;
+        }
+        let sum = self.window_dt.iter().sum();
+        self.window_sum_memo = (uniform, len, sum);
+        sum
     }
+}
+
+/// Rolling-window FPS: presented frames over the shared window's
+/// length.
+fn windowed_fps(frames: u32, window_s: f64, refresh_hz: f64) -> f64 {
+    if window_s <= 0.0 {
+        return 0.0;
+    }
+    // VSync boundaries need not align with the window edge, so the raw
+    // quotient can exceed the refresh rate by a fraction of a frame;
+    // clamp to the physical maximum.
+    (f64::from(frames) / window_s).min(refresh_hz)
 }
 
 /// One domain's round of the in-kernel utilisation-tracking policy
@@ -796,6 +840,45 @@ mod tests {
     use crate::soc::Soc;
     use crate::throttle::ThrottleConfig;
 
+    impl SocBatch {
+        /// One lane's state built from scratch out of the arenas: the
+        /// reference the in-tick snapshot is checked against.
+        fn materialise_state(&self, lane: usize) -> SocState {
+            let n = self.platform.n_domains();
+            let w = self.width;
+            let freq_level = PerDomain::from_fn(n, |d| self.lvl_cur[d * w + lane]);
+            let max_cap_level = PerDomain::from_fn(n, |d| self.lvl_max[d * w + lane]);
+            let freq_khz = PerDomain::from_fn(n, |d| self.opp_ladder[d][freq_level[d]].freq_khz);
+            let temp_domain_c =
+                PerDomain::from_fn(n, |d| self.temps_c[self.die_nodes[d] * w + lane]);
+            let skin = self.temps_c[self.thermal_config.skin_node * w + lane];
+            let board = self.temps_c[self.thermal_config.board_node * w + lane];
+            let die_max = temp_domain_c.iter().copied().fold(f64::MIN, f64::max);
+            SocState {
+                time_s: self.time_s[lane],
+                freq_khz,
+                freq_level,
+                max_cap_level,
+                fps: windowed_fps(
+                    self.window_frame_sum[lane],
+                    self.window_total_dt_s,
+                    self.refresh_hz,
+                ),
+                power_w: self.last_tick[lane].power_w,
+                temp_domain_c,
+                temp_hot_c: temp_domain_c[self.platform.hot_domain().index()],
+                temp_device_c: thermal::virtual_sensor_c(skin, board, die_max),
+                temp_battery_c: board,
+                util: PerDomain::from_fn(n, |d| self.last_utils[d * w + lane]),
+            }
+        }
+
+        /// Whether every lane's snapshot equals its materialisation.
+        fn snapshots_current(&self) -> bool {
+            (0..self.width).all(|l| *self.state(l) == self.materialise_state(l))
+        }
+    }
+
     /// Deterministic demand schedule mixing idle, UI and game phases.
     fn demand_at(tick: usize, lane: usize) -> FrameDemand {
         let phase = (tick / 40 + lane) % 4;
@@ -835,9 +918,8 @@ mod tests {
                     "tick {t} lane {l} power"
                 );
                 assert_eq!(out.vsync, bout.vsync, "tick {t} lane {l} vsync");
-                assert_eq!(out.opps, bout.opps, "tick {t} lane {l} opps");
                 assert!(
-                    single.state() == batch.state(l),
+                    single.state() == *batch.state(l),
                     "tick {t} lane {l} state drifted:\n one-lane {:?}\n batch    {:?}",
                     single.state(),
                     batch.state(l)
@@ -871,7 +953,7 @@ mod tests {
         let single = Soc::new(SocConfig::exynos9810());
         let batch = SocBatch::replicate(&SocConfig::exynos9810(), 3).unwrap();
         for l in 0..3 {
-            assert!(single.state() == batch.state(l), "lane {l}");
+            assert!(single.state() == *batch.state(l), "lane {l}");
         }
     }
 
@@ -902,7 +984,7 @@ mod tests {
         }
         for l in 0..2 {
             assert!(batch.is_throttling(l), "lane {l}");
-            assert!(single.state() == batch.state(l), "lane {l}");
+            assert!(single.state() == *batch.state(l), "lane {l}");
         }
     }
 
@@ -931,7 +1013,7 @@ mod tests {
                 }
             }
             for (l, single) in singles.iter().enumerate() {
-                assert!(single.state() == batch.state(l), "tick {t} lane {l}");
+                assert!(single.state() == *batch.state(l), "tick {t} lane {l}");
             }
         }
     }
@@ -1012,7 +1094,111 @@ mod tests {
         batch.tick(0.025, &[FrameDemand::default()]);
     }
 
+    /// One tick of `dt_s` on a fresh one-lane batch.
+    fn tick_once(dt_s: f64) {
+        let mut batch = SocBatch::replicate(&SocConfig::exynos9810(), 1).unwrap();
+        batch.tick(dt_s, &[FrameDemand::new(3.0e6, 1.5e6, 4.0e6)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "tick length must be finite and non-negative")]
+    fn nan_tick_panics() {
+        tick_once(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "tick length must be finite and non-negative")]
+    fn infinite_tick_panics() {
+        tick_once(f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "tick length must be finite and non-negative")]
+    fn negative_infinite_tick_panics() {
+        tick_once(f64::NEG_INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "tick length must be finite and non-negative")]
+    fn negative_tick_panics() {
+        tick_once(-0.025);
+    }
+
     proptest! {
+        /// After construction and after every tick, each lane's cached
+        /// state is the end-of-tick snapshot: equal to a from-scratch
+        /// materialisation, and left alone by actuation between ticks.
+        #[test]
+        fn cached_state_is_the_end_of_tick_snapshot(
+            preset in 0usize..2,
+            width in 1usize..5,
+            steps in proptest::collection::vec(
+                (
+                    (0.0f64..3.0e7, 0.0f64..2.0e9),
+                    proptest::collection::vec((0usize..4, 0u8..2, 0usize..64), 0..5),
+                ),
+                1..60,
+            ),
+        ) {
+            let config = if preset == 0 {
+                SocConfig::exynos9810()
+            } else {
+                SocConfig::exynos9820()
+            };
+            let n = config.platform.n_domains();
+            let mut batch = SocBatch::replicate(&config, width).unwrap();
+            prop_assert!(batch.snapshots_current(), "stale after construction");
+            let mut demands = vec![FrameDemand::default(); width];
+            for (t, ((cycles, bg), actuations)) in steps.iter().enumerate() {
+                for (l, d) in demands.iter_mut().enumerate() {
+                    let k = 1.0 / (l + 1) as f64;
+                    *d = FrameDemand::new(cycles * k, cycles / 3.0, *cycles)
+                        .with_background(bg * k, bg / 2.0, 0.0);
+                }
+                batch.tick(0.025, &demands);
+                prop_assert!(batch.snapshots_current(), "stale after tick {}", t);
+                let before: Vec<SocState> = (0..width).map(|l| *batch.state(l)).collect();
+                for &(lane, pin, level) in actuations {
+                    let id = DomainId::new(level % n);
+                    let table = &config.platform.domains()[id.index()].table;
+                    let khz = table.opp(level % table.len()).unwrap().freq_khz;
+                    let dvfs = batch.dvfs_mut(lane % width);
+                    // A cap below a pinned floor is refused; refused or
+                    // not, actuation must leave the snapshot alone.
+                    let _ = if pin == 1 { dvfs.pin_freq(id, khz) } else { dvfs.set_max_freq(id, khz) };
+                }
+                for (l, state) in before.iter().enumerate() {
+                    prop_assert!(batch.state(l) == state, "tick {} lane {}: actuation leaked", t, l);
+                }
+            }
+        }
+
+        /// The windowed FPS equals, bit for bit, a window re-summed from
+        /// scratch every tick, over mixed tick lengths: runs of session
+        /// ticks, gap tails, 2e-9 s slivers and over-long ticks.
+        #[test]
+        fn windowed_fps_matches_a_resummed_window(
+            runs in proptest::collection::vec((0usize..4, 1usize..30), 1..12),
+        ) {
+            let mut soc = Soc::new(SocConfig::exynos9810());
+            let demand = FrameDemand::new(3.0e6, 1.5e6, 4.0e6);
+            let mut slots: VecDeque<(f64, u32)> = VecDeque::new();
+            for (kind, len) in runs {
+                // Session ticks, gap tails, gap-ticker slivers, and (one
+                // at a time) a tick longer than the window.
+                let dt = [0.025, 0.0137, 2e-9, 0.75][kind];
+                for _ in 0..if kind == 3 { 1 } else { len } {
+                    slots.push_back((dt, soc.tick(dt, &demand).vsync.presented));
+                    let mut total: f64 = slots.iter().map(|s| s.0).sum();
+                    while slots.front().is_some_and(|s| total - s.0 >= FPS_WINDOW_S) {
+                        total -= slots.pop_front().unwrap().0;
+                    }
+                    let want = windowed_fps(slots.iter().map(|s| s.1).sum(), total, 60.0);
+                    prop_assert_eq!(soc.state().fps.to_bits(), want.to_bits(), "dt {}", dt);
+                }
+            }
+        }
+
         /// The lane-wise selection picks, on every lane, the level the
         /// scalar statement of the policy picks for that lane's
         /// controller alone — for any utilisation, cap range, current

@@ -9,11 +9,11 @@
 //! makes peak-temperature reduction valuable (§I, §III-B of the paper).
 
 use crate::freq::Opp;
-use crate::platform::{DomainId, PerDomain, Platform};
 
 /// Power model parameters for one DVFS domain. The domain's identity is
-/// positional: models live in platform order inside a [`PowerModel`].
-/// The `Default` model is all-zero (no dynamic or leakage power).
+/// positional: each [`crate::platform::DomainSpec`] carries its model,
+/// and the platform adds its base power as the floor. The `Default`
+/// model is all-zero (no dynamic or leakage power).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DomainPowerModel {
     /// Effective switched capacitance in farads.
@@ -109,108 +109,24 @@ impl DomainPowerModel {
     }
 }
 
-/// Whole-platform power model: one [`DomainPowerModel`] per DVFS domain
-/// (in platform order) plus a constant platform floor (display at fixed
-/// brightness, DRAM refresh, rails).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PowerModel {
-    domains: Vec<DomainPowerModel>,
-    base_w: f64,
-}
-
-/// Per-domain and total power for one simulation interval.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PowerBreakdown {
-    /// Power of each domain, in platform order, watts.
-    pub domain_w: PerDomain<f64>,
-    /// Constant platform floor, in watts.
-    pub base_w: f64,
-}
-
-impl PowerBreakdown {
-    /// Sum of all components, in watts.
-    #[must_use]
-    pub fn total_w(&self) -> f64 {
-        self.domain_w.iter().sum::<f64>() + self.base_w
-    }
-
-    /// Power of one domain, in watts.
-    #[must_use]
-    pub fn domain(&self, id: DomainId) -> f64 {
-        self.domain_w[id.index()]
-    }
-}
-
-impl PowerModel {
-    /// Builds a model from per-domain models (platform order) and a
-    /// platform floor in watts.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty model list.
-    #[must_use]
-    pub fn new(domains: Vec<DomainPowerModel>, base_w: f64) -> Self {
-        assert!(!domains.is_empty(), "power model needs at least one domain");
-        PowerModel { domains, base_w }
-    }
-
-    /// The power model a platform descriptor declares (per-domain
-    /// models in platform order, platform base power).
-    #[must_use]
-    pub fn for_platform(platform: &Platform) -> Self {
-        PowerModel::new(
-            platform.domains().iter().map(|d| d.power).collect(),
-            platform.base_power_w(),
-        )
-    }
-
-    /// The calibrated Exynos 9810 model with a 0.9 W platform floor.
-    #[must_use]
-    pub fn exynos9810() -> Self {
-        PowerModel::for_platform(&Platform::exynos9810())
-    }
-
-    /// Number of domain models.
-    #[must_use]
-    pub fn n_domains(&self) -> usize {
-        self.domains.len()
-    }
-
-    /// Model for one domain.
-    #[must_use]
-    pub fn domain(&self, id: DomainId) -> &DomainPowerModel {
-        &self.domains[id.index()]
-    }
-
-    /// Platform floor in watts.
-    #[must_use]
-    pub fn base_w(&self) -> f64 {
-        self.base_w
-    }
-
-    /// Evaluates the full breakdown given per-domain operating points,
-    /// utilisations and die temperatures (platform order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices are shorter than the domain count.
-    #[must_use]
-    pub fn evaluate(&self, opps: &[Opp], utils: &[f64], temps_c: &[f64]) -> PowerBreakdown {
-        let n = self.domains.len();
-        let domain_w = PerDomain::from_fn(n, |i| {
-            self.domains[i].total_w(opps[i], utils[i], temps_c[i])
-        });
-        PowerBreakdown {
-            domain_w,
-            base_w: self.base_w,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::freq::OppTable;
+    use crate::platform::Platform;
+
+    /// Whole-platform power with every domain fully loaded at its top
+    /// OPP: the domain models' totals in platform order, then the
+    /// platform floor.
+    fn peak_platform_w(platform: &Platform, temps_c: &[f64]) -> f64 {
+        let domains: f64 = platform
+            .domains()
+            .iter()
+            .zip(temps_c)
+            .map(|(d, &t)| d.power.total_w(d.table.max(), 1.0, t))
+            .sum();
+        domains + platform.base_power_w()
+    }
 
     fn max_opp(table: &OppTable) -> Opp {
         table.max()
@@ -281,56 +197,22 @@ mod tests {
     }
 
     #[test]
-    fn breakdown_total_is_sum() {
-        let model = PowerModel::exynos9810();
-        let opps = [
-            OppTable::exynos9810_big().max(),
-            OppTable::exynos9810_little().max(),
-            OppTable::exynos9810_gpu().max(),
-        ];
-        let b = model.evaluate(&opps, &[1.0, 1.0, 1.0], &[50.0, 45.0, 48.0]);
-        let manual: f64 = b.domain_w.iter().sum::<f64>() + b.base_w;
-        assert!((b.total_w() - manual).abs() < 1e-12);
-        assert!(b.total_w() > model.base_w());
-        assert_eq!(b.base_w, 0.9);
-        assert_eq!(b.domain(DomainId::new(0)), b.domain_w[0]);
-    }
-
-    #[test]
     fn full_platform_peak_power_matches_paper_scale() {
         // Fig. 3 shows schedutil peaks well above 10 W on heavy load.
-        let model = PowerModel::exynos9810();
-        let opps = [
-            OppTable::exynos9810_big().max(),
-            OppTable::exynos9810_little().max(),
-            OppTable::exynos9810_gpu().max(),
-        ];
-        let b = model.evaluate(&opps, &[1.0, 1.0, 1.0], &[70.0, 60.0, 65.0]);
+        let peak = peak_platform_w(&Platform::exynos9810(), &[70.0, 60.0, 65.0]);
         assert!(
-            (9.0..18.0).contains(&b.total_w()),
-            "platform peak {} W outside the paper's observed scale",
-            b.total_w()
+            (9.0..18.0).contains(&peak),
+            "platform peak {peak} W outside the paper's observed scale"
         );
     }
 
     #[test]
     fn exynos9820_peak_power_plausible_for_a_flagship() {
         let platform = Platform::exynos9820();
-        let model = PowerModel::for_platform(&platform);
-        let opps: Vec<Opp> = platform.domains().iter().map(|d| d.table.max()).collect();
-        let utils = vec![1.0; platform.n_domains()];
-        let temps = vec![65.0; platform.n_domains()];
-        let b = model.evaluate(&opps, &utils, &temps);
+        let peak = peak_platform_w(&platform, &vec![65.0; platform.n_domains()]);
         assert!(
-            (8.0..18.0).contains(&b.total_w()),
-            "9820 peak {} W implausible",
-            b.total_w()
+            (8.0..18.0).contains(&peak),
+            "9820 peak {peak} W implausible"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one domain")]
-    fn empty_model_list_panics() {
-        let _ = PowerModel::new(vec![], 0.9);
     }
 }

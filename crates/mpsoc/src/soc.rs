@@ -17,13 +17,15 @@
 //! a one-lane batch and every tick runs the batched kernel, so there is
 //! exactly one tick implementation. This module owns the types the two
 //! share: the configuration, the observable state and the tick output.
+//! The kernel refreshes each lane's [`SocState`] in place at the end of
+//! every tick, so reading it costs a copy ([`Soc::state`]) or nothing
+//! ([`SocBatch::state`] hands out a reference).
 
 use crate::batch::SocBatch;
 use crate::dvfs::DvfsController;
 use crate::freq::KiloHertz;
 use crate::perf::FrameDemand;
 use crate::platform::{DomainId, PerDomain, Platform};
-use crate::power::PowerBreakdown;
 use crate::thermal::{ThermalConfig, DEFAULT_AMBIENT_C};
 use crate::throttle::ThrottleConfig;
 use crate::vsync::VsyncOutput;
@@ -148,23 +150,18 @@ impl SocState {
     }
 }
 
-/// Detailed result of one [`Soc::tick`].
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Per-interval result of one [`Soc::tick`]: what the state's rolling
+/// window does not carry. Levels, frequencies and utilisations are in
+/// [`SocState`].
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TickOutput {
-    /// Interval length in seconds.
-    pub dt_s: f64,
     /// Presented frames per second over the interval.
     pub fps: f64,
     /// Raw VSync accounting.
     pub vsync: VsyncOutput,
-    /// Power breakdown over the interval.
-    pub power: PowerBreakdown,
-    /// Total power in watts (convenience for `power.total_w()`).
+    /// Total platform power over the interval, in watts: the domain
+    /// powers in platform order, then the platform floor.
     pub power_w: f64,
-    /// Per-domain utilisation.
-    pub util: PerDomain<f64>,
-    /// Operating points used during the interval, in platform order.
-    pub opps: PerDomain<crate::freq::Opp>,
 }
 
 /// The simulated SoC platform: the one-device view of the batched
@@ -222,10 +219,11 @@ impl Soc {
         self.batch.dvfs_mut(0)
     }
 
-    /// The governor-visible state after the most recent tick.
+    /// The governor-visible state after the most recent tick (a copy
+    /// of the snapshot the tick kept up to date).
     #[must_use]
     pub fn state(&self) -> SocState {
-        self.batch.state(0)
+        *self.batch.state(0)
     }
 
     /// The underlying one-lane batch (the simulation engine drives
@@ -240,6 +238,11 @@ impl Soc {
     /// the previous interval's utilisation, hardware thermal throttling,
     /// frame execution + VSync, power integration at the resulting
     /// utilisation, thermal update.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `dt_s` is finite and non-negative (see
+    /// [`SocBatch::tick`]).
     pub fn tick(&mut self, dt_s: f64, demand: &FrameDemand) -> TickOutput {
         self.batch.tick(dt_s, std::slice::from_ref(demand));
         *self.batch.tick_output(0)

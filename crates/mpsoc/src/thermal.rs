@@ -326,10 +326,9 @@ pub(crate) fn max_stable_dt(config: &ThermalConfig) -> f64 {
 /// sharing one network *structure* (nodes/edges) by `dt_s` seconds.
 ///
 /// `temps_c`, `power_w` and the `flux` scratch are node-major,
-/// lane-contiguous arrays indexed `node * width + lane`; `ambient_c` has
-/// one entry per lane (ambient may differ across lanes — fleet bins).
-/// Power entries beyond the array are treated as zero, matching
-/// [`ThermalNetwork::step`].
+/// lane-contiguous arrays indexed `node * width + lane`, each at least
+/// `nodes * width` long; `ambient_c` has one entry per lane (ambient may
+/// differ across lanes — fleet bins).
 ///
 /// Every lane performs exactly the floating-point operation sequence of
 /// the width-1 path, in the same order — batching is a pure interleaving
@@ -354,28 +353,29 @@ pub(crate) fn step_lanes(
     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
     let steps_usize = if steps.is_finite() { steps as usize } else { 1 };
     let h = dt_s / steps;
+    // Lanes outermost: at the widths the simulator runs (one device, or
+    // a day's few governors) this beats per-node lane slices, whose
+    // short vectorised loops cost more to enter than they save.
     for _ in 0..steps_usize {
-        flux.fill(0.0);
-        for (i, node) in config.nodes.iter().enumerate() {
-            let base = i * width;
-            for (lane, &lane_ambient) in ambient_c.iter().enumerate().take(width) {
-                let f = &mut flux[base + lane];
-                *f += power_w.get(base + lane).copied().unwrap_or(0.0);
-                *f -= node.to_ambient_w_per_k * (temps_c[base + lane] - lane_ambient);
+        for (lane, &t_amb) in ambient_c[..width].iter().enumerate() {
+            // Each node's own terms accumulate in a register, from zero:
+            // `0.0 + P − G·(T − T_amb)`. The edges then add their flows.
+            for (i, node) in config.nodes.iter().enumerate() {
+                let k = i * width + lane;
+                let mut acc = 0.0;
+                acc += power_w[k];
+                acc -= node.to_ambient_w_per_k * (temps_c[k] - t_amb);
+                flux[k] = acc;
             }
-        }
-        for e in &config.edges {
-            let (a, b) = (e.a * width, e.b * width);
-            for lane in 0..width {
-                let q = e.conductance_w_per_k * (temps_c[a + lane] - temps_c[b + lane]);
-                flux[a + lane] -= q;
-                flux[b + lane] += q;
+            for e in &config.edges {
+                let (a, b) = (e.a * width + lane, e.b * width + lane);
+                let q = e.conductance_w_per_k * (temps_c[a] - temps_c[b]);
+                flux[a] -= q;
+                flux[b] += q;
             }
-        }
-        for (i, node) in config.nodes.iter().enumerate() {
-            let base = i * width;
-            for lane in 0..width {
-                temps_c[base + lane] += h * flux[base + lane] / node.capacitance_j_per_k;
+            for (i, node) in config.nodes.iter().enumerate() {
+                let k = i * width + lane;
+                temps_c[k] += h * flux[k] / node.capacitance_j_per_k;
             }
         }
     }
@@ -450,11 +450,14 @@ impl ThermalNetwork {
     }
 
     /// Advances the network by `dt_s` seconds with `power_w[i]` watts
-    /// injected into node `i`. Powers beyond the node count are ignored;
-    /// missing entries are treated as zero.
+    /// injected into node `i`. Powers beyond the node count are ignored.
     ///
     /// Sub-steps internally, so any `dt_s ≥ 0` is stable. This is the
     /// width-1 view over `step_lanes`, the shared batched kernel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `power_w` has fewer entries than the network has nodes.
     pub fn step(&mut self, power_w: &[f64], dt_s: f64) {
         if dt_s <= 0.0 {
             return;

@@ -86,7 +86,16 @@ impl VsyncPipeline {
     /// produces frames with period `frame_period_s` (use `None` when the
     /// application produces no frames, e.g. music playing with a static
     /// screen).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `dt_s` is finite: an infinite interval would slice
+    /// VSync periods forever.
     pub fn tick(&mut self, dt_s: f64, frame_period_s: Option<f64>) -> VsyncOutput {
+        assert!(
+            dt_s.is_finite(),
+            "VSync interval must be finite, got {dt_s}"
+        );
         let mut out = VsyncOutput::default();
         if dt_s <= 0.0 {
             return out;
@@ -240,6 +249,12 @@ mod tests {
         let mut pipe = VsyncPipeline::new(60.0);
         let out = pipe.tick(-1.0, Some(0.01));
         assert_eq!(out, VsyncOutput::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "VSync interval must be finite")]
+    fn infinite_interval_panics() {
+        let _ = VsyncPipeline::new(60.0).tick(f64::INFINITY, Some(0.01));
     }
 
     #[test]

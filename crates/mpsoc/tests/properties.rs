@@ -5,7 +5,6 @@ use proptest::prelude::*;
 use mpsoc::freq::OppTable;
 use mpsoc::perf::{self, FrameDemand};
 use mpsoc::platform::{DomainId, Platform};
-use mpsoc::power::PowerModel;
 use mpsoc::thermal::ThermalNetwork;
 use mpsoc::vsync::VsyncPipeline;
 use mpsoc::{Soc, SocConfig};
@@ -105,16 +104,20 @@ proptest! {
         u in 0.0..1.0f64,
         t in -20.0..120.0f64,
     ) {
-        let model = PowerModel::exynos9810();
-        let opps = [
-            OppTable::exynos9810_big().opp(level_big).unwrap(),
-            OppTable::exynos9810_little().opp(level_little).unwrap(),
-            OppTable::exynos9810_gpu().opp(level_gpu).unwrap(),
-        ];
-        let lo = model.evaluate(&opps, &[u * 0.5; 3], &[t; 3]);
-        let hi = model.evaluate(&opps, &[u; 3], &[t; 3]);
-        prop_assert!(lo.total_w().is_finite() && lo.total_w() >= 0.0);
-        prop_assert!(hi.total_w() >= lo.total_w() - 1e-12);
+        let platform = Platform::exynos9810();
+        let levels = [level_big, level_little, level_gpu];
+        let total_w = |util: f64| {
+            let domains: f64 = platform
+                .domains()
+                .iter()
+                .zip(levels)
+                .map(|(d, level)| d.power.total_w(d.table.opp(level).unwrap(), util, t))
+                .sum();
+            domains + platform.base_power_w()
+        };
+        let (lo, hi) = (total_w(u * 0.5), total_w(u));
+        prop_assert!(lo.is_finite() && lo >= 0.0);
+        prop_assert!(hi >= lo - 1e-12);
     }
 
     /// Cap navigation never leaves the table and caps stay ordered,

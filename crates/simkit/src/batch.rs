@@ -135,22 +135,25 @@ impl Engine {
             }
             batch.tick(dt, &demands);
             for (l, lane) in lanes.iter_mut().enumerate() {
-                let out = *batch.tick_output(l);
+                let out = batch.tick_output(l);
+                let (fps, power_w) = (out.fps, out.power_w);
                 let outcome = &mut outcomes[l];
                 outcome.presented_frames += u64::from(out.vsync.presented);
                 outcome.repeated_vsyncs += u64::from(out.vsync.repeated);
-                let state = batch.state(l);
-                lane.governor.observe(&state);
+                lane.governor.observe(batch.state(l));
                 until_control[l] -= 1;
-                let mut controlled = false;
-                if until_control[l] == 0 {
-                    lane.governor.control(&state, batch.dvfs_mut(l));
+                let controlled = until_control[l] == 0;
+                if controlled {
+                    let (state, dvfs) = batch.state_and_dvfs_mut(l);
+                    lane.governor.control(state, dvfs);
                     until_control[l] = control_every[l];
-                    controlled = true;
                 }
+                // Actuation reaches the kernel at the next tick; the
+                // state snapshot stays the one the governor saw.
+                let state = batch.state(l);
                 if sinks[l].enabled() {
                     sinks[l].record(&TickView {
-                        state: &state,
+                        state,
                         dt_s: dt,
                         decision: if controlled {
                             lane.governor.last_decision()
@@ -161,8 +164,8 @@ impl Engine {
                 }
                 outcome.trace.push(Sample {
                     time_s: state.time_s,
-                    fps: out.fps,
-                    power_w: out.power_w,
+                    fps,
+                    power_w,
                     temp_hot_c: state.temp_hot_c,
                     temp_device_c: state.temp_device_c,
                     freq_khz: state.freq_khz,

@@ -292,7 +292,7 @@ fn run_gap_lanes<S: TraceSink>(
             a.2 += dt;
             if sinks[l].enabled() {
                 sinks[l].record(&TickView {
-                    state: &state,
+                    state,
                     dt_s: dt,
                     decision: None,
                 });

@@ -123,7 +123,7 @@ proptest! {
                     platform
                 );
                 prop_assert!(
-                    batch.state(l) == scalar_states[l],
+                    *batch.state(l) == scalar_states[l],
                     "lane {} final SocState diverged on {}",
                     l,
                     platform
@@ -165,6 +165,6 @@ proptest! {
         engine.run_lanes_into(&mut batch, &mut lanes, duration_s, &mut outcomes);
 
         prop_assert_eq!(&outcomes[0], &scalar);
-        prop_assert!(batch.state(0) == soc.state(), "final state diverged");
+        prop_assert!(*batch.state(0) == soc.state(), "final state diverged");
     }
 }
