@@ -2,8 +2,8 @@
 //! `next-sim campaign` — plus the JSON interchange encoding of a
 //! Q-table the binary codec's size claim is measured against.
 //!
-//! A `BENCH.json`-family document (see
-//! [`crate::perf::parse_document`]). Everything rendered here is a
+//! A schema-versioned document (see
+//! [`crate::json::parse_document`]). Everything rendered here is a
 //! pure function of the [`CampaignReport`] — no wall clock — so a
 //! campaign document is **byte-identical** for a fixed config across
 //! worker counts, machines, and kill/resume points. Exact-integer fields (byte totals, visit counts) go through
@@ -12,8 +12,7 @@
 use qlearn::{QStore, QTable};
 use simkit::campaign::{CampaignReport, CohortSummary};
 
-use crate::json::Json;
-use crate::perf::SCHEMA_VERSION;
+use crate::json::{Json, SCHEMA_VERSION};
 
 fn cohort_json(cohort: &CohortSummary) -> Json {
     let metrics = cohort
@@ -172,7 +171,7 @@ pub fn table_json_cells<S: QStore>(table: &QTable<S>) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::perf::parse_document;
+    use crate::json::parse_document;
     use qlearn::{encode_table, DenseQTable};
     use simkit::campaign::{run_campaign, CampaignConfig};
 

@@ -7,15 +7,14 @@
 //! run's governor when `schedutil` was not in the grid) — the
 //! horizon-level comparison the paper's §I premise actually calls for.
 //!
-//! A `BENCH.json`-family document (see [`crate::perf::parse_document`]).
+//! A schema-versioned document (see [`crate::json::parse_document`]).
 //! Everything rendered here is a pure function of the [`DayReport`]s —
 //! no wall clock — so a day document is **byte-identical** for fixed
 //! inputs across worker counts and machines.
 
 use simkit::day::DayReport;
 
-use crate::json::Json;
-use crate::perf::SCHEMA_VERSION;
+use crate::json::{Json, SCHEMA_VERSION};
 
 /// Governor preferred as the comparison baseline in the `deltas`
 /// section. When the grid did not run it, the first run's governor
@@ -167,7 +166,7 @@ pub fn days_to_json(reports: &[DayReport], mode: &str) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::perf::parse_document;
+    use crate::json::parse_document;
     use simkit::day::run_days;
     use simkit::PlatformPreset;
     use workload::{DayPlan, DayPlanConfig, Persona};

@@ -1,9 +1,10 @@
-//! Minimal JSON tree, emitter and parser (no external dependencies).
+//! Minimal JSON tree, emitter and parser (no external dependencies),
+//! plus the schema check of the documents this crate writes.
 //!
-//! The perf harness writes `BENCH.json` and the CI gate reads the
-//! checked-in baseline back; the build container has no crates.io
-//! access, so this module implements the small JSON subset both need:
-//! objects, arrays, strings, finite numbers, booleans and null.
+//! `day.json`, `campaign.json` and qlint's `lint.json` are rendered
+//! through it; the build has no crates.io access, so this module
+//! implements the small JSON subset they need: objects, arrays,
+//! strings, finite numbers, booleans and null.
 //!
 //! Emission always goes through [`Json::render`], so an artifact built
 //! as a [`Json`] tree is valid JSON by construction (the tests parse
@@ -222,6 +223,32 @@ impl Json {
         }
         Ok(value)
     }
+}
+
+/// Version of the schema family of `day.json` and `campaign.json`:
+/// both declare it, and [`parse_document`] reads no other. Bump it when
+/// a field is added or changes meaning.
+pub const SCHEMA_VERSION: u32 = 7;
+
+/// Parses a `day.json` or `campaign.json` document and checks that it
+/// declares [`SCHEMA_VERSION`].
+///
+/// # Errors
+///
+/// Returns a human-readable description on malformed JSON or a
+/// missing or different `schema` field.
+pub fn parse_document(text: &str) -> Result<Json, String> {
+    let doc = Json::parse(text).map_err(|e| e.to_string())?;
+    let schema = doc
+        .get("schema")
+        .and_then(Json::as_f64)
+        .ok_or("missing numeric 'schema' field")?;
+    if schema != f64::from(SCHEMA_VERSION) {
+        return Err(format!(
+            "unsupported schema version {schema} (this build reads {SCHEMA_VERSION})"
+        ));
+    }
+    Ok(doc)
 }
 
 fn render_string(s: &str, out: &mut String) {
@@ -551,5 +578,22 @@ mod tests {
     #[should_panic(expected = "finite")]
     fn non_finite_numbers_rejected_at_construction() {
         let _ = Json::num(f64::NAN);
+    }
+
+    #[test]
+    fn parser_rejects_bad_documents() {
+        assert!(parse_document("not json").is_err());
+        assert!(
+            parse_document("{\"mode\":\"quick\"}").is_err(),
+            "missing schema"
+        );
+        for other in [1, 6, 8] {
+            assert!(
+                parse_document(&format!("{{\"schema\":{other}}}")).is_err(),
+                "schema {other} must be rejected"
+            );
+        }
+        let doc = parse_document("{\"schema\":7,\"campaign\":{}}").expect("schema 7 parses");
+        assert!(doc.get("campaign").is_some());
     }
 }

@@ -1,10 +1,16 @@
-//! Shared protocol for the figure-reproduction binaries.
+//! Shared protocol for the figure-reproduction binaries, and the
+//! documents `next-sim` writes.
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the
 //! paper (see `DESIGN.md` §4 for the index). They share the evaluation
 //! protocol of §V: Next is trained once per application on a dedicated
 //! training device, switched to greedy inference, and then measured on
 //! sessions seeded identically across governors at 21 °C ambient.
+//!
+//! The modules render `day.json` ([`day`]), `campaign.json`
+//! ([`campaign`]) and the day HTML viewer ([`report`]) over the
+//! dependency-free JSON tree of [`json`]. Speed is measured by
+//! `perfbench/`, the repository's benchmark, not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -12,7 +18,6 @@
 pub mod campaign;
 pub mod day;
 pub mod json;
-pub mod perf;
 pub mod report;
 
 use next_core::{NextAgent, NextConfig};

@@ -7,7 +7,7 @@ use crate::engine::Finding;
 use crate::rules::ALL_RULES;
 
 /// `lint.json` schema version. Bump on any structural change and keep
-/// the parser accepting older versions, like the BENCH.json family.
+/// the parser accepting older versions.
 pub const SCHEMA_VERSION: u64 = 1;
 
 /// The outcome of linting a workspace.

@@ -12,7 +12,7 @@ use std::path::{Path, PathBuf};
 
 use crate::engine::{FileContext, FileKind};
 
-/// Crates whose output bytes CI pins (fixtures, BENCH/day/campaign
+/// Crates whose output bytes CI pins (fixtures, day/campaign
 /// artifacts): `HashMap`/`HashSet` iteration inside them is an ND03
 /// hazard. Directory names under `crates/`.
 pub const ARTIFACT_CRATES: [&str; 4] = ["bench", "core", "qlearn", "simkit"];

@@ -3,7 +3,7 @@
 //! [`SocBatch`] simulates `width` devices that share one platform
 //! *structure* (domains, OPP ladders, thermal network topology, power
 //! models, throttle trips) while every per-device *state* — node
-//! temperatures, frequencies, throttle clamps, utilisations, energy —
+//! temperatures, frequencies, throttle clamps, utilisations —
 //! lives in contiguous arrays keyed `domain × lane` or `node × lane`.
 //! The physics hot loops (power model, throttle transitions) run as
 //! tight lane-inner loops over those arrays with no per-lane heap
@@ -178,8 +178,6 @@ pub struct SocBatch {
     /// tick's in-kernel selection tracks).
     last_utils: Vec<f64>,
     time_s: Vec<f64>,
-    /// Lifetime energy per lane, joules (battery accounting).
-    energy_j: Vec<f64>,
     /// Per-lane output of the most recent tick.
     last_tick: Vec<TickOutput>,
     /// Per-lane observable state as of the end of the most recent tick,
@@ -364,7 +362,6 @@ impl SocBatch {
             die_nodes,
             last_utils: vec![0.0; n * width],
             time_s: vec![0.0; width],
-            energy_j: vec![0.0; width],
             last_tick: vec![TickOutput::default(); width],
             states: vec![blank_state; width],
             window_dt: VecDeque::new(),
@@ -465,18 +462,6 @@ impl SocBatch {
         }
         self.margin_mirror[lane] = self.dvfs[lane].util_margin();
         self.boost_mirror[lane] = self.dvfs[lane].boost_threshold();
-    }
-
-    /// Simulated time of one lane, seconds.
-    #[must_use]
-    pub fn time_s(&self, lane: usize) -> f64 {
-        self.time_s[lane]
-    }
-
-    /// Lifetime energy drawn by one lane, joules.
-    #[must_use]
-    pub fn energy_j(&self, lane: usize) -> f64 {
-        self.energy_j[lane]
     }
 
     /// Full output of the most recent tick for one lane.
@@ -698,9 +683,6 @@ impl SocBatch {
             total_w += self.base_w[l];
             self.last_tick[l].power_w = total_w;
             self.time_s[l] += dt_s;
-            if dt_s > 0.0 {
-                self.energy_j[l] += total_w * dt_s;
-            }
         }
 
         // 8. Shared FPS window: one dt history for the whole batch
@@ -1019,17 +1001,13 @@ mod tests {
     }
 
     #[test]
-    fn energy_accumulates_power_over_time() {
+    fn state_time_accumulates_tick_lengths() {
         let mut batch = SocBatch::replicate(&SocConfig::exynos9810(), 1).unwrap();
         let demand = FrameDemand::new(8.0e6, 3.0e6, 10.0e6);
-        let mut manual = 0.0;
         for _ in 0..400 {
             batch.tick(0.025, &[demand]);
-            manual += batch.tick_output(0).power_w * 0.025;
         }
-        assert!((batch.energy_j(0) - manual).abs() < 1e-9);
-        assert!(batch.energy_j(0) > 0.0);
-        assert!((batch.time_s(0) - 10.0).abs() < 1e-9);
+        assert!((batch.state(0).time_s - 10.0).abs() < 1e-9);
     }
 
     #[test]

@@ -71,7 +71,7 @@ pub use freq::{FreqDomain, KiloHertz, Opp, OppTable};
 pub use perf::{Channel, FrameDemand};
 pub use platform::{DomainId, DomainRole, DomainSpec, PerDomain, Platform, MAX_DOMAINS};
 pub use soc::{Soc, SocConfig, SocState, TickOutput};
-pub use thermal::{ThermalNetwork, DEFAULT_AMBIENT_C};
+pub use thermal::DEFAULT_AMBIENT_C;
 pub use throttle::ThrottleConfig;
 pub use vsync::VsyncPipeline;
 

@@ -8,7 +8,7 @@
 //! paper's peak-temperature experiments (Figs. 3 and 8) rely on.
 //!
 //! The network is integrated with forward Euler using automatic
-//! sub-stepping chosen from the smallest node time constant, so `step`
+//! sub-stepping chosen from the smallest node time constant, so a step
 //! is unconditionally stable for any caller-supplied `dt`.
 //!
 //! Sensor layout follows §III-A: per-die sensors (which node carries
@@ -333,8 +333,8 @@ pub(crate) fn max_stable_dt(config: &ThermalConfig) -> f64 {
 /// Every lane performs exactly the floating-point operation sequence of
 /// the width-1 path, in the same order — batching is a pure interleaving
 /// across lanes and is bit-invisible in the results. This is the single
-/// physics implementation behind both [`ThermalNetwork::step`] (width 1)
-/// and [`crate::batch::SocBatch`] (width N).
+/// thermal physics implementation; [`crate::batch::SocBatch`] calls it
+/// at every width.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn step_lanes(
     config: &ThermalConfig,
@@ -381,124 +381,10 @@ pub(crate) fn step_lanes(
     }
 }
 
-/// The integrable thermal network.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ThermalNetwork {
-    config: ThermalConfig,
-    temps_c: Vec<f64>,
-    /// Largest forward-Euler step that keeps every node stable, seconds.
-    max_stable_dt_s: f64,
-}
-
-impl ThermalNetwork {
-    /// Builds a network with every node starting at ambient.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidConfig`] if the configuration is
-    /// inconsistent (no nodes, negative parameters, dangling edges, or no
-    /// path to ambient).
-    pub fn new(config: ThermalConfig) -> Result<Self> {
-        config.validate()?;
-        let temps_c = vec![config.ambient_c; config.nodes.len()];
-        let max_stable_dt_s = max_stable_dt(&config);
-        Ok(ThermalNetwork {
-            config,
-            temps_c,
-            max_stable_dt_s,
-        })
-    }
-
-    /// The preset Note 9 network (see [`ThermalConfig::exynos9810`]).
-    #[must_use]
-    pub fn exynos9810(ambient_c: f64) -> Self {
-        // qlint::allow(PN01, reason = "compiled-in preset, exercised by the thermal tests")
-        ThermalNetwork::new(ThermalConfig::exynos9810(ambient_c)).expect("preset config valid")
-    }
-
-    /// Ambient temperature in °C.
-    #[must_use]
-    pub fn ambient_c(&self) -> f64 {
-        self.config.ambient_c
-    }
-
-    /// Changes the ambient temperature (the thermostat of §V).
-    pub fn set_ambient_c(&mut self, ambient_c: f64) {
-        self.config.ambient_c = ambient_c;
-    }
-
-    /// Number of thermal nodes.
-    #[must_use]
-    pub fn n_nodes(&self) -> usize {
-        self.config.nodes.len()
-    }
-
-    /// Temperature of node `id` in °C.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not a node of this network.
-    #[must_use]
-    pub fn node_temp_c(&self, id: NodeId) -> f64 {
-        self.temps_c[id]
-    }
-
-    /// All node temperatures, ordered by node id.
-    #[must_use]
-    pub fn temps_c(&self) -> &[f64] {
-        &self.temps_c
-    }
-
-    /// Advances the network by `dt_s` seconds with `power_w[i]` watts
-    /// injected into node `i`. Powers beyond the node count are ignored.
-    ///
-    /// Sub-steps internally, so any `dt_s ≥ 0` is stable. This is the
-    /// width-1 view over `step_lanes`, the shared batched kernel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `power_w` has fewer entries than the network has nodes.
-    pub fn step(&mut self, power_w: &[f64], dt_s: f64) {
-        if dt_s <= 0.0 {
-            return;
-        }
-        let mut flux = vec![0.0f64; self.config.nodes.len()];
-        let ambient = [self.config.ambient_c];
-        step_lanes(
-            &self.config,
-            self.max_stable_dt_s,
-            1,
-            &mut self.temps_c,
-            power_w,
-            &ambient,
-            &mut flux,
-            dt_s,
-        );
-    }
-
-    /// Board/battery sensor reading, °C.
-    #[must_use]
-    pub fn board_c(&self) -> f64 {
-        self.temps_c[self.config.board_node]
-    }
-
-    /// Skin temperature, °C.
-    #[must_use]
-    pub fn skin_c(&self) -> f64 {
-        self.temps_c[self.config.skin_node]
-    }
-
-    /// Resets every node to ambient.
-    pub fn reset(&mut self) {
-        for t in &mut self.temps_c {
-            *t = self.config.ambient_c;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     const DIE: [NodeId; 3] = [node::BIG, node::LITTLE, node::GPU];
 
@@ -506,31 +392,78 @@ mod tests {
         [big, little, gpu, board, 0.0]
     }
 
-    /// The virtual device sensor of `net` over the `die` nodes.
-    fn device_c(net: &ThermalNetwork, die: &[NodeId]) -> f64 {
-        let die_max = die
-            .iter()
-            .map(|&n| net.node_temp_c(n))
-            .fold(f64::MIN, f64::max);
-        virtual_sensor_c(net.skin_c(), net.board_c(), die_max)
+    /// One device's network advanced by `step_lanes` at width 1: the
+    /// validated config, its stable step and the node temperatures.
+    struct Net {
+        config: ThermalConfig,
+        max_stable_dt_s: f64,
+        temps_c: Vec<f64>,
+    }
+
+    impl Net {
+        fn new(config: ThermalConfig) -> Net {
+            config.validate().expect("valid thermal config");
+            let max_stable_dt_s = max_stable_dt(&config);
+            let temps_c = vec![config.ambient_c; config.nodes.len()];
+            Net {
+                config,
+                max_stable_dt_s,
+                temps_c,
+            }
+        }
+
+        fn exynos9810(ambient_c: f64) -> Net {
+            Net::new(ThermalConfig::exynos9810(ambient_c))
+        }
+
+        fn step(&mut self, power_w: &[f64], dt_s: f64) {
+            let mut flux = vec![0.0; self.temps_c.len()];
+            step_lanes(
+                &self.config,
+                self.max_stable_dt_s,
+                1,
+                &mut self.temps_c,
+                power_w,
+                &[self.config.ambient_c],
+                &mut flux,
+                dt_s,
+            );
+        }
+
+        fn board_c(&self) -> f64 {
+            self.temps_c[self.config.board_node]
+        }
+
+        fn skin_c(&self) -> f64 {
+            self.temps_c[self.config.skin_node]
+        }
+
+        /// The virtual device sensor over the `die` nodes.
+        fn device_c(&self, die: &[NodeId]) -> f64 {
+            let die_max = die
+                .iter()
+                .map(|&n| self.temps_c[n])
+                .fold(f64::MIN, f64::max);
+            virtual_sensor_c(self.skin_c(), self.board_c(), die_max)
+        }
     }
 
     #[test]
     fn starts_at_ambient() {
-        let net = ThermalNetwork::exynos9810(21.0);
-        for &t in net.temps_c() {
+        let net = Net::exynos9810(21.0);
+        for &t in &net.temps_c {
             assert!((t - 21.0).abs() < 1e-12);
         }
-        assert!((device_c(&net, &DIE) - 21.0).abs() < 1e-9);
+        assert!((net.device_c(&DIE) - 21.0).abs() < 1e-9);
     }
 
     #[test]
     fn heating_raises_big_above_board_above_skin() {
-        let mut net = ThermalNetwork::exynos9810(21.0);
+        let mut net = Net::exynos9810(21.0);
         net.step(&powers(5.0, 0.4, 2.0, 0.9), 120.0);
-        let big = net.node_temp_c(node::BIG);
-        let board = net.node_temp_c(node::BOARD);
-        let skin = net.node_temp_c(node::SKIN);
+        let big = net.temps_c[node::BIG];
+        let board = net.temps_c[node::BOARD];
+        let skin = net.temps_c[node::SKIN];
         assert!(big > board, "big {big} should exceed board {board}");
         assert!(board > skin, "board {board} should exceed skin {skin}");
         assert!(skin > 21.0);
@@ -540,11 +473,11 @@ mod tests {
 
     #[test]
     fn cooling_returns_to_ambient() {
-        let mut net = ThermalNetwork::exynos9810(21.0);
+        let mut net = Net::exynos9810(21.0);
         net.step(&powers(6.0, 0.5, 4.0, 0.9), 300.0);
-        assert!(net.node_temp_c(node::BIG) > 30.0);
+        assert!(net.temps_c[node::BIG] > 30.0);
         net.step(&[0.0; 5], 5_000.0);
-        for &t in net.temps_c() {
+        for &t in &net.temps_c {
             assert!(
                 (t - 21.0).abs() < 0.5,
                 "node stuck at {t} °C after cooldown"
@@ -556,9 +489,9 @@ mod tests {
     fn steady_state_heavy_load_matches_paper_scale() {
         // Sustained gaming power: big cluster peak temps in the paper sit
         // in the 50–75 °C band at 21 °C ambient.
-        let mut net = ThermalNetwork::exynos9810(21.0);
+        let mut net = Net::exynos9810(21.0);
         net.step(&powers(5.5, 0.5, 4.0, 0.9), 1_800.0);
-        let big = net.node_temp_c(node::BIG);
+        let big = net.temps_c[node::BIG];
         assert!(
             (45.0..90.0).contains(&big),
             "steady big temp {big} °C out of band"
@@ -567,22 +500,20 @@ mod tests {
 
     #[test]
     fn exynos9820_network_is_valid_and_behaves() {
-        let mut net =
-            ThermalNetwork::new(ThermalConfig::exynos9820(21.0)).expect("9820 preset valid");
-        assert_eq!(net.n_nodes(), 6);
+        let mut net = Net::new(ThermalConfig::exynos9820(21.0));
+        assert_eq!(net.temps_c.len(), 6);
         net.step(&[4.0, 1.5, 0.5, 3.0, 0.9, 0.0], 1_200.0);
-        let die = [0, 1, 2, 3];
-        let dev = device_c(&net, &die);
-        assert!(net.node_temp_c(0) > net.board_c());
+        let dev = net.device_c(&[0, 1, 2, 3]);
+        assert!(net.temps_c[0] > net.board_c());
         assert!(net.board_c() > net.skin_c());
-        assert!(dev > net.skin_c() * 0.99 && dev < net.node_temp_c(0));
+        assert!(dev > net.skin_c() * 0.99 && dev < net.temps_c[0]);
     }
 
     #[test]
     fn step_is_stable_for_large_dt() {
-        let mut net = ThermalNetwork::exynos9810(21.0);
+        let mut net = Net::exynos9810(21.0);
         net.step(&powers(6.5, 0.8, 4.5, 0.9), 10_000.0);
-        for &t in net.temps_c() {
+        for &t in &net.temps_c {
             assert!(t.is_finite());
             assert!((21.0..200.0).contains(&t), "temperature diverged: {t}");
         }
@@ -590,20 +521,20 @@ mod tests {
 
     #[test]
     fn zero_or_negative_dt_is_noop() {
-        let mut net = ThermalNetwork::exynos9810(21.0);
-        let before = net.temps_c().to_vec();
+        let mut net = Net::exynos9810(21.0);
+        let before = net.temps_c.clone();
         net.step(&powers(5.0, 1.0, 2.0, 1.0), 0.0);
         net.step(&powers(5.0, 1.0, 2.0, 1.0), -3.0);
-        assert_eq!(net.temps_c(), &before[..]);
+        assert_eq!(net.temps_c, before);
     }
 
     #[test]
     fn device_sensor_between_skin_and_die() {
-        let mut net = ThermalNetwork::exynos9810(21.0);
+        let mut net = Net::exynos9810(21.0);
         net.step(&powers(6.0, 0.5, 3.0, 0.9), 600.0);
-        let dev = device_c(&net, &DIE);
-        let skin = net.node_temp_c(node::SKIN);
-        let big = net.node_temp_c(node::BIG);
+        let dev = net.device_c(&DIE);
+        let skin = net.temps_c[node::SKIN];
+        let big = net.temps_c[node::BIG];
         assert!(
             dev > skin * 0.99,
             "device sensor should not read below skin"
@@ -613,37 +544,34 @@ mod tests {
 
     #[test]
     fn ambient_change_shifts_equilibrium() {
-        let mut cold = ThermalNetwork::exynos9810(10.0);
-        let mut warm = ThermalNetwork::exynos9810(35.0);
+        let mut cold = Net::exynos9810(10.0);
+        let mut warm = Net::exynos9810(35.0);
         let p = powers(3.0, 0.5, 1.0, 0.9);
         cold.step(&p, 2_000.0);
         warm.step(&p, 2_000.0);
-        assert!(warm.node_temp_c(node::BIG) > cold.node_temp_c(node::BIG) + 20.0);
+        assert!(warm.temps_c[node::BIG] > cold.temps_c[node::BIG] + 20.0);
     }
 
     #[test]
     fn invalid_configs_rejected() {
         let mut cfg = ThermalConfig::exynos9810(21.0);
         cfg.nodes[0].capacitance_j_per_k = -1.0;
-        assert!(ThermalNetwork::new(cfg).is_err());
+        assert!(cfg.validate().is_err());
 
         let mut cfg = ThermalConfig::exynos9810(21.0);
         cfg.edges[0].a = 99;
-        assert!(ThermalNetwork::new(cfg).is_err());
+        assert!(cfg.validate().is_err());
 
         let mut cfg = ThermalConfig::exynos9810(21.0);
         for n in &mut cfg.nodes {
             n.to_ambient_w_per_k = 0.0;
         }
-        assert!(
-            ThermalNetwork::new(cfg).is_err(),
-            "no ambient path must be rejected"
-        );
+        assert!(cfg.validate().is_err(), "no ambient path must be rejected");
 
         let mut cfg = ThermalConfig::exynos9810(21.0);
         cfg.board_node = 17;
         assert!(
-            ThermalNetwork::new(cfg).is_err(),
+            cfg.validate().is_err(),
             "dangling board node must be rejected"
         );
 
@@ -654,16 +582,19 @@ mod tests {
             board_node: 0,
             skin_node: 0,
         };
-        assert!(ThermalNetwork::new(empty).is_err());
+        assert!(empty.validate().is_err());
     }
 
     #[test]
     fn reset_restores_ambient() {
-        let mut net = ThermalNetwork::exynos9810(21.0);
+        // Ambient everywhere with no power is a fixed point of the step,
+        // bit for bit: a heated network put back at ambient stays there.
+        let mut net = Net::exynos9810(21.0);
         net.step(&powers(6.0, 1.0, 4.0, 1.0), 500.0);
-        net.reset();
-        for &t in net.temps_c() {
-            assert!((t - 21.0).abs() < 1e-12);
+        net.temps_c.fill(21.0);
+        net.step(&[0.0; 5], 500.0);
+        for &t in &net.temps_c {
+            assert_eq!(t, 21.0);
         }
     }
 
@@ -694,15 +625,49 @@ mod tests {
             board_node: 1,
             skin_node: 1,
         };
-        let mut net = ThermalNetwork::new(cfg).unwrap();
+        let mut net = Net::new(cfg);
         let p = 2.0; // W into node a
         let dt = 50.0;
         net.step(&[p, 0.0], dt);
-        let stored = 10.0 * (net.node_temp_c(0) - 20.0) + 20.0 * (net.node_temp_c(1) - 20.0);
+        let stored = 10.0 * (net.temps_c[0] - 20.0) + 20.0 * (net.temps_c[1] - 20.0);
         let injected = p * dt;
         assert!(
             (stored - injected).abs() / injected < 1e-3,
             "stored {stored} J vs injected {injected} J"
         );
+    }
+
+    proptest! {
+        /// The thermal network never cools below ambient and never
+        /// diverges, for any non-negative heat injection and step size.
+        #[test]
+        fn thermal_stays_above_ambient_and_finite(
+            p_big in 0.0..8.0f64,
+            p_little in 0.0..2.0f64,
+            p_gpu in 0.0..6.0f64,
+            p_board in 0.0..2.0f64,
+            dt in 0.001..50.0f64,
+            steps in 1usize..60,
+        ) {
+            let mut net = Net::exynos9810(21.0);
+            for _ in 0..steps {
+                net.step(&[p_big, p_little, p_gpu, p_board, 0.0], dt);
+            }
+            for &t in &net.temps_c {
+                prop_assert!(t.is_finite());
+                prop_assert!(t >= 21.0 - 1e-9, "node below ambient: {t}");
+                prop_assert!(t < 500.0, "node diverged: {t}");
+            }
+        }
+
+        /// Monotonicity: strictly more heat never yields a cooler hot spot.
+        #[test]
+        fn thermal_monotone_in_power(p in 0.0..6.0f64, extra in 0.1..4.0f64) {
+            let mut a = Net::exynos9810(21.0);
+            let mut b = Net::exynos9810(21.0);
+            a.step(&[p, 0.3, 0.5, 0.9, 0.0], 300.0);
+            b.step(&[p + extra, 0.3, 0.5, 0.9, 0.0], 300.0);
+            prop_assert!(b.temps_c[0] > a.temps_c[0]);
+        }
     }
 }

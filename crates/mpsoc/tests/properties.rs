@@ -5,43 +5,10 @@ use proptest::prelude::*;
 use mpsoc::freq::OppTable;
 use mpsoc::perf::{self, FrameDemand};
 use mpsoc::platform::{DomainId, Platform};
-use mpsoc::thermal::ThermalNetwork;
 use mpsoc::vsync::VsyncPipeline;
 use mpsoc::{Soc, SocConfig};
 
 proptest! {
-    /// The thermal network never cools below ambient and never
-    /// diverges, for any non-negative heat injection and step size.
-    #[test]
-    fn thermal_stays_above_ambient_and_finite(
-        p_big in 0.0..8.0f64,
-        p_little in 0.0..2.0f64,
-        p_gpu in 0.0..6.0f64,
-        p_board in 0.0..2.0f64,
-        dt in 0.001..50.0f64,
-        steps in 1usize..60,
-    ) {
-        let mut net = ThermalNetwork::exynos9810(21.0);
-        for _ in 0..steps {
-            net.step(&[p_big, p_little, p_gpu, p_board, 0.0], dt);
-        }
-        for &t in net.temps_c() {
-            prop_assert!(t.is_finite());
-            prop_assert!(t >= 21.0 - 1e-9, "node below ambient: {t}");
-            prop_assert!(t < 500.0, "node diverged: {t}");
-        }
-    }
-
-    /// Monotonicity: strictly more heat never yields a cooler hot spot.
-    #[test]
-    fn thermal_monotone_in_power(p in 0.0..6.0f64, extra in 0.1..4.0f64) {
-        let mut a = ThermalNetwork::exynos9810(21.0);
-        let mut b = ThermalNetwork::exynos9810(21.0);
-        a.step(&[p, 0.3, 0.5, 0.9, 0.0], 300.0);
-        b.step(&[p + extra, 0.3, 0.5, 0.9, 0.0], 300.0);
-        prop_assert!(b.node_temp_c(0) > a.node_temp_c(0));
-    }
-
     /// VSync accounting always balances and never exceeds the refresh
     /// rate, for any frame period and tick slicing.
     #[test]

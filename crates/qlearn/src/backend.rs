@@ -88,9 +88,6 @@ pub trait QStore: fmt::Debug + Clone + PartialEq {
     #[must_use]
     fn with_actions(n_actions: usize) -> Self;
 
-    /// Human-readable backend name (reported in perf artifacts).
-    fn backend_name() -> &'static str;
-
     /// Number of actions per row.
     fn n_actions(&self) -> usize;
 
@@ -361,10 +358,6 @@ impl QStore for DenseStore {
             values: Vec::new(),
             visits: Vec::new(),
         }
-    }
-
-    fn backend_name() -> &'static str {
-        "dense"
     }
 
     fn n_actions(&self) -> usize {

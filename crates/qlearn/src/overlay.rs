@@ -109,10 +109,6 @@ impl QStore for OverlayStore {
         OverlayStore::over(Arc::new(QTable::empty(n_actions, 0.0)))
     }
 
-    fn backend_name() -> &'static str {
-        "overlay"
-    }
-
     fn n_actions(&self) -> usize {
         self.base.n_actions()
     }
@@ -448,6 +444,47 @@ mod tests {
             "2 touched rows must cost far less than the {}-row base",
             base.len()
         );
+    }
+
+    #[test]
+    fn delta_cost_follows_the_writes_not_the_base() {
+        // Two fully populated 9-action bases, 2^12 and 2^16 states,
+        // filled by one formula, take the same writes: 1 % of the
+        // smaller base's states. What the overlay owns and emits must
+        // be identical over both: its cost is a function of the writes.
+        fn full_base(states: u64) -> Arc<DenseQTable> {
+            let mut table = DenseQTable::dense_for_space(9, 0.0, states);
+            for s in 0..states {
+                let values: Vec<f64> = (0..9u64)
+                    .map(|a| ((s * 31 + a * 7) % 1_000) as f64 * 0.01 - 5.0)
+                    .collect();
+                let visits: Vec<u64> = (0..9u64).map(|a| 1 + (s + a) % 5).collect();
+                table.insert_raw(s, &values, &visits);
+            }
+            Arc::new(table)
+        }
+        let written: Vec<u64> = (0..41).map(|i| i * 100).collect();
+        let mut outcomes = Vec::new();
+        for states in [1u64 << 12, 1 << 16] {
+            let base = full_base(states);
+            assert_eq!(base.len() as u64, states);
+            let mut overlay = QTable::overlay(Arc::clone(&base));
+            for &k in &written {
+                overlay.set(k, (k % 9) as usize, -1.0 - k as f64);
+            }
+            let mut touched = Vec::new();
+            overlay
+                .store()
+                .for_each_touched(&mut |k, _, _| touched.push(k));
+            touched.sort_unstable();
+            assert_eq!(touched, written, "only the written rows are owned");
+            let delta = overlay.delta_bytes();
+            let reference = delta_between(&*base, &overlay.to_backend::<DenseStore>())
+                .expect("materialised diff");
+            assert_eq!(delta, reference, "O(touched) delta must be byte-identical");
+            outcomes.push((overlay.touched_rows(), overlay.resident_bytes(), delta));
+        }
+        assert_eq!(outcomes[0], outcomes[1], "the base size must not show");
     }
 
     #[test]

@@ -145,12 +145,6 @@ impl<S: QStore> QTable<S> {
         self.default_q
     }
 
-    /// The storage backend's name (`"dense"` or `"overlay"`).
-    #[must_use]
-    pub fn backend_name(&self) -> &'static str {
-        S::backend_name()
-    }
-
     /// Number of states with at least one recorded value.
     #[must_use]
     pub fn len(&self) -> usize {

@@ -31,10 +31,6 @@ impl QStore for RefStore {
         }
     }
 
-    fn backend_name() -> &'static str {
-        "reference"
-    }
-
     fn n_actions(&self) -> usize {
         self.n_actions
     }

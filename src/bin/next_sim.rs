@@ -4,11 +4,10 @@
 //! next-sim run     --app <name> --governor <schedutil|intqos|next|performance|powersave|ondemand>
 //!                  [--duration <s>] [--seed <n>] [--train-budget <s>] [--table <file.qtable>]
 //! next-sim train   --app <name> [--budget <s>] [--seed <n>] [--out <file.qtable>]
-//! next-sim compare --app <name> [--duration <s>] [--seed <n>]
+//! next-sim compare --app <name> [--duration <s>] [--seed <n>] [--train-budget <s>]
+//!                  [--table <file.qtable>]
 //! next-sim sweep   [--apps <a,b,..|all>] [--governors <g,h,..>] [--seeds <n,m,..>]
 //!                  [--duration <s>] [--train-budget <s>] [--workers <n>]
-//! next-sim perf    [--quick] [--out <BENCH.json>] [--baseline <file>]
-//!                  [--min-ratio <f>] [--workers <n>]
 //! next-sim campaign --devices <D> --rounds <R> --seed <S> [--checkpoint <dir> [--resume]]
 //!                  [--stop-after <n>] [--shard-size <n>] [--platform <name>[,<name>..]]
 //!                  [--quick] [--workers <n>] [--out <campaign.json>]
@@ -21,12 +20,17 @@
 //! next-sim lint    [--format text|json] [--out <lint.json>] [--root <dir>]
 //! next-sim apps
 //! ```
+//!
+//! Each command accepts only its own flags: any other flag is a usage
+//! error, as is a duration or budget that is not a finite, positive
+//! number of seconds.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use next_mpsoc::bench::{campaign as bench_campaign, day as bench_day, json::Json, perf, report};
+use next_mpsoc::bench::json::{parse_document, Json};
+use next_mpsoc::bench::{campaign as bench_campaign, day as bench_day, report};
 use next_mpsoc::governors::{self, IntQosPm, Schedutil};
 use next_mpsoc::next_core::{NextAgent, NextConfig};
 use next_mpsoc::qlearn::{decode_table, encode_table, DenseQTable};
@@ -35,7 +39,7 @@ use next_mpsoc::simkit::campaign::{
 };
 use next_mpsoc::simkit::experiment::{evaluate_governor, train_next_for_app};
 use next_mpsoc::simkit::trace::{bisect, TickTrace};
-use next_mpsoc::simkit::{day, sweep, Battery, PlatformPreset, StandardEvaluator, Summary};
+use next_mpsoc::simkit::{day, sweep, Battery, Engine, PlatformPreset, StandardEvaluator, Summary};
 use next_mpsoc::workload::{apps, DayPlan, DayPlanConfig, Persona, SessionPlan};
 
 fn main() -> ExitCode {
@@ -44,69 +48,26 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let flags = match parse_flags(&args[1..]) {
+    let command = match command.as_str() {
+        "--help" | "-h" => "help",
+        other => other,
+    };
+    let Some(&(_, accepted, handler)) = COMMANDS.iter().find(|(name, _, _)| *name == command)
+    else {
+        eprintln!("error: unknown command '{command}'\n\n{USAGE}");
+        return ExitCode::FAILURE;
+    };
+    let flags = match parse_flags(command, accepted, &args[1..]) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
             return ExitCode::FAILURE;
         }
     };
-    let result = match command.as_str() {
-        "run" => cmd_run(&flags),
-        "train" => cmd_train(&flags),
-        "compare" => cmd_compare(&flags),
-        "sweep" => cmd_sweep(&flags),
-        "perf" => cmd_perf(&flags),
-        "campaign" => cmd_campaign(&flags),
-        "day" => cmd_day(&flags),
-        "replay" => cmd_replay(&flags),
-        "bisect" => cmd_bisect(&flags),
-        "lint" => cmd_lint(&flags),
-        "personas" => {
-            for &name in Persona::names() {
-                let persona = Persona::by_name(name).expect("shipped persona");
-                println!("{name}: apps=[{}]", persona.apps().join(", "));
-            }
-            Ok(())
-        }
-        "apps" => {
-            println!("home");
-            for app in apps::all() {
-                println!("{}", app.name());
-            }
-            Ok(())
-        }
-        "platforms" => {
-            for &name in PlatformPreset::names() {
-                let preset = PlatformPreset::by_name(name).expect("shipped preset");
-                let platform = &preset.soc.platform;
-                let domains: Vec<String> = platform
-                    .domains()
-                    .iter()
-                    .map(|d| format!("{}({})", d.name, d.table.len()))
-                    .collect();
-                println!(
-                    "{name}: m={} actions={} domains=[{}]",
-                    platform.n_domains(),
-                    platform.action_count(),
-                    domains.join(", ")
-                );
-            }
-            Ok(())
-        }
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => {
-            eprintln!("error: unknown command '{other}'\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match result {
+    match handler(&flags) {
         Ok(()) => ExitCode::SUCCESS,
-        // Runtime failures (a lint finding, a tripped perf gate, a replay
-        // divergence) are not usage errors: keep the log readable.
+        // Runtime failures (a lint finding, a replay divergence, a bad
+        // flag value) are not usage errors: keep the log readable.
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
@@ -114,18 +75,110 @@ fn main() -> ExitCode {
     }
 }
 
+type Handler = fn(&Flags) -> Result<(), String>;
+
+/// Every command with the flags it accepts and its handler. A flag
+/// that is not in its command's list is a usage error.
+const COMMANDS: [(&str, &[&str], Handler); 13] = [
+    (
+        "run",
+        &[
+            "app",
+            "governor",
+            "duration",
+            "seed",
+            "train-budget",
+            "table",
+        ],
+        cmd_run,
+    ),
+    ("train", &["app", "budget", "seed", "out"], cmd_train),
+    (
+        "compare",
+        &["app", "duration", "seed", "train-budget", "table"],
+        cmd_compare,
+    ),
+    (
+        "sweep",
+        &[
+            "apps",
+            "governors",
+            "seeds",
+            "duration",
+            "train-budget",
+            "workers",
+            "platform",
+        ],
+        cmd_sweep,
+    ),
+    (
+        "campaign",
+        &[
+            "devices",
+            "rounds",
+            "seed",
+            "checkpoint",
+            "resume",
+            "stop-after",
+            "shard-size",
+            "platform",
+            "quick",
+            "workers",
+            "out",
+        ],
+        cmd_campaign,
+    ),
+    (
+        "day",
+        &[
+            "persona",
+            "governors",
+            "seed",
+            "seeds",
+            "pickups",
+            "day-length",
+            "train-budget",
+            "platform",
+            "quick",
+            "workers",
+            "out",
+            "trace",
+            "report",
+        ],
+        cmd_day,
+    ),
+    ("replay", &["trace", "workers"], cmd_replay),
+    ("bisect", &["a", "b"], cmd_bisect),
+    ("lint", &["format", "out", "root"], cmd_lint),
+    ("personas", &[], |_| {
+        print_personas();
+        Ok(())
+    }),
+    ("apps", &[], |_| {
+        print_apps();
+        Ok(())
+    }),
+    ("platforms", &[], |_| {
+        print_platforms();
+        Ok(())
+    }),
+    ("help", &[], |_| {
+        println!("{USAGE}");
+        Ok(())
+    }),
+];
+
 const USAGE: &str = "next-sim: simulate DVFS governors on the Exynos 9810 platform
 
 USAGE:
   next-sim run     --app <name> --governor <gov> [--duration <s>] [--seed <n>]
                    [--train-budget <s>] [--table <file.qtable>]
   next-sim train   --app <name> [--budget <s>] [--seed <n>] [--out <file.qtable>]
-  next-sim compare --app <name> [--duration <s>] [--seed <n>]
+  next-sim compare --app <name> [--duration <s>] [--seed <n>] [--train-budget <s>]
+                   [--table <file.qtable>]
   next-sim sweep   [--apps <a,b,..|all>] [--governors <g,h,..>] [--seeds <n,m,..>]
                    [--duration <s>] [--train-budget <s>] [--workers <n>]
                    [--platform <name>]
-  next-sim perf    [--quick] [--out <BENCH.json>] [--baseline <file>]
-                   [--min-ratio <f>] [--workers <n>] [--platform <name>]
   next-sim campaign [--devices <D>] [--rounds <R>] [--seed <S>]
                    [--checkpoint <dir> [--resume]] [--stop-after <n>]
                    [--shard-size <n>] [--platform <name>[,<name>..]]
@@ -152,15 +205,6 @@ sweep runs the full governor x app x seed grid in parallel (defaults:
 the six paper apps, schedutil+intqos+next, seed 1000, paper session
 lengths, all CPU cores) and prints a deterministic report — identical
 bytes for any --workers value.
-
-perf runs a fixed measurement grid plus Q-table and merge
-microbenchmarks and writes a machine-readable BENCH.json (--out,
-default stdout). With --baseline it exits non-zero when a throughput
-(ticks_per_sec, device_days_per_sec, devices_per_sec) falls below
---min-ratio (default 0.5) of the baseline's, or an overlay latency
-(warm_start_ns, delta_extract_ns) rises above baseline / --min-ratio —
-the CI perf gate. The baseline must carry all five fields. --quick
-selects the small smoke grid.
 
 campaign simulates federated training (§IV-C at scale) over whole
 days: every round each device lives its persona's full day (pickups,
@@ -208,8 +252,12 @@ marker. Exits non-zero on any unsuppressed finding; --format json
 writes the versioned lint.json CI archives. Deterministic: identical
 bytes for identical trees.
 
-sweep/perf/campaign/day accept --platform to run on a different
-SoC preset; run/train/compare always use the paper's exynos9810.";
+sweep/campaign/day accept --platform to run on a different SoC preset;
+run/train/compare always use the paper's exynos9810.
+
+Durations and budgets are seconds: finite and positive, and a session
+(--duration) lasts at least one 0.025 s tick. A flag the command does
+not accept is an error.";
 
 type Flags = HashMap<String, String>;
 
@@ -217,13 +265,16 @@ type Flags = HashMap<String, String>;
 /// forgotten value stays a hard usage error.
 const BOOLEAN_FLAGS: [&str; 2] = ["quick", "resume"];
 
-fn parse_flags(args: &[String]) -> Result<Flags, String> {
+fn parse_flags(command: &str, accepted: &[&str], args: &[String]) -> Result<Flags, String> {
     let mut flags = Flags::new();
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let Some(name) = flag.strip_prefix("--") else {
             return Err(format!("expected a --flag, got '{flag}'"));
         };
+        if !accepted.contains(&name) {
+            return Err(format!("{command} does not accept --{name}"));
+        }
         let value = if BOOLEAN_FLAGS.contains(&name) {
             "true".to_owned()
         } else {
@@ -243,6 +294,27 @@ fn get_f64(flags: &Flags, name: &str, default: f64) -> Result<f64, String> {
             .parse()
             .map_err(|_| format!("--{name}: '{v}' is not a number")),
     }
+}
+
+/// Reads `--name` as seconds (`default` when absent): finite, positive
+/// and at least `min_s`. Session durations pass one engine tick as
+/// `min_s`, since a shorter session has no trace to summarise.
+fn get_seconds(flags: &Flags, name: &str, default: f64, min_s: f64) -> Result<f64, String> {
+    let s = get_f64(flags, name, default)?;
+    if s.is_finite() && s > 0.0 && s >= min_s {
+        Ok(s)
+    } else if min_s > 0.0 {
+        Err(format!("--{name} must be at least {min_s} s, got {s}"))
+    } else {
+        Err(format!(
+            "--{name} must be a positive number of seconds, got {s}"
+        ))
+    }
+}
+
+/// The shortest session `--duration` accepts: one engine tick.
+fn min_session_s() -> f64 {
+    Engine::new().tick_s()
 }
 
 fn get_u64(flags: &Flags, name: &str, default: u64) -> Result<u64, String> {
@@ -304,7 +376,7 @@ fn make_next_agent(app: &str, flags: &Flags) -> Result<NextAgent, String> {
         }
         return Ok(NextAgent::with_table(config, table, false));
     }
-    let budget = get_f64(flags, "train-budget", 600.0)?;
+    let budget = get_seconds(flags, "train-budget", 600.0, 0.0)?;
     let seed = get_u64(flags, "seed", 7)?;
     eprintln!("training next on {app} (budget {budget} simulated s) ...");
     let out = train_next_for_app(app, NextConfig::paper(), seed, budget);
@@ -319,7 +391,12 @@ fn make_next_agent(app: &str, flags: &Flags) -> Result<NextAgent, String> {
 
 fn cmd_run(flags: &Flags) -> Result<(), String> {
     let app = require_app(flags)?;
-    let duration = get_f64(flags, "duration", SessionPlan::paper_session_length_s(&app))?;
+    let duration = get_seconds(
+        flags,
+        "duration",
+        SessionPlan::paper_session_length_s(&app),
+        min_session_s(),
+    )?;
     let seed = get_u64(flags, "seed", 1000)?;
     let plan = SessionPlan::single(&app, duration);
     let gov_name = flags.get("governor").map_or("schedutil", String::as_str);
@@ -339,7 +416,7 @@ fn cmd_run(flags: &Flags) -> Result<(), String> {
 
 fn cmd_train(flags: &Flags) -> Result<(), String> {
     let app = require_app(flags)?;
-    let budget = get_f64(flags, "budget", 600.0)?;
+    let budget = get_seconds(flags, "budget", 600.0, 0.0)?;
     let seed = get_u64(flags, "seed", 7)?;
     let out = train_next_for_app(&app, NextConfig::paper(), seed, budget);
     println!(
@@ -407,20 +484,16 @@ fn cmd_sweep(flags: &Flags) -> Result<(), String> {
         }
     }
     let seeds = parse_seeds(flags, vec![1000])?;
-    let mut duration = None;
-    if flags.contains_key("duration") {
-        let d = get_f64(flags, "duration", 0.0)?;
-        // Shorter than one 25 ms tick would produce an empty trace,
-        // which cannot be summarised.
-        if !d.is_finite() || d < 0.025 {
-            return Err(format!("--duration must be at least 0.025 s, got {d}"));
-        }
-        duration = Some(d);
-    }
-    let train_budget = get_f64(
+    let duration = if flags.contains_key("duration") {
+        Some(get_seconds(flags, "duration", 0.0, min_session_s())?)
+    } else {
+        None
+    };
+    let train_budget = get_seconds(
         flags,
         "train-budget",
         StandardEvaluator::BASE_TRAIN_BUDGET_S,
+        0.0,
     )?;
     let workers = usize::try_from(get_u64(flags, "workers", sweep::default_workers() as u64)?)
         .map_err(|_| "--workers out of range".to_owned())?;
@@ -448,65 +521,6 @@ fn cmd_sweep(flags: &Flags) -> Result<(), String> {
         started.elapsed().as_secs_f64()
     );
     print!("{}", sweep::report(&rows));
-    Ok(())
-}
-
-fn cmd_perf(flags: &Flags) -> Result<(), String> {
-    let mut config = if flags.contains_key("quick") {
-        perf::PerfConfig::quick()
-    } else {
-        perf::PerfConfig::full()
-    };
-    config.platform = require_platform(flags)?.name;
-    if flags.contains_key("workers") {
-        let workers = usize::try_from(get_u64(flags, "workers", config.workers as u64)?)
-            .map_err(|_| "--workers out of range".to_owned())?;
-        if workers == 0 {
-            return Err("--workers must be at least 1".to_owned());
-        }
-        config.workers = workers;
-    }
-    let min_ratio = get_f64(flags, "min-ratio", 0.5)?;
-    if !(min_ratio > 0.0 && min_ratio.is_finite()) {
-        return Err(format!("--min-ratio must be positive, got {min_ratio}"));
-    }
-
-    eprintln!(
-        "perf: {} grid on {}, {} apps x {} governors x {} seeds, {} workers ...",
-        config.mode,
-        config.platform,
-        config.apps.len(),
-        config.governors.len(),
-        config.seeds.len(),
-        config.workers
-    );
-    let report = perf::run(&config);
-    eprintln!(
-        "perf: {} cells in {:.2} s (train {:.2} s), {:.0} ticks/s aggregate",
-        report.cells.len(),
-        report.grid_wall_s,
-        report.train_wall_s,
-        perf::throughput_ticks_per_sec(&report)
-    );
-
-    let text = report.to_json().render();
-    debug_assert!(Json::parse(&text).is_ok(), "BENCH.json must be valid JSON");
-    match flags.get("out") {
-        Some(path) => {
-            std::fs::write(path, format!("{text}\n"))
-                .map_err(|e| format!("writing {path}: {e}"))?;
-            eprintln!("perf: wrote {path}");
-        }
-        None => println!("{text}"),
-    }
-
-    if let Some(baseline_path) = flags.get("baseline") {
-        let baseline = std::fs::read_to_string(baseline_path)
-            .map_err(|e| format!("reading {baseline_path}: {e}"))?;
-        let verdict = perf::check_floor(&report, &baseline, min_ratio)
-            .map_err(|e| format!("perf gate: {e}"))?;
-        eprintln!("perf gate: {verdict}");
-    }
     Ok(())
 }
 
@@ -627,7 +641,7 @@ fn cmd_campaign(flags: &Flags) -> Result<(), String> {
     let mode = if quick { "quick" } else { "full" };
     let text = bench_campaign::campaign_to_json(&report, mode).render();
     debug_assert!(
-        perf::parse_document(&text).is_ok(),
+        parse_document(&text).is_ok(),
         "campaign.json must round-trip its own schema"
     );
     match flags.get("out") {
@@ -673,17 +687,11 @@ fn cmd_day(flags: &Flags) -> Result<(), String> {
             return Err("--pickups must be at least 1".to_owned());
         }
     }
-    if flags.contains_key("day-length") {
-        let len = get_f64(flags, "day-length", plan_cfg.day_length_s)?;
-        if !(len > 0.0 && len.is_finite()) {
-            return Err(format!("--day-length must be positive, got {len}"));
-        }
-        plan_cfg.day_length_s = len;
-    }
+    plan_cfg.day_length_s = get_seconds(flags, "day-length", plan_cfg.day_length_s, 0.0)?;
     // Same feasibility rule DayPlan::generate enforces, surfaced as a
     // usage error instead of a panic.
     plan_cfg.validate()?;
-    let train_budget = get_f64(
+    let train_budget = get_seconds(
         flags,
         "train-budget",
         if quick {
@@ -691,12 +699,8 @@ fn cmd_day(flags: &Flags) -> Result<(), String> {
         } else {
             StandardEvaluator::BASE_TRAIN_BUDGET_S
         },
+        0.0,
     )?;
-    if !(train_budget > 0.0 && train_budget.is_finite()) {
-        return Err(format!(
-            "--train-budget must be positive, got {train_budget}"
-        ));
-    }
     let preset = require_platform(flags)?;
     let workers = usize::try_from(get_u64(flags, "workers", sweep::default_workers() as u64)?)
         .map_err(|_| "--workers out of range".to_owned())?;
@@ -782,7 +786,7 @@ fn cmd_day(flags: &Flags) -> Result<(), String> {
     let mode = if quick { "quick" } else { "full" };
     let text = bench_day::days_to_json(&reports, mode).render();
     debug_assert!(
-        perf::parse_document(&text).is_ok(),
+        parse_document(&text).is_ok(),
         "day.json must round-trip its own schema"
     );
     match flags.get("out") {
@@ -897,7 +901,12 @@ fn cmd_lint(flags: &Flags) -> Result<(), String> {
 
 fn cmd_compare(flags: &Flags) -> Result<(), String> {
     let app = require_app(flags)?;
-    let duration = get_f64(flags, "duration", SessionPlan::paper_session_length_s(&app))?;
+    let duration = get_seconds(
+        flags,
+        "duration",
+        SessionPlan::paper_session_length_s(&app),
+        min_session_s(),
+    )?;
     let seed = get_u64(flags, "seed", 1000)?;
     let plan = SessionPlan::single(&app, duration);
 
@@ -916,4 +925,36 @@ fn cmd_compare(flags: &Flags) -> Result<(), String> {
         next.power_saving_vs(&sched)
     );
     Ok(())
+}
+
+fn print_personas() {
+    for &name in Persona::names() {
+        let persona = Persona::by_name(name).expect("shipped persona");
+        println!("{name}: apps=[{}]", persona.apps().join(", "));
+    }
+}
+
+fn print_apps() {
+    println!("home");
+    for app in apps::all() {
+        println!("{}", app.name());
+    }
+}
+
+fn print_platforms() {
+    for &name in PlatformPreset::names() {
+        let preset = PlatformPreset::by_name(name).expect("shipped preset");
+        let platform = &preset.soc.platform;
+        let domains: Vec<String> = platform
+            .domains()
+            .iter()
+            .map(|d| format!("{}({})", d.name, d.table.len()))
+            .collect();
+        println!(
+            "{name}: m={} actions={} domains=[{}]",
+            platform.n_domains(),
+            platform.action_count(),
+            domains.join(", ")
+        );
+    }
 }

@@ -18,10 +18,9 @@
 //!   §V evaluation protocol, the reusable trainer layer, battery days
 //!   and the federated campaign runner behind `next-sim campaign`,
 //! * [`bench`](mod@bench) — the figure-reproduction protocol plus the
-//!   machine-readable perf, day and campaign documents behind
-//!   `next-sim perf`, `next-sim day` and `next-sim campaign` (the
-//!   `BENCH.json`/`day.json`/`campaign.json` artifacts CI gates on and
-//!   archives),
+//!   machine-readable day and campaign documents behind `next-sim day`
+//!   and `next-sim campaign` (the `day.json`/`campaign.json` artifacts
+//!   CI compares and archives),
 //! * [`qlint`] — the static determinism lint behind `next-sim lint`:
 //!   a dep-free token scanner and rule engine that enforces the
 //!   invariants of `docs/ARCHITECTURE.md` at the source line (see

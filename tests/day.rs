@@ -10,8 +10,8 @@
 //!    warm, and screen-off gaps burn idle (not zero) energy.
 
 use next_mpsoc::bench::day::days_to_json;
+use next_mpsoc::bench::json::parse_document;
 use next_mpsoc::bench::json::Json;
-use next_mpsoc::bench::perf::parse_document;
 use next_mpsoc::simkit::day::run_days;
 use next_mpsoc::simkit::PlatformPreset;
 use next_mpsoc::workload::{DayPlan, DayPlanConfig, Persona};
