@@ -503,6 +503,47 @@ mod tests {
         t
     }
 
+    /// `sample_table()` with one row changed and one row added: the
+    /// new side of the pinned delta.
+    fn edited_sample_table() -> DenseQTable {
+        let mut t = sample_table();
+        t.set(3, 1, -0.125); // changed row
+        t.set(1_000_000, 0, 2.5); // brand-new row
+        t
+    }
+
+    /// FNV-1a 64 of `bytes`; the byte pins store it beside the length.
+    fn fnv1a64(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// Byte pins of the full table and the delta: any change to the
+    /// NXQT bytes the program writes fails here. Each sample also
+    /// decodes and re-encodes to itself.
+    #[test]
+    fn encodings_are_pinned() {
+        let base = sample_table();
+        let full = encode_table(&base);
+        assert_eq!(
+            (full.len(), fnv1a64(&full)),
+            (248, 0x4b14_2683_ae61_3b37),
+            "NXQT full table"
+        );
+        let back: DenseQTable = decode_table(&full).expect("pinned table decodes");
+        assert_eq!(encode_table(&back), full);
+
+        let delta = delta_between(&base, &edited_sample_table()).expect("delta encodes");
+        assert_eq!(
+            (delta.len(), fnv1a64(&delta)),
+            (88, 0x0b66_fefd_7404_9a11),
+            "NXQT delta"
+        );
+        let new = apply_delta(&base, &delta).expect("pinned delta applies");
+        assert_eq!(delta_between(&base, &new).expect("delta re-encodes"), delta);
+    }
+
     #[test]
     fn full_table_roundtrips_bitwise() {
         let t = sample_table();
@@ -704,9 +745,7 @@ mod tests {
     #[test]
     fn delta_apply_equals_full_table() {
         let base = sample_table();
-        let mut new = base.clone();
-        new.set(3, 1, -0.125); // changed row
-        new.set(1_000_000, 0, 2.5); // brand-new row
+        let new = edited_sample_table();
         let delta = delta_between(&base, &new).expect("delta encodes");
         let reconstructed = apply_delta(&base, &delta).expect("delta applies");
         assert_eq!(reconstructed, new);

@@ -1632,6 +1632,26 @@ mod tests {
             .contains("trailing"));
     }
 
+    /// Byte pin of the checkpoint a one-round `tiny(2, 1, 6)` campaign
+    /// writes: any change to the NXCP bytes fails here. The sample also
+    /// decodes and re-encodes to itself.
+    #[test]
+    fn checkpoint_encoding_is_pinned() {
+        let config = tiny(2, 1, 6);
+        let presets = resolve_presets(&config);
+        let profiles = device_profiles(config.devices, config.seed, config.platforms.len());
+        let mut state = fresh_state(&config, seed_tables(&config, &presets, 2));
+        run_round(&config, &presets, &profiles, &mut state, 0, 2);
+        let bytes = encode_checkpoint(&config, &state);
+        assert_eq!(
+            (bytes.len(), crate::fnv1a64(&bytes)),
+            (234_716, 0x35f2_d706_b0ec_394e),
+            "NXCP"
+        );
+        let back = decode_checkpoint(&bytes, &config).expect("pinned checkpoint decodes");
+        assert_eq!(encode_checkpoint(&config, &back), bytes);
+    }
+
     #[test]
     fn device_roster_is_deterministic_and_heterogeneous() {
         let a = device_profiles(8, 42, 1);

@@ -70,3 +70,12 @@ pub use trace::{
     TraceRecorder, TraceSink,
 };
 pub use trainer::{TrainOutcome, TrainSpec, Trainer};
+
+/// FNV-1a 64 of `bytes`; the byte pins of the trace and checkpoint
+/// encodings store it beside the length.
+#[cfg(test)]
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}

@@ -858,6 +858,39 @@ mod tests {
         }
     }
 
+    /// `two_tick_trace` on a four-domain platform.
+    fn two_tick_trace_m4() -> TickTrace {
+        let mut trace = two_tick_trace();
+        trace.meta.platform = "exynos9820".to_owned();
+        trace.meta.n_domains = 4;
+        for r in &mut trace.records {
+            r.freq_level.push(2);
+            r.temp_domain_c.push(31.5);
+        }
+        trace
+    }
+
+    /// Byte pins of the trace encoding at m = 3 and m = 4: any change
+    /// to the NXTR bytes the recorder writes fails here. Each sample
+    /// also decodes and re-encodes to itself.
+    #[test]
+    fn encodings_are_pinned() {
+        for (trace, pin) in [
+            (two_tick_trace(), (226, 0x0e8c_d78e_694c_e6d1)),
+            (two_tick_trace_m4(), (236, 0x0cc4_162b_8c5c_330b)),
+        ] {
+            let bytes = trace.encode();
+            assert_eq!(
+                (bytes.len(), crate::fnv1a64(&bytes)),
+                pin,
+                "NXTR with {} domains",
+                trace.meta.n_domains
+            );
+            let back = TickTrace::decode(&bytes).expect("pinned trace decodes");
+            assert_eq!(back.encode(), bytes);
+        }
+    }
+
     #[test]
     fn encode_decode_round_trip() {
         let trace = two_tick_trace();
