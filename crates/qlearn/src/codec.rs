@@ -44,16 +44,21 @@
 //! uplink in `simkit::campaign` sends these bytes instead of a fixed
 //! per-round constant.
 //!
-//! Varints are unsigned LEB128 (7 bits per byte, low group first),
-//! capped at 10 bytes. Decoding validates magic, version, kind, action
-//! count, mask width, key ordering, value finiteness, non-zero visit
-//! counts and exact input length, in the style of
-//! `docs/TRACE_FORMAT.md`.
+//! The header, integers, floats and varints are written and read
+//! through [`crate::wire`], whose varints are canonical LEB128 (at most
+//! 10 bytes, no zero last byte after a continuation), so every table
+//! has exactly one encoding. Structural faults — magic, version,
+//! truncation, trailing bytes, malformed varints — arrive as
+//! [`CodecError::Wire`]; this module validates the content: kind,
+//! action count, mask width, key ordering, value finiteness and
+//! non-zero visit counts. A successful decode therefore re-encodes to
+//! exactly its input.
 
 use std::fmt;
 
 use crate::backend::{QStore, StateKey};
 use crate::qtable::QTable;
+use crate::wire::{put_f64, put_header, put_u16, put_varint, Reader, WireError};
 
 /// Wire magic: "NXQT".
 pub const MAGIC: [u8; 4] = *b"NXQT";
@@ -70,10 +75,9 @@ pub(crate) const KIND_DELTA: u8 = 2;
 /// Error returned by the binary codec entry points.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CodecError {
-    /// The input does not start with the `NXQT` magic.
-    BadMagic,
-    /// The wire version is not one this build understands.
-    BadVersion(u16),
+    /// A structural fault: bad magic or version, truncation, trailing
+    /// bytes or a malformed varint.
+    Wire(WireError),
     /// The kind byte is neither full-table nor delta.
     BadKind(u8),
     /// A full-table entry point got a delta, or vice versa.
@@ -83,12 +87,6 @@ pub enum CodecError {
         /// Kind the input carried.
         got: u8,
     },
-    /// The input ended before the declared content.
-    Truncated,
-    /// Valid content followed by unconsumed bytes.
-    TrailingBytes,
-    /// A varint ran past 10 bytes (cannot fit a u64).
-    BadVarint,
     /// The header declares zero actions.
     ZeroActions,
     /// The header declares more than [`MAX_ACTIONS`] actions.
@@ -118,15 +116,11 @@ pub enum CodecError {
 impl fmt::Display for CodecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CodecError::BadMagic => write!(f, "bad magic (expected NXQT)"),
-            CodecError::BadVersion(v) => write!(f, "unsupported NXQT version {v}"),
+            CodecError::Wire(e) => write!(f, "{e}"),
             CodecError::BadKind(k) => write!(f, "unknown NXQT kind {k}"),
             CodecError::WrongKind { expected, got } => {
                 write!(f, "expected NXQT kind {expected}, got {got}")
             }
-            CodecError::Truncated => write!(f, "truncated input"),
-            CodecError::TrailingBytes => write!(f, "trailing bytes after table"),
-            CodecError::BadVarint => write!(f, "varint exceeds 10 bytes"),
             CodecError::ZeroActions => write!(f, "action count must be non-zero"),
             CodecError::TooManyActions(n) => {
                 write!(f, "{n} actions exceed the NXQT limit of {MAX_ACTIONS}")
@@ -151,85 +145,9 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-pub(crate) fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let group = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(group);
-            return;
-        }
-        out.push(group | 0x80);
-    }
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        let end = self.pos.checked_add(n).ok_or(CodecError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(CodecError::Truncated);
-        }
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, CodecError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn f64(&mut self) -> Result<f64, CodecError> {
-        let b = self.take(8)?;
-        let mut bits = [0u8; 8];
-        bits.copy_from_slice(b);
-        Ok(f64::from_bits(u64::from_le_bytes(bits)))
-    }
-
-    fn varint(&mut self) -> Result<u64, CodecError> {
-        let mut value = 0u64;
-        for i in 0..10 {
-            let byte = self.u8()?;
-            let group = u64::from(byte & 0x7f);
-            // The 10th byte may only carry the top bit of a u64.
-            if i == 9 && group > 1 {
-                return Err(CodecError::BadVarint);
-            }
-            value |= group << (7 * i);
-            if byte & 0x80 == 0 {
-                return Ok(value);
-            }
-        }
-        Err(CodecError::BadVarint)
-    }
-
-    fn done(&self) -> Result<(), CodecError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(CodecError::TrailingBytes)
-        }
+impl From<WireError> for CodecError {
+    fn from(e: WireError) -> Self {
+        CodecError::Wire(e)
     }
 }
 
@@ -245,8 +163,7 @@ pub(crate) fn encode_header(out: &mut Vec<u8>, kind: u8, n_actions: usize, defau
         n_actions <= MAX_ACTIONS,
         "NXQT encodes at most {MAX_ACTIONS} actions, table has {n_actions}"
     );
-    out.extend_from_slice(&MAGIC);
-    put_u16(out, VERSION);
+    put_header(out, MAGIC, VERSION);
     out.push(kind);
     put_u16(out, n_actions as u16);
     put_f64(out, default_q);
@@ -302,14 +219,7 @@ pub fn encode_table<S: QStore>(table: &QTable<S>) -> Vec<u8> {
 }
 
 fn decode_body(bytes: &[u8], want_kind: u8) -> Result<(usize, f64, Vec<Row>), CodecError> {
-    let mut r = Reader::new(bytes);
-    if r.take(4)? != MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    let version = r.u16()?;
-    if version != VERSION {
-        return Err(CodecError::BadVersion(version));
-    }
+    let mut r = Reader::open(bytes, MAGIC, VERSION)?;
     let kind = r.u8()?;
     if kind != KIND_FULL && kind != KIND_DELTA {
         return Err(CodecError::BadKind(kind));
@@ -333,7 +243,13 @@ fn decode_body(bytes: &[u8], want_kind: u8) -> Result<(usize, f64, Vec<Row>), Co
         return Err(CodecError::NonFiniteDefault);
     }
     let row_count = r.varint()?;
-    let mut rows = Vec::with_capacity(usize::try_from(row_count).unwrap_or(0).min(1 << 20));
+    // Every row takes at least two bytes (its gap and mask varints), so
+    // the input bounds the rows that can follow, whatever the count says.
+    let mut rows = Vec::with_capacity(
+        usize::try_from(row_count)
+            .unwrap_or(usize::MAX)
+            .min(r.remaining() / 2),
+    );
     let mut prev: Option<StateKey> = None;
     for _ in 0..row_count {
         let gap = r.varint()?;
@@ -372,7 +288,7 @@ fn decode_body(bytes: &[u8], want_kind: u8) -> Result<(usize, f64, Vec<Row>), Co
         });
         prev = Some(state);
     }
-    r.done()?;
+    r.finish()?;
     Ok((n_actions, default_q, rows))
 }
 
@@ -489,6 +405,7 @@ mod tests {
     use crate::backend::DenseStore;
     use crate::overlay::OverlayStore;
     use crate::qtable::DenseQTable;
+    use crate::wire::WireErrorKind;
     use proptest::prelude::*;
 
     fn sample_table() -> DenseQTable {
@@ -584,13 +501,21 @@ mod tests {
     /// A full-table header for `n_actions` actions and `default_q`,
     /// followed by `body` (row count and rows).
     fn hand_built(n_actions: u16, default_q: f64, body: &[u8]) -> Vec<u8> {
-        let mut out = MAGIC.to_vec();
-        put_u16(&mut out, VERSION);
+        let mut out = Vec::new();
+        put_header(&mut out, MAGIC, VERSION);
         out.push(KIND_FULL);
         put_u16(&mut out, n_actions);
         put_f64(&mut out, default_q);
         out.extend_from_slice(body);
         out
+    }
+
+    /// The structural error `kind` of an NXQT input.
+    fn wire(kind: WireErrorKind) -> CodecError {
+        CodecError::Wire(WireError {
+            format: MAGIC,
+            kind,
+        })
     }
 
     /// One hand-built row: `(gap, mask, [(value, visits)])`, raw.
@@ -653,7 +578,7 @@ mod tests {
             (
                 "row count varint longer than a u64",
                 hand_built(2, 0.0, &[0xff; 10]),
-                CodecError::BadVarint,
+                wire(WireErrorKind::BadVarint),
             ),
             (
                 "set mask bit with zero visits",
@@ -687,14 +612,17 @@ mod tests {
         bad[0] = b'X';
         assert_eq!(
             decode_table::<DenseStore>(&bad).unwrap_err(),
-            CodecError::BadMagic
+            wire(WireErrorKind::BadMagic)
         );
 
         let mut bad = bytes.clone();
         bad[4] = 99;
         assert_eq!(
             decode_table::<DenseStore>(&bad).unwrap_err(),
-            CodecError::BadVersion(99)
+            wire(WireErrorKind::BadVersion {
+                found: 99,
+                expected: VERSION
+            })
         );
 
         let mut bad = bytes.clone();
@@ -716,8 +644,34 @@ mod tests {
         long.push(0);
         assert_eq!(
             decode_table::<DenseStore>(&long).unwrap_err(),
-            CodecError::TrailingBytes
+            wire(WireErrorKind::TrailingBytes(1))
         );
+    }
+
+    /// A varint padded with a zero last byte decodes to the value of its
+    /// short form but re-encodes to fewer bytes, so it is rejected
+    /// wherever it appears.
+    #[test]
+    fn overlong_varints_are_rejected() {
+        let value = 7.0f64.to_le_bytes();
+        let row = |count: &[u8], gap: &[u8], mask: &[u8], visits: &[u8]| {
+            hand_built(2, 0.0, &[count, gap, mask, &value, visits].concat())
+        };
+        let canonical = row(&[1], &[5], &[1], &[3]);
+        assert_eq!(canonical, hand_built(2, 0.0, &rows(&[(5, 1, &[(7.0, 3)])])));
+        assert!(decode_table::<DenseStore>(&canonical).is_ok());
+        for (what, bytes) in [
+            ("row count", row(&[0x81, 0x00], &[5], &[1], &[3])),
+            ("state gap", row(&[1], &[0x85, 0x00], &[1], &[3])),
+            ("cell mask", row(&[1], &[5], &[0x81, 0x00], &[3])),
+            ("visit count", row(&[1], &[5], &[1], &[0x83, 0x80, 0x00])),
+        ] {
+            assert_eq!(
+                decode_table::<DenseStore>(&bytes),
+                Err(wire(WireErrorKind::BadVarint)),
+                "{what}"
+            );
+        }
     }
 
     #[test]
@@ -855,18 +809,56 @@ mod tests {
 
     }
 
-    /// Every single-bit flip at every offset of a valid encoding must
-    /// decode to `Ok` or a typed error — never panic, in debug and
-    /// release builds alike. (Every truncation is rejected by
-    /// `rejects_bad_magic_version_kind_and_truncation`.)
+    /// Every single-bit flip and every truncation of the full and delta
+    /// samples, and inflated row counts, in debug and release builds
+    /// alike: decoding never panics, truncations and inflated counts are
+    /// rejected, and whatever decodes re-encodes to exactly its input.
+    /// The NXTR and NXCP decoders have the same sweep in
+    /// `simkit::trace` and `simkit::campaign`.
     #[test]
     fn corrupted_bytes_never_panic() {
-        let bytes = encode_table(&sample_table());
-        for at in 0..bytes.len() {
-            for bit in 0..8 {
-                let mut bad = bytes.clone();
-                bad[at] ^= 1 << bit;
-                let _ = decode_table::<DenseStore>(&bad);
+        let base = sample_table();
+        let full = encode_table(&base);
+        let delta = delta_between(&base, &edited_sample_table()).expect("delta encodes");
+        let decodes_to_itself = |kind: u8, bytes: &[u8]| {
+            if kind == KIND_FULL {
+                if let Ok(t) = decode_table::<DenseStore>(bytes) {
+                    assert_eq!(encode_table(&t), bytes);
+                }
+            } else {
+                let _ = apply_delta(&base, bytes);
+            }
+            let Ok((n_actions, default_q, rows)) = decode_body(bytes, kind) else {
+                return;
+            };
+            let mut again = Vec::new();
+            encode_header(&mut again, kind, n_actions, default_q);
+            put_varint(&mut again, rows.len() as u64);
+            let mut prev = None;
+            for row in rows {
+                encode_row(&mut again, prev, row.state, &row.values, &row.visits);
+                prev = Some(row.state);
+            }
+            assert_eq!(again, bytes);
+        };
+        for (kind, bytes) in [(KIND_FULL, full), (KIND_DELTA, delta)] {
+            for at in 0..bytes.len() {
+                assert!(decode_body(&bytes[..at], kind).is_err(), "cut {at}");
+                for bit in 0..8 {
+                    let mut bad = bytes.clone();
+                    bad[at] ^= 1 << bit;
+                    decodes_to_itself(kind, &bad);
+                }
+            }
+            // The row count is the one-byte varint after the 17-byte
+            // header.
+            let rows = u64::from(bytes[17]);
+            assert!(rows < 0x80);
+            for count in [u64::from(u32::MAX), u64::MAX, rows + 1] {
+                let mut bad = bytes[..17].to_vec();
+                put_varint(&mut bad, count);
+                bad.extend_from_slice(&bytes[18..]);
+                assert!(decode_body(&bad, kind).is_err(), "{count} rows");
             }
         }
     }

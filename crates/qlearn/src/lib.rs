@@ -42,6 +42,7 @@ pub mod learner;
 pub mod overlay;
 pub mod policy;
 pub mod qtable;
+pub mod wire;
 
 pub use backend::{DenseStore, QStore};
 pub use codec::{apply_delta, decode_table, delta_between, encode_table, CodecError};

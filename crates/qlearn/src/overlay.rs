@@ -37,6 +37,7 @@ use std::sync::Arc;
 use crate::backend::{KeyHashBuilder, QStore, RowVisitor, RowVisitorMut, StateKey};
 use crate::codec;
 use crate::qtable::{DenseQTable, QTable};
+use crate::wire;
 
 /// One privately-owned row: a base row copied on first write, or a
 /// brand-new row the base never had.
@@ -263,7 +264,7 @@ impl QTable<OverlayStore> {
             self.n_actions(),
             self.default_q(),
         );
-        codec::put_varint(&mut out, changed.len() as u64);
+        wire::put_varint(&mut out, changed.len() as u64);
         let mut prev = None;
         for k in changed {
             let row = &store.rows[&k];

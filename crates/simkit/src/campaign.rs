@@ -57,6 +57,7 @@ use std::sync::Arc;
 
 use mpsoc::soc::SocConfig;
 use next_core::QTableStore;
+use qlearn::wire::{put_f64, put_header, put_str32, put_u16, put_u32, put_u64, Reader};
 use qlearn::{decode_table, encode_table, DenseQTable, DenseStore, OverlayStore};
 use qlearn::{MergeAccumulator, QTable};
 use workload::scenario::{splitmix64, DayPlanConfig};
@@ -411,6 +412,34 @@ impl MetricStat {
             self.sum / count as f64
         }
     }
+
+    /// Checks the invariants recording keeps for a cohort of `count`
+    /// device-days, which [`MetricStat::quantile`] (`clamp` panics unless
+    /// `min <= max`) and the campaign artifact (finite numbers only) rely
+    /// on: the bins hold `count` samples, an empty stat holds the fresh
+    /// values, and a non-empty one has a finite sum and finite
+    /// `min <= max`.
+    fn check(&self, count: u64) -> Result<(), &'static str> {
+        let binned = self
+            .bins
+            .iter()
+            .try_fold(0u64, |acc, &n| acc.checked_add(n));
+        if binned != Some(count) {
+            return Err("histogram bins do not sum to the cohort count");
+        }
+        if count == 0 {
+            if *self != MetricStat::new() {
+                return Err("an empty cohort holds recorded values");
+            }
+        } else if !(self.min <= self.max
+            && self.min.is_finite()
+            && self.max.is_finite()
+            && self.sum.is_finite())
+        {
+            return Err("min, max and sum must be finite with min <= max");
+        }
+        Ok(())
+    }
 }
 
 /// Accumulated statistics of one cohort (persona × platform × bin).
@@ -435,6 +464,18 @@ impl CohortAcc {
 /// platform, then hardware bin.
 fn cohort_index(persona: usize, platform: usize, bin: usize, n_platforms: usize) -> usize {
     (persona * n_platforms + platform) * SOC_BINS.len() + bin
+}
+
+/// `persona/platform/bin` of cohort `c`, the inverse of
+/// [`cohort_index`].
+fn cohort_name(c: usize, platforms: &[String]) -> String {
+    let (rest, bin) = (c / SOC_BINS.len(), c % SOC_BINS.len());
+    format!(
+        "{}/{}/{}",
+        Persona::names()[rest / platforms.len()],
+        platforms[rest % platforms.len()],
+        SOC_BINS[bin].name
+    )
 }
 
 /// Persona index of a device — [`Persona::sample`]'s draw on the
@@ -902,85 +943,13 @@ fn build_report(
 // NXCP checkpoint codec
 // ---------------------------------------------------------------------------
 
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    #[allow(clippy::cast_possible_truncation)]
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-struct CkptReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> CkptReader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if self.buf.len() - self.pos < n {
-            return Err("checkpoint truncated".to_owned());
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u16(&mut self) -> Result<u16, String> {
-        // qlint::allow(PN01, reason = "take(2) returned exactly 2 bytes")
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2")))
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        // qlint::allow(PN01, reason = "take(4) returned exactly 4 bytes")
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        // qlint::allow(PN01, reason = "take(8) returned exactly 8 bytes")
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    fn f64(&mut self) -> Result<f64, String> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn str(&mut self) -> Result<String, String> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| "checkpoint string not UTF-8".to_owned())
-    }
-
-    fn done(&self) -> Result<(), String> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err("checkpoint has trailing bytes".to_owned())
-        }
-    }
-}
-
 /// Serializes the full campaign state. The header embeds the complete
 /// regeneration recipe so a resume can refuse a mismatched config
 /// field by field; f64s are stored as raw bits, so the round trip is
 /// exact.
 fn encode_checkpoint(config: &CampaignConfig, state: &CampaignState) -> Vec<u8> {
     let mut out = Vec::new();
-    out.extend_from_slice(&CKPT_MAGIC);
-    put_u16(&mut out, CKPT_VERSION);
+    put_header(&mut out, CKPT_MAGIC, CKPT_VERSION);
 
     put_u64(&mut out, config.devices as u64);
     put_u64(&mut out, config.rounds as u64);
@@ -989,7 +958,7 @@ fn encode_checkpoint(config: &CampaignConfig, state: &CampaignState) -> Vec<u8> 
     #[allow(clippy::cast_possible_truncation)]
     put_u32(&mut out, config.platforms.len() as u32);
     for p in &config.platforms {
-        put_str(&mut out, p);
+        put_str32(&mut out, p);
     }
     put_u32(&mut out, config.plan.pickups);
     put_f64(&mut out, config.plan.day_length_s);
@@ -1031,7 +1000,7 @@ fn encode_checkpoint(config: &CampaignConfig, state: &CampaignState) -> Vec<u8> 
     for ((p, app), table) in &state.globals {
         #[allow(clippy::cast_possible_truncation)]
         put_u16(&mut out, *p as u16);
-        put_str(&mut out, app);
+        put_str32(&mut out, app);
         let encoded = encode_table(&**table);
         put_u64(&mut out, encoded.len() as u64);
         out.extend_from_slice(&encoded);
@@ -1061,19 +1030,13 @@ fn check_field<T: PartialEq + std::fmt::Debug>(
 }
 
 /// Parses and validates a checkpoint against `config`, restoring the
-/// campaign state it froze.
+/// campaign state it froze. Structural faults arrive as a
+/// `qlearn::wire::WireError` rendered into the message; the cohort
+/// statistics must hold the invariants recording keeps
+/// ([`MetricStat::check`]).
 #[allow(clippy::too_many_lines)]
 fn decode_checkpoint(bytes: &[u8], config: &CampaignConfig) -> Result<CampaignState, String> {
-    let mut r = CkptReader { buf: bytes, pos: 0 };
-    if r.take(4)? != CKPT_MAGIC {
-        return Err("not an NXCP checkpoint (bad magic)".to_owned());
-    }
-    let version = r.u16()?;
-    if version != CKPT_VERSION {
-        return Err(format!(
-            "unsupported checkpoint version {version} (this build reads {CKPT_VERSION})"
-        ));
-    }
+    let mut r = Reader::open(bytes, CKPT_MAGIC, CKPT_VERSION)?;
 
     check_field("devices", r.u64()?, config.devices as u64)?;
     check_field("rounds", r.u64()?, config.rounds as u64)?;
@@ -1086,7 +1049,7 @@ fn decode_checkpoint(bytes: &[u8], config: &CampaignConfig) -> Result<CampaignSt
         config.platforms.len() as u64,
     )?;
     for expected in &config.platforms {
-        check_field("platform", r.str()?, expected.clone())?;
+        check_field("platform", r.str32()?, expected.clone())?;
     }
     check_field("plan.pickups", r.u32()?, config.plan.pickups)?;
     check_field(
@@ -1142,13 +1105,13 @@ fn decode_checkpoint(bytes: &[u8], config: &CampaignConfig) -> Result<CampaignSt
             config.rounds
         ));
     }
-    let mut rounds = Vec::with_capacity(rounds_done);
+    let mut rounds = Vec::new();
     for i in 0..rounds_done {
         let round = r.u64()? as usize;
         if round != i {
             return Err(format!("checkpoint round ledger out of order at {i}"));
         }
-        rounds.push(CampaignRound {
+        let record = CampaignRound {
             round,
             uplink_bytes: r.u64()?,
             downlink_bytes: r.u64()?,
@@ -1157,7 +1120,11 @@ fn decode_checkpoint(bytes: &[u8], config: &CampaignConfig) -> Result<CampaignSt
             visits: r.u64()?,
             table_bytes: r.u64()?,
             dense_clone_bytes: r.u64()?,
-        });
+        };
+        if !record.comm_s.is_finite() {
+            return Err(format!("checkpoint round {i} has a non-finite comm_s"));
+        }
+        rounds.push(record);
     }
 
     let n_cohorts = r.u64()? as usize;
@@ -1168,21 +1135,28 @@ fn decode_checkpoint(bytes: &[u8], config: &CampaignConfig) -> Result<CampaignSt
         ));
     }
     let mut cohorts = Vec::with_capacity(n_cohorts);
-    for _ in 0..n_cohorts {
+    for c in 0..n_cohorts {
         let count = r.u64()?;
         let mut stats = Vec::with_capacity(METRIC_COUNT);
-        for _ in 0..METRIC_COUNT {
+        for name in METRIC_NAMES {
             let (min, max, sum) = (r.f64()?, r.f64()?, r.f64()?);
             let mut bins = vec![0u64; HIST_BINS];
             for b in &mut bins {
                 *b = r.u64()?;
             }
-            stats.push(MetricStat {
+            let stat = MetricStat {
                 min,
                 max,
                 sum,
                 bins,
-            });
+            };
+            stat.check(count).map_err(|why| {
+                format!(
+                    "checkpoint cohort {} has a corrupt {name}: {why}",
+                    cohort_name(c, &config.platforms)
+                )
+            })?;
+            stats.push(stat);
         }
         cohorts.push(CohortAcc { count, stats });
     }
@@ -1194,9 +1168,9 @@ fn decode_checkpoint(bytes: &[u8], config: &CampaignConfig) -> Result<CampaignSt
         if p >= config.platforms.len() {
             return Err(format!("checkpoint table references platform index {p}"));
         }
-        let app = r.str()?;
-        let len = r.u64()? as usize;
-        let table_bytes = r.take(len)?;
+        let app = r.str32()?;
+        let len = r.u64()?;
+        let table_bytes = r.take(usize::try_from(len).unwrap_or(usize::MAX))?;
         let table = decode_table::<DenseStore>(table_bytes).map_err(|e| {
             format!(
                 "checkpoint table ({}, {app}) corrupt: {e}",
@@ -1207,7 +1181,7 @@ fn decode_checkpoint(bytes: &[u8], config: &CampaignConfig) -> Result<CampaignSt
             return Err(format!("checkpoint repeats table ({p}, {app})"));
         }
     }
-    r.done()?;
+    r.finish()?;
 
     Ok(CampaignState {
         rounds,
@@ -1630,6 +1604,168 @@ mod tests {
         assert!(decode_checkpoint(&trailing, &config)
             .unwrap_err()
             .contains("trailing"));
+    }
+
+    /// A small state for a one-platform `config`: one ledger round,
+    /// every cohort but the last recorded into, and two three-row
+    /// merged tables.
+    fn sample_state(config: &CampaignConfig) -> CampaignState {
+        let mut state = fresh_state(config, BTreeMap::new());
+        state.rounds.push(CampaignRound {
+            round: 0,
+            uplink_bytes: 1_234,
+            downlink_bytes: 56_789,
+            comm_s: 4.05,
+            states: 6,
+            visits: 9,
+            table_bytes: 4_096,
+            dense_clone_bytes: 65_536,
+        });
+        let recorded = state.cohorts.len() - 1;
+        for (c, cohort) in state.cohorts.iter_mut().take(recorded).enumerate() {
+            for day in 0..=c % 3 {
+                cohort.count += 1;
+                for (m, stat) in cohort.stats.iter_mut().enumerate() {
+                    let (lo, hi) = METRIC_RANGES[m];
+                    let at = ((c + day + m) % 7) as f64 / 7.0;
+                    stat.record(lo + (hi - lo) * at, lo, hi);
+                }
+            }
+        }
+        for (app, first) in [("facebook", 3u64), ("spotify", 40)] {
+            let mut table = DenseQTable::new(9);
+            for s in [first, first + 5, first + 11] {
+                table.set(s, (s % 9) as usize, 1.5 + s as f64);
+            }
+            state.globals.insert((0, app.to_owned()), Arc::new(table));
+        }
+        state
+    }
+
+    /// Cohort statistics that recording cannot produce are rejected,
+    /// naming the cohort, instead of panicking in
+    /// `MetricStat::quantile` or resuming to a report that differs from
+    /// the uninterrupted run.
+    #[test]
+    fn corrupt_cohort_statistics_are_rejected() {
+        // (what, cohort, how the recorded cohort is corrupted)
+        type Case = (&'static str, usize, fn(&mut CohortAcc));
+        let config = tiny(2, 1, 6);
+        let last = config.cohort_count() - 1;
+        // Every recorded PPDW lies in [0, 200].
+        let cases: [Case; 6] = [
+            ("min above max", 0, |c| c.stats[0].min = 999.0),
+            ("NaN max", 0, |c| c.stats[1].max = f64::NAN),
+            ("infinite min", 0, |c| c.stats[1].min = f64::NEG_INFINITY),
+            ("infinite sum", 0, |c| c.stats[2].sum = f64::INFINITY),
+            ("count above the bins", 0, |c| c.count += 1),
+            ("values in an empty cohort", last, |c| c.stats[3].min = 5.0),
+        ];
+        for (what, cohort, corrupt) in cases {
+            let mut state = sample_state(&config);
+            corrupt(&mut state.cohorts[cohort]);
+            let err =
+                decode_checkpoint(&encode_checkpoint(&config, &state), &config).expect_err(what);
+            let name = cohort_name(cohort, &config.platforms);
+            assert!(err.contains(&format!("cohort {name}")), "{what}: {err}");
+        }
+        assert_eq!(
+            cohort_name(0, &config.platforms),
+            "gamer/exynos9810/typical"
+        );
+        assert_eq!(
+            cohort_name(last, &config.platforms),
+            "reader/exynos9810/cool-efficient"
+        );
+    }
+
+    /// Every single-bit flip and every truncation of the recipe, ledger
+    /// and table sections of a small checkpoint, a stride of both
+    /// through its cohort section, and inflated string and table
+    /// lengths: decoding never panics, inflated lengths are rejected,
+    /// and a checkpoint that decodes builds a report whose numbers are
+    /// all finite (what `campaign.json` can hold).
+    #[test]
+    fn corrupted_bytes_never_panic() {
+        const COHORT_BYTES: usize = 8 + METRIC_COUNT * (24 + 8 * HIST_BINS);
+        let config = tiny(2, 1, 6);
+        let presets = resolve_presets(&config);
+        let state = sample_state(&config);
+        let bytes = encode_checkpoint(&config, &state);
+        let resumes = |bad: &[u8]| {
+            let Ok(state) = decode_checkpoint(bad, &config) else {
+                return;
+            };
+            let report = build_report(&config, &presets, state);
+            for m in report.cohorts.iter().flat_map(|c| &c.metrics) {
+                let values = [m.min, m.max, m.mean, m.p50, m.p90, m.p99];
+                assert!(values.iter().all(|v| v.is_finite()), "{m:?}");
+            }
+            assert!(report.rounds.iter().all(|r| r.comm_s.is_finite()));
+        };
+
+        let table_entries: Vec<(usize, usize)> = state
+            .globals
+            .iter()
+            .map(|((_, app), t)| (app.len(), encode_table(&**t).len()))
+            .collect();
+        let tables_at = bytes.len()
+            - 8
+            - table_entries
+                .iter()
+                .map(|(app, table)| 2 + 4 + app + 8 + table)
+                .sum::<usize>();
+        let cohorts_at = tables_at - config.cohort_count() * COHORT_BYTES;
+        let stride: Vec<usize> = (cohorts_at..tables_at).step_by(61).collect();
+        // The stride reaches every field of a cohort's statistics.
+        let mut fields = BTreeSet::new();
+        for &at in &stride {
+            let within = (at - cohorts_at) % COHORT_BYTES;
+            fields.insert(
+                match within.checked_sub(8).map(|o| o % (24 + 8 * HIST_BINS)) {
+                    None => "count",
+                    Some(0..8) => "min",
+                    Some(8..16) => "max",
+                    Some(16..24) => "sum",
+                    Some(_) => "bin",
+                },
+            );
+        }
+        assert_eq!(fields.len(), 5, "{fields:?}");
+
+        for at in (0..cohorts_at).chain(stride).chain(tables_at..bytes.len()) {
+            assert!(
+                decode_checkpoint(&bytes[..at], &config).is_err(),
+                "cut {at}"
+            );
+            for bit in 0..8 {
+                let mut bad = bytes.clone();
+                bad[at] ^= 1 << bit;
+                resumes(&bad);
+            }
+        }
+
+        // The first platform name's u32 length follows the header, four
+        // u64 recipe fields and the platform count; the first table's
+        // app-name length and table length follow the table count and
+        // its platform index.
+        let name_len = config.platforms[0].len() as u64;
+        let (app_len, table_len) = (table_entries[0].0 as u64, table_entries[0].1 as u64);
+        let app_at = tables_at + 8 + 2;
+        for (at, width, len) in [
+            (42, 4, name_len),
+            (app_at, 4, app_len),
+            (app_at + 4 + table_entries[0].0, 8, table_len),
+        ] {
+            for inflated in [u64::from(u32::MAX), u64::MAX, len + 1] {
+                let mut bad = bytes.clone();
+                bad[at..at + width].copy_from_slice(&inflated.to_le_bytes()[..width]);
+                assert!(
+                    decode_checkpoint(&bad, &config).is_err(),
+                    "{at}: {inflated}"
+                );
+            }
+        }
     }
 
     /// Byte pin of the checkpoint a one-round `tiny(2, 1, 6)` campaign

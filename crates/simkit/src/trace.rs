@@ -9,8 +9,12 @@
 //! node temperatures, the governor's chosen action and reward, the
 //! rolling FPS-window sample, battery drain, and which session or gap
 //! the tick belongs to. [`TickTrace::encode`]/[`TickTrace::decode`]
-//! give the trace a versioned binary form (see `docs/TRACE_FORMAT.md`)
-//! with no dependencies, in the spirit of `bench::json`.
+//! give the trace a versioned binary form (`NXTR`, see
+//! `docs/TRACE_FORMAT.md`) written and read through `qlearn::wire`, the
+//! little-endian layer the `NXQT` tables and `NXCP` checkpoints share:
+//! structural faults arrive as [`TraceError::Wire`], and this module
+//! checks only what is particular to a trace (scenario, domain count,
+//! segment bytes).
 //!
 //! On top of the codec:
 //!
@@ -57,6 +61,10 @@ use std::fmt;
 
 use governors::ControlDecision;
 use mpsoc::soc::SocState;
+use qlearn::wire::{
+    put_f32, put_f64, put_header, put_str16, put_u16, put_u32, put_u64, Reader, WireError,
+    WireErrorKind,
+};
 use workload::DayPlanConfig;
 
 use crate::metrics::Battery;
@@ -251,143 +259,33 @@ pub struct TickTrace {
 /// Decode failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceError {
-    /// The buffer does not start with [`TRACE_MAGIC`].
-    BadMagic,
-    /// Unsupported format version.
-    BadVersion(u16),
+    /// A structural fault: bad magic or version, truncation, trailing
+    /// bytes or a string that is not UTF-8.
+    Wire(WireError),
     /// Unknown scenario discriminator.
     BadScenario(u8),
     /// Domain count outside `1..=`[`mpsoc::platform::MAX_DOMAINS`].
     BadDomains(u8),
-    /// A length-prefixed string is not valid UTF-8.
-    BadString,
-    /// The buffer ends before the declared content does.
-    Truncated,
-    /// Bytes remain after the declared records.
-    TrailingBytes(usize),
+    /// A record's segment byte is neither `0` (gap) nor `1` (session).
+    BadSegment(u8),
 }
 
 impl fmt::Display for TraceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TraceError::BadMagic => write!(f, "not a trace file (bad magic)"),
-            TraceError::BadVersion(v) => {
-                write!(
-                    f,
-                    "unsupported trace version {v} (expected {TRACE_VERSION})"
-                )
-            }
+            TraceError::Wire(e) => write!(f, "{e}"),
             TraceError::BadScenario(s) => write!(f, "unknown scenario discriminator {s}"),
             TraceError::BadDomains(n) => write!(f, "implausible domain count {n}"),
-            TraceError::BadString => write!(f, "metadata string is not valid UTF-8"),
-            TraceError::Truncated => write!(f, "trace file is truncated"),
-            TraceError::TrailingBytes(n) => {
-                write!(f, "{n} trailing byte(s) after the declared records")
-            }
+            TraceError::BadSegment(b) => write!(f, "unknown segment kind {b}"),
         }
     }
 }
 
 impl std::error::Error for TraceError {}
 
-// --- little-endian wire helpers -------------------------------------
-
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f32(out: &mut Vec<u8>, v: f32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Writes a `u16`-length-prefixed UTF-8 string.
-///
-/// # Panics
-///
-/// Panics when the string exceeds 65535 bytes (metadata names never
-/// approach this).
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    // qlint::allow(PN01, reason = "documented panic; metadata strings are short app/governor names")
-    let len = u16::try_from(s.len()).expect("metadata string fits u16 length");
-    put_u16(out, len);
-    out.extend_from_slice(s.as_bytes());
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], TraceError> {
-        let end = self.pos.checked_add(n).ok_or(TraceError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(TraceError::Truncated);
-        }
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, TraceError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, TraceError> {
-        Ok(u16::from_le_bytes(
-            // qlint::allow(PN01, reason = "take(2) returned exactly 2 bytes")
-            self.take(2)?.try_into().expect("2 bytes"),
-        ))
-    }
-
-    fn u32(&mut self) -> Result<u32, TraceError> {
-        Ok(u32::from_le_bytes(
-            // qlint::allow(PN01, reason = "take(4) returned exactly 4 bytes")
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64, TraceError> {
-        Ok(u64::from_le_bytes(
-            // qlint::allow(PN01, reason = "take(8) returned exactly 8 bytes")
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn f32(&mut self) -> Result<f32, TraceError> {
-        Ok(f32::from_le_bytes(
-            // qlint::allow(PN01, reason = "take(4) returned exactly 4 bytes")
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn f64(&mut self) -> Result<f64, TraceError> {
-        Ok(f64::from_le_bytes(
-            // qlint::allow(PN01, reason = "take(8) returned exactly 8 bytes")
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn str(&mut self) -> Result<String, TraceError> {
-        let len = self.u16()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| TraceError::BadString)
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+impl From<WireError> for TraceError {
+    fn from(e: WireError) -> Self {
+        TraceError::Wire(e)
     }
 }
 
@@ -401,14 +299,13 @@ impl TickTrace {
         let n_domains = m.n_domains as usize;
         let mut out =
             Vec::with_capacity(128 + self.records.len() * TickRecord::wire_size(n_domains));
-        out.extend_from_slice(&TRACE_MAGIC);
-        put_u16(&mut out, TRACE_VERSION);
+        put_header(&mut out, TRACE_MAGIC, TRACE_VERSION);
         out.push(SCENARIO_DAY);
         out.push(m.n_domains);
         put_f64(&mut out, m.tick_s);
-        put_str(&mut out, &m.platform);
-        put_str(&mut out, &m.governor);
-        put_str(&mut out, &m.persona);
+        put_str16(&mut out, &m.platform);
+        put_str16(&mut out, &m.governor);
+        put_str16(&mut out, &m.persona);
         put_u64(&mut out, m.seed);
         put_u32(&mut out, m.plan.pickups);
         put_f64(&mut out, m.plan.day_length_s);
@@ -451,17 +348,11 @@ impl TickTrace {
     /// # Errors
     ///
     /// Rejects wrong magic/version/scenario, implausible domain counts,
-    /// malformed strings, truncation, and trailing bytes — a valid
-    /// result always re-encodes to exactly the input.
+    /// malformed strings, unknown segment bytes, truncation, and
+    /// trailing bytes — a valid result always re-encodes to exactly the
+    /// input.
     pub fn decode(bytes: &[u8]) -> Result<Self, TraceError> {
-        let mut r = Reader { buf: bytes, pos: 0 };
-        if r.take(4)? != TRACE_MAGIC {
-            return Err(TraceError::BadMagic);
-        }
-        let version = r.u16()?;
-        if version != TRACE_VERSION {
-            return Err(TraceError::BadVersion(version));
-        }
+        let mut r = Reader::open(bytes, TRACE_MAGIC, TRACE_VERSION)?;
         let scenario = r.u8()?;
         if scenario != SCENARIO_DAY {
             return Err(TraceError::BadScenario(scenario));
@@ -471,9 +362,9 @@ impl TickTrace {
             return Err(TraceError::BadDomains(n_domains));
         }
         let tick_s = r.f64()?;
-        let platform = r.str()?;
-        let governor = r.str()?;
-        let persona = r.str()?;
+        let platform = r.str16()?;
+        let governor = r.str16()?;
+        let persona = r.str16()?;
         let seed = r.u64()?;
         let plan = DayPlanConfig {
             pickups: r.u32()?,
@@ -489,23 +380,19 @@ impl TickTrace {
         };
         let count = r.u64()?;
         let nd = usize::from(n_domains);
-        let rec_size = TickRecord::wire_size(nd);
-        let expected = count
-            .checked_mul(rec_size as u64)
-            .ok_or(TraceError::Truncated)?;
-        let remaining = r.remaining() as u64;
-        if remaining < expected {
-            return Err(TraceError::Truncated);
+        // Records are fixed-size: bound the count by the bytes left
+        // before sizing a buffer from it.
+        if count > (r.remaining() / TickRecord::wire_size(nd)) as u64 {
+            return Err(TraceError::Wire(WireError {
+                format: TRACE_MAGIC,
+                kind: WireErrorKind::Truncated,
+            }));
         }
-        if remaining > expected {
-            #[allow(clippy::cast_possible_truncation)]
-            return Err(TraceError::TrailingBytes((remaining - expected) as usize));
-        }
-        #[allow(clippy::cast_possible_truncation)]
         let mut records = Vec::with_capacity(count as usize);
         for _ in 0..count {
             records.push(Self::decode_record(&mut r, nd)?);
         }
+        r.finish()?;
         Ok(TickTrace {
             meta: TraceMeta {
                 platform,
@@ -528,7 +415,8 @@ impl TickTrace {
         let time_s = r.f64()?;
         let kind = match r.u8()? {
             0 => SegmentKind::Gap,
-            _ => SegmentKind::Session,
+            1 => SegmentKind::Session,
+            b => return Err(TraceError::BadSegment(b)),
         };
         let pickup = r.u16()?;
         let action = match r.u16()? {
@@ -858,6 +746,14 @@ mod tests {
         }
     }
 
+    /// The structural error `kind` of an NXTR input.
+    fn wire(kind: WireErrorKind) -> TraceError {
+        TraceError::Wire(WireError {
+            format: TRACE_MAGIC,
+            kind,
+        })
+    }
+
     /// `two_tick_trace` on a four-domain platform.
     fn two_tick_trace_m4() -> TickTrace {
         let mut trace = two_tick_trace();
@@ -919,13 +815,19 @@ mod tests {
 
         let mut bad_magic = bytes.clone();
         bad_magic[0] = b'X';
-        assert_eq!(TickTrace::decode(&bad_magic), Err(TraceError::BadMagic));
+        assert_eq!(
+            TickTrace::decode(&bad_magic),
+            Err(wire(WireErrorKind::BadMagic))
+        );
 
         let mut bad_version = bytes.clone();
         bad_version[4] = 99;
         assert_eq!(
             TickTrace::decode(&bad_version),
-            Err(TraceError::BadVersion(99))
+            Err(wire(WireErrorKind::BadVersion {
+                found: 99,
+                expected: TRACE_VERSION
+            }))
         );
 
         let mut bad_scenario = bytes.clone();
@@ -944,16 +846,71 @@ mod tests {
 
         assert_eq!(
             TickTrace::decode(&bytes[..bytes.len() - 1]),
-            Err(TraceError::Truncated)
+            Err(wire(WireErrorKind::Truncated))
         );
-        assert_eq!(TickTrace::decode(&[]), Err(TraceError::Truncated));
+        assert_eq!(TickTrace::decode(&[]), Err(wire(WireErrorKind::Truncated)));
 
         let mut trailing = bytes.clone();
         trailing.push(0);
         assert_eq!(
             TickTrace::decode(&trailing),
-            Err(TraceError::TrailingBytes(1))
+            Err(wire(WireErrorKind::TrailingBytes(1)))
         );
+    }
+
+    /// A segment byte is 0 (gap) or 1 (session). Any other value used to
+    /// decode as a session and re-encode as 1.
+    #[test]
+    fn unknown_segment_bytes_are_rejected() {
+        let trace = two_tick_trace();
+        let bytes = trace.encode();
+        // The first record's segment byte follows its time_s.
+        let segment = bytes.len() - trace.records.len() * TickRecord::wire_size(3) + 8;
+        assert_eq!(bytes[segment], 0);
+        for b in 2..=u8::MAX {
+            let mut bad = bytes.clone();
+            bad[segment] = b;
+            assert_eq!(TickTrace::decode(&bad), Err(TraceError::BadSegment(b)));
+        }
+    }
+
+    /// Every single-bit flip and every truncation of the m = 3 and m = 4
+    /// samples, and inflated record counts and string lengths: decoding
+    /// never panics, truncations and inflated lengths are rejected, and
+    /// whatever decodes re-encodes to exactly its input.
+    #[test]
+    fn corrupted_bytes_never_panic() {
+        let decodes_to_itself = |bytes: &[u8]| {
+            if let Ok(trace) = TickTrace::decode(bytes) {
+                assert_eq!(trace.encode(), bytes);
+            }
+        };
+        for trace in [two_tick_trace(), two_tick_trace_m4()] {
+            let bytes = trace.encode();
+            for at in 0..bytes.len() {
+                assert!(TickTrace::decode(&bytes[..at]).is_err(), "cut {at}");
+                for bit in 0..8 {
+                    let mut bad = bytes.clone();
+                    bad[at] ^= 1 << bit;
+                    decodes_to_itself(&bad);
+                }
+            }
+            let n = trace.records.len();
+            let records_at =
+                bytes.len() - n * TickRecord::wire_size(usize::from(trace.meta.n_domains));
+            for count in [u64::from(u32::MAX), u64::MAX, n as u64 + 1] {
+                let mut bad = bytes.clone();
+                bad[records_at - 8..records_at].copy_from_slice(&count.to_le_bytes());
+                assert_eq!(TickTrace::decode(&bad), Err(wire(WireErrorKind::Truncated)));
+            }
+            // The platform name's u16 length follows the 16-byte prefix.
+            let name_len = trace.meta.platform.len() as u16;
+            for len in [u16::MAX, name_len + 1] {
+                let mut bad = bytes.clone();
+                bad[16..18].copy_from_slice(&len.to_le_bytes());
+                assert!(TickTrace::decode(&bad).is_err(), "platform length {len}");
+            }
+        }
     }
 
     #[test]
