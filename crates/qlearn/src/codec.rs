@@ -44,15 +44,11 @@
 //! uplink in `simkit::campaign` sends these bytes instead of a fixed
 //! per-round constant.
 //!
-//! The header, integers, floats and varints are written and read
-//! through [`crate::wire`], whose varints are canonical LEB128 (at most
-//! 10 bytes, no zero last byte after a continuation), so every table
-//! has exactly one encoding. Structural faults — magic, version,
-//! truncation, trailing bytes, malformed varints — arrive as
-//! [`CodecError::Wire`]; this module validates the content: kind,
-//! action count, mask width, key ordering, value finiteness and
-//! non-zero visit counts. A successful decode therefore re-encodes to
-//! exactly its input.
+//! Fields go through [`crate::wire`], whose varints are canonical LEB128
+//! (at most 10 bytes), and whose structural faults arrive as
+//! [`CodecError::Wire`]. Decoding also validates kind, action count,
+//! mask width, key ordering, value finiteness and non-zero visit
+//! counts, so a successful decode re-encodes to exactly its input.
 
 use std::fmt;
 
@@ -158,42 +154,44 @@ struct Row {
     visits: Vec<u64>,
 }
 
-pub(crate) fn encode_header(out: &mut Vec<u8>, kind: u8, n_actions: usize, default_q: f64) {
+/// Encodes a table or delta of `kind`: the header, then `rows` (state
+/// key, values, visits) in ascending key order. The one row writer of
+/// [`encode_table`], [`delta_between`] and `QTable::delta_bytes`.
+pub(crate) fn encode_rows<'a>(
+    kind: u8,
+    n_actions: usize,
+    default_q: f64,
+    rows: impl ExactSizeIterator<Item = (StateKey, &'a [f64], &'a [u64])>,
+) -> Vec<u8> {
     assert!(
         n_actions <= MAX_ACTIONS,
         "NXQT encodes at most {MAX_ACTIONS} actions, table has {n_actions}"
     );
-    put_header(out, MAGIC, VERSION);
+    let mut out = Vec::with_capacity(32 + rows.len() * (3 + n_actions * 10));
+    put_header(&mut out, MAGIC, VERSION);
     out.push(kind);
-    put_u16(out, n_actions as u16);
-    put_f64(out, default_q);
-}
-
-pub(crate) fn encode_row(
-    out: &mut Vec<u8>,
-    prev: Option<StateKey>,
-    state: StateKey,
-    values: &[f64],
-    visits: &[u64],
-) {
-    let gap = match prev {
-        None => state,
-        Some(p) => state - p,
-    };
-    put_varint(out, gap);
-    let mut mask = 0u64;
-    for (a, &n) in visits.iter().enumerate() {
-        if n > 0 {
-            mask |= 1 << a;
+    put_u16(&mut out, n_actions as u16);
+    put_f64(&mut out, default_q);
+    put_varint(&mut out, rows.len() as u64);
+    let mut prev = None;
+    for (state, values, visits) in rows {
+        put_varint(&mut out, prev.map_or(state, |p| state - p));
+        let mut mask = 0u64;
+        for (a, &n) in visits.iter().enumerate() {
+            if n > 0 {
+                mask |= 1 << a;
+            }
         }
-    }
-    put_varint(out, mask);
-    for (&v, &n) in values.iter().zip(visits.iter()) {
-        if n > 0 {
-            put_f64(out, v);
-            put_varint(out, n);
+        put_varint(&mut out, mask);
+        for (&v, &n) in values.iter().zip(visits.iter()) {
+            if n > 0 {
+                put_f64(&mut out, v);
+                put_varint(&mut out, n);
+            }
         }
+        prev = Some(state);
     }
+    out
 }
 
 /// Encodes a full table (kind 1). The row order is the sorted key
@@ -204,18 +202,12 @@ pub(crate) fn encode_row(
 /// Panics if the table has more than [`MAX_ACTIONS`] actions.
 #[must_use]
 pub fn encode_table<S: QStore>(table: &QTable<S>) -> Vec<u8> {
-    let keys = table.state_keys();
-    let mut out = Vec::with_capacity(32 + keys.len() * (3 + table.n_actions() * 10));
-    encode_header(&mut out, KIND_FULL, table.n_actions(), table.default_q());
-    put_varint(&mut out, keys.len() as u64);
-    let mut prev = None;
-    for k in keys {
+    let rows = table.state_keys().into_iter().map(|k| {
         // qlint::allow(PN01, reason = "k comes from state_keys() of the same table, so the row exists")
         let (values, visits) = table.entry_raw(k).expect("listed key has a row");
-        encode_row(&mut out, prev, k, values, visits);
-        prev = Some(k);
-    }
-    out
+        (k, values, visits)
+    });
+    encode_rows(KIND_FULL, table.n_actions(), table.default_q(), rows)
 }
 
 fn decode_body(bytes: &[u8], want_kind: u8) -> Result<(usize, f64, Vec<Row>), CodecError> {
@@ -355,25 +347,20 @@ pub fn delta_between<S: QStore>(base: &QTable<S>, new: &QTable<S>) -> Result<Vec
             return Err(CodecError::RowRemoved(k));
         }
     }
-    let mut changed: Vec<StateKey> = Vec::new();
+    let mut changed = Vec::new();
     for k in new.state_keys() {
         // qlint::allow(PN01, reason = "k comes from state_keys() of the same table, so the row exists")
         let (values, visits) = new.entry_raw(k).expect("listed key has a row");
         if row_differs(base.entry_raw(k), values, visits) {
-            changed.push(k);
+            changed.push((k, values, visits));
         }
     }
-    let mut out = Vec::with_capacity(32 + changed.len() * (3 + new.n_actions() * 10));
-    encode_header(&mut out, KIND_DELTA, new.n_actions(), new.default_q());
-    put_varint(&mut out, changed.len() as u64);
-    let mut prev = None;
-    for k in changed {
-        // qlint::allow(PN01, reason = "changed only holds keys just probed successfully above")
-        let (values, visits) = new.entry_raw(k).expect("changed key has a row");
-        encode_row(&mut out, prev, k, values, visits);
-        prev = Some(k);
-    }
-    Ok(out)
+    Ok(encode_rows(
+        KIND_DELTA,
+        new.n_actions(),
+        new.default_q(),
+        changed.into_iter(),
+    ))
 }
 
 /// Applies an encoded delta (kind 2) to `base`, replacing every carried
@@ -828,18 +815,10 @@ mod tests {
             } else {
                 let _ = apply_delta(&base, bytes);
             }
-            let Ok((n_actions, default_q, rows)) = decode_body(bytes, kind) else {
-                return;
-            };
-            let mut again = Vec::new();
-            encode_header(&mut again, kind, n_actions, default_q);
-            put_varint(&mut again, rows.len() as u64);
-            let mut prev = None;
-            for row in rows {
-                encode_row(&mut again, prev, row.state, &row.values, &row.visits);
-                prev = Some(row.state);
+            if let Ok((n_actions, default_q, rows)) = decode_body(bytes, kind) {
+                let rows = rows.iter().map(|r| (r.state, &r.values[..], &r.visits[..]));
+                assert_eq!(encode_rows(kind, n_actions, default_q, rows), bytes);
             }
-            assert_eq!(again, bytes);
         };
         for (kind, bytes) in [(KIND_FULL, full), (KIND_DELTA, delta)] {
             for at in 0..bytes.len() {

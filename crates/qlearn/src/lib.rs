@@ -29,7 +29,11 @@
 //!   format tables persist in: the per-app table store, campaign
 //!   checkpoints, the delta-bytes uplink cost model and the CLI's
 //!   table files (the paper stores per-application tables and reloads
-//!   them on later runs).
+//!   them on later runs),
+//! * [`wire`] — the little-endian writers, bounds-checked [`wire::Reader`]
+//!   and structural [`wire::WireError`] that every binary format reads
+//!   and writes through: `NXQT` here, the `NXCP` checkpoint and the
+//!   `NXTR` day trace in `simkit`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -37,7 +37,6 @@ use std::sync::Arc;
 use crate::backend::{KeyHashBuilder, QStore, RowVisitor, RowVisitorMut, StateKey};
 use crate::codec;
 use crate::qtable::{DenseQTable, QTable};
-use crate::wire;
 
 /// One privately-owned row: a base row copied on first write, or a
 /// brand-new row the base never had.
@@ -257,21 +256,11 @@ impl QTable<OverlayStore> {
             .map(|(&k, _)| k)
             .collect();
         changed.sort_unstable();
-        let mut out = Vec::with_capacity(32 + changed.len() * (3 + self.n_actions() * 10));
-        codec::encode_header(
-            &mut out,
-            codec::KIND_DELTA,
-            self.n_actions(),
-            self.default_q(),
-        );
-        wire::put_varint(&mut out, changed.len() as u64);
-        let mut prev = None;
-        for k in changed {
+        let rows = changed.into_iter().map(|k| {
             let row = &store.rows[&k];
-            codec::encode_row(&mut out, prev, k, &row.values, &row.visits);
-            prev = Some(k);
-        }
-        out
+            (k, &row.values[..], &row.visits[..])
+        });
+        codec::encode_rows(codec::KIND_DELTA, self.n_actions(), self.default_q(), rows)
     }
 
     /// Consuming alias of [`QTable::delta_bytes`]: the round's uplink

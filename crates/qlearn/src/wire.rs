@@ -77,9 +77,7 @@ pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
 pub fn put_str16(out: &mut Vec<u8>, s: &str) {
     assert!(
         u16::try_from(s.len()).is_ok(),
-        "a u16-length string holds at most {} bytes, got {}",
-        u16::MAX,
-        s.len()
+        "string overflows a u16 length"
     );
     put_u16(out, s.len() as u16);
     out.extend_from_slice(s.as_bytes());
@@ -93,9 +91,7 @@ pub fn put_str16(out: &mut Vec<u8>, s: &str) {
 pub fn put_str32(out: &mut Vec<u8>, s: &str) {
     assert!(
         u32::try_from(s.len()).is_ok(),
-        "a u32-length string holds at most {} bytes, got {}",
-        u32::MAX,
-        s.len()
+        "string overflows a u32 length"
     );
     put_u32(out, s.len() as u32);
     out.extend_from_slice(s.as_bytes());
@@ -124,9 +120,19 @@ pub enum WireErrorKind {
     BadUtf8,
 }
 
-impl fmt::Display for WireErrorKind {
+/// A structural fault in a wire-format input, naming the format.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WireError {
+    /// Magic of the format the [`Reader`] was opened on, e.g. `*b"NXCP"`.
+    pub format: [u8; 4],
+    /// What is wrong.
+    pub kind: WireErrorKind,
+}
+
+impl fmt::Display for WireError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
+        write!(f, "{}: ", String::from_utf8_lossy(&self.format))?;
+        match self.kind {
             WireErrorKind::BadMagic => write!(f, "bad magic"),
             WireErrorKind::BadVersion { found, expected } => {
                 write!(
@@ -139,26 +145,6 @@ impl fmt::Display for WireErrorKind {
             WireErrorKind::BadVarint => write!(f, "malformed varint"),
             WireErrorKind::BadUtf8 => write!(f, "string is not valid UTF-8"),
         }
-    }
-}
-
-/// A structural fault in a wire-format input, naming the format.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WireError {
-    /// Magic of the format the [`Reader`] was opened on, e.g. `*b"NXCP"`.
-    pub format: [u8; 4],
-    /// What is wrong.
-    pub kind: WireErrorKind,
-}
-
-impl fmt::Display for WireError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}: {}",
-            String::from_utf8_lossy(&self.format),
-            self.kind
-        )
     }
 }
 
@@ -249,7 +235,6 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// [`WireErrorKind::Truncated`] at the end of the input.
-    #[inline]
     pub fn u8(&mut self) -> Result<u8, WireError> {
         Ok(u8::from_le_bytes(self.array()?))
     }
@@ -259,7 +244,6 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// [`WireErrorKind::Truncated`] when fewer than 2 bytes remain.
-    #[inline]
     pub fn u16(&mut self) -> Result<u16, WireError> {
         Ok(u16::from_le_bytes(self.array()?))
     }
@@ -269,7 +253,6 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// [`WireErrorKind::Truncated`] when fewer than 4 bytes remain.
-    #[inline]
     pub fn u32(&mut self) -> Result<u32, WireError> {
         Ok(u32::from_le_bytes(self.array()?))
     }
@@ -279,7 +262,6 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// [`WireErrorKind::Truncated`] when fewer than 8 bytes remain.
-    #[inline]
     pub fn u64(&mut self) -> Result<u64, WireError> {
         Ok(u64::from_le_bytes(self.array()?))
     }
@@ -289,7 +271,6 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// [`WireErrorKind::Truncated`] when fewer than 4 bytes remain.
-    #[inline]
     pub fn f32(&mut self) -> Result<f32, WireError> {
         Ok(f32::from_le_bytes(self.array()?))
     }
@@ -299,7 +280,6 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// [`WireErrorKind::Truncated`] when fewer than 8 bytes remain.
-    #[inline]
     pub fn f64(&mut self) -> Result<f64, WireError> {
         Ok(f64::from_le_bytes(self.array()?))
     }
@@ -503,7 +483,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "a u16-length string holds at most 65535 bytes, got 65536")]
+    #[should_panic(expected = "string overflows a u16 length")]
     fn str16_rejects_long_strings() {
         put_str16(&mut Vec::new(), &"x".repeat(65_536));
     }

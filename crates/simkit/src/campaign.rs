@@ -961,15 +961,9 @@ fn encode_checkpoint(config: &CampaignConfig, state: &CampaignState) -> Vec<u8> 
         put_str32(&mut out, p);
     }
     put_u32(&mut out, config.plan.pickups);
-    put_f64(&mut out, config.plan.day_length_s);
-    put_f64(&mut out, config.plan.session_scale);
-    put_f64(&mut out, config.plan.min_session_s);
-    put_f64(&mut out, config.gap_tick_s);
-    put_f64(&mut out, config.train_budget_s);
-    put_f64(&mut out, config.battery.capacity_mah);
-    put_f64(&mut out, config.battery.nominal_v);
-    put_f64(&mut out, config.link.uplink_s);
-    put_f64(&mut out, config.link.downlink_s);
+    for (_, v) in recipe_f64s(config) {
+        put_f64(&mut out, v);
+    }
 
     put_u64(&mut out, state.rounds.len() as u64);
     for r in &state.rounds {
@@ -1009,6 +1003,22 @@ fn encode_checkpoint(config: &CampaignConfig, state: &CampaignState) -> Vec<u8> 
     out
 }
 
+/// The recipe's floats in checkpoint order, named as a mismatch
+/// reports them; compared by raw bits on resume.
+fn recipe_f64s(config: &CampaignConfig) -> [(&'static str, f64); 9] {
+    [
+        ("plan.day_length_s", config.plan.day_length_s),
+        ("plan.session_scale", config.plan.session_scale),
+        ("plan.min_session_s", config.plan.min_session_s),
+        ("gap_tick_s", config.gap_tick_s),
+        ("train_budget_s", config.train_budget_s),
+        ("battery.capacity_mah", config.battery.capacity_mah),
+        ("battery.nominal_v", config.battery.nominal_v),
+        ("link.uplink_s", config.link.uplink_s),
+        ("link.downlink_s", config.link.downlink_s),
+    ]
+}
+
 /// Compares one recipe field, naming it in the error.
 ///
 /// Takes operands by value: every recipe field is either `Copy` or a
@@ -1030,10 +1040,7 @@ fn check_field<T: PartialEq + std::fmt::Debug>(
 }
 
 /// Parses and validates a checkpoint against `config`, restoring the
-/// campaign state it froze. Structural faults arrive as a
-/// `qlearn::wire::WireError` rendered into the message; the cohort
-/// statistics must hold the invariants recording keeps
-/// ([`MetricStat::check`]).
+/// campaign state it froze; cohorts must pass [`MetricStat::check`].
 #[allow(clippy::too_many_lines)]
 fn decode_checkpoint(bytes: &[u8], config: &CampaignConfig) -> Result<CampaignState, String> {
     let mut r = Reader::open(bytes, CKPT_MAGIC, CKPT_VERSION)?;
@@ -1052,51 +1059,9 @@ fn decode_checkpoint(bytes: &[u8], config: &CampaignConfig) -> Result<CampaignSt
         check_field("platform", r.str32()?, expected.clone())?;
     }
     check_field("plan.pickups", r.u32()?, config.plan.pickups)?;
-    check_field(
-        "plan.day_length_s",
-        r.f64()?.to_bits(),
-        config.plan.day_length_s.to_bits(),
-    )?;
-    check_field(
-        "plan.session_scale",
-        r.f64()?.to_bits(),
-        config.plan.session_scale.to_bits(),
-    )?;
-    check_field(
-        "plan.min_session_s",
-        r.f64()?.to_bits(),
-        config.plan.min_session_s.to_bits(),
-    )?;
-    check_field(
-        "gap_tick_s",
-        r.f64()?.to_bits(),
-        config.gap_tick_s.to_bits(),
-    )?;
-    check_field(
-        "train_budget_s",
-        r.f64()?.to_bits(),
-        config.train_budget_s.to_bits(),
-    )?;
-    check_field(
-        "battery.capacity_mah",
-        r.f64()?.to_bits(),
-        config.battery.capacity_mah.to_bits(),
-    )?;
-    check_field(
-        "battery.nominal_v",
-        r.f64()?.to_bits(),
-        config.battery.nominal_v.to_bits(),
-    )?;
-    check_field(
-        "link.uplink_s",
-        r.f64()?.to_bits(),
-        config.link.uplink_s.to_bits(),
-    )?;
-    check_field(
-        "link.downlink_s",
-        r.f64()?.to_bits(),
-        config.link.downlink_s.to_bits(),
-    )?;
+    for (name, expected) in recipe_f64s(config) {
+        check_field(name, r.f64()?.to_bits(), expected.to_bits())?;
+    }
 
     let rounds_done = r.u64()? as usize;
     if rounds_done > config.rounds {
@@ -1139,17 +1104,15 @@ fn decode_checkpoint(bytes: &[u8], config: &CampaignConfig) -> Result<CampaignSt
         let count = r.u64()?;
         let mut stats = Vec::with_capacity(METRIC_COUNT);
         for name in METRIC_NAMES {
-            let (min, max, sum) = (r.f64()?, r.f64()?, r.f64()?);
-            let mut bins = vec![0u64; HIST_BINS];
-            for b in &mut bins {
+            let mut stat = MetricStat {
+                min: r.f64()?,
+                max: r.f64()?,
+                sum: r.f64()?,
+                bins: vec![0; HIST_BINS],
+            };
+            for b in &mut stat.bins {
                 *b = r.u64()?;
             }
-            let stat = MetricStat {
-                min,
-                max,
-                sum,
-                bins,
-            };
             stat.check(count).map_err(|why| {
                 format!(
                     "checkpoint cohort {} has a corrupt {name}: {why}",

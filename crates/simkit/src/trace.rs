@@ -10,11 +10,8 @@
 //! rolling FPS-window sample, battery drain, and which session or gap
 //! the tick belongs to. [`TickTrace::encode`]/[`TickTrace::decode`]
 //! give the trace a versioned binary form (`NXTR`, see
-//! `docs/TRACE_FORMAT.md`) written and read through `qlearn::wire`, the
-//! little-endian layer the `NXQT` tables and `NXCP` checkpoints share:
-//! structural faults arrive as [`TraceError::Wire`], and this module
-//! checks only what is particular to a trace (scenario, domain count,
-//! segment bytes).
+//! `docs/TRACE_FORMAT.md`) through `qlearn::wire`, the layer the table
+//! and checkpoint formats share.
 //!
 //! On top of the codec:
 //!
@@ -361,22 +358,25 @@ impl TickTrace {
         if n_domains == 0 || usize::from(n_domains) > mpsoc::platform::MAX_DOMAINS {
             return Err(TraceError::BadDomains(n_domains));
         }
-        let tick_s = r.f64()?;
-        let platform = r.str16()?;
-        let governor = r.str16()?;
-        let persona = r.str16()?;
-        let seed = r.u64()?;
-        let plan = DayPlanConfig {
-            pickups: r.u32()?,
-            day_length_s: r.f64()?,
-            session_scale: r.f64()?,
-            min_session_s: r.f64()?,
-        };
-        let gap_tick_s = r.f64()?;
-        let train_budget_s = r.f64()?;
-        let battery = Battery {
-            capacity_mah: r.f64()?,
-            nominal_v: r.f64()?,
+        let meta = TraceMeta {
+            n_domains,
+            tick_s: r.f64()?,
+            platform: r.str16()?,
+            governor: r.str16()?,
+            persona: r.str16()?,
+            seed: r.u64()?,
+            plan: DayPlanConfig {
+                pickups: r.u32()?,
+                day_length_s: r.f64()?,
+                session_scale: r.f64()?,
+                min_session_s: r.f64()?,
+            },
+            gap_tick_s: r.f64()?,
+            train_budget_s: r.f64()?,
+            battery: Battery {
+                capacity_mah: r.f64()?,
+                nominal_v: r.f64()?,
+            },
         };
         let count = r.u64()?;
         let nd = usize::from(n_domains);
@@ -393,60 +393,32 @@ impl TickTrace {
             records.push(Self::decode_record(&mut r, nd)?);
         }
         r.finish()?;
-        Ok(TickTrace {
-            meta: TraceMeta {
-                platform,
-                governor,
-                persona,
-                seed,
-                plan,
-                gap_tick_s,
-                train_budget_s,
-                battery,
-                tick_s,
-                n_domains,
-            },
-            records,
-        })
+        Ok(TickTrace { meta, records })
     }
 
-    /// Parses one fixed-size tick record for an `nd`-domain platform.
+    /// Parses one fixed-size tick record for an `nd`-domain platform
+    /// (fields in wire order).
     fn decode_record(r: &mut Reader<'_>, nd: usize) -> Result<TickRecord, TraceError> {
-        let time_s = r.f64()?;
-        let kind = match r.u8()? {
-            0 => SegmentKind::Gap,
-            1 => SegmentKind::Session,
-            b => return Err(TraceError::BadSegment(b)),
-        };
-        let pickup = r.u16()?;
-        let action = match r.u16()? {
-            ACTION_NONE => None,
-            a => Some(a),
-        };
-        let reward = r.f32()?;
-        let fps = r.f32()?;
-        let power_w = r.f32()?;
-        let battery_pct = r.f32()?;
-        let temp_device_c = r.f32()?;
-        let temp_battery_c = r.f32()?;
-        let freq_level = r.take(nd)?.to_vec();
-        let mut temp_domain_c = Vec::with_capacity(nd);
-        for _ in 0..nd {
-            temp_domain_c.push(r.f32()?);
-        }
         Ok(TickRecord {
-            time_s,
-            kind,
-            pickup,
-            action,
-            reward,
-            fps,
-            power_w,
-            battery_pct,
-            temp_device_c,
-            temp_battery_c,
-            freq_level,
-            temp_domain_c,
+            time_s: r.f64()?,
+            kind: match r.u8()? {
+                0 => SegmentKind::Gap,
+                1 => SegmentKind::Session,
+                b => return Err(TraceError::BadSegment(b)),
+            },
+            pickup: r.u16()?,
+            action: match r.u16()? {
+                ACTION_NONE => None,
+                a => Some(a),
+            },
+            reward: r.f32()?,
+            fps: r.f32()?,
+            power_w: r.f32()?,
+            battery_pct: r.f32()?,
+            temp_device_c: r.f32()?,
+            temp_battery_c: r.f32()?,
+            freq_level: r.take(nd)?.to_vec(),
+            temp_domain_c: (0..nd).map(|_| r.f32()).collect::<Result<_, _>>()?,
         })
     }
 }
