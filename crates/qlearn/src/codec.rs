@@ -47,8 +47,9 @@
 //! Fields go through [`crate::wire`], whose varints are canonical LEB128
 //! (at most 10 bytes), and whose structural faults arrive as
 //! [`CodecError::Wire`]. Decoding also validates kind, action count,
-//! mask width, key ordering, value finiteness and non-zero visit
-//! counts, so a successful decode re-encodes to exactly its input.
+//! mask width, key ordering, value finiteness, non-zero visit counts
+//! and a visit total that fits a `u64`, so a successful decode
+//! re-encodes to exactly its input.
 
 use std::fmt;
 
@@ -99,6 +100,9 @@ pub enum CodecError {
     KeyOverflow,
     /// A cell whose mask bit is set carries a zero visit count.
     ZeroVisits,
+    /// The visit counts sum past `u64::MAX`, which no run can record
+    /// (and [`QTable::total_visits`] could not add up).
+    VisitOverflow,
     /// Delta and base disagree on action count or default value.
     DeltaMismatch {
         /// Which header field disagrees.
@@ -127,6 +131,7 @@ impl fmt::Display for CodecError {
             CodecError::BadMask => write!(f, "cell mask wider than the action count"),
             CodecError::KeyOverflow => write!(f, "state key gap overflows u64"),
             CodecError::ZeroVisits => write!(f, "visited cell with a zero visit count"),
+            CodecError::VisitOverflow => write!(f, "visit counts sum past u64::MAX"),
             CodecError::DeltaMismatch { field } => {
                 write!(f, "delta does not match base table: {field} differs")
             }
@@ -243,6 +248,7 @@ fn decode_body(bytes: &[u8], want_kind: u8) -> Result<(usize, f64, Vec<Row>), Co
             .min(r.remaining() / 2),
     );
     let mut prev: Option<StateKey> = None;
+    let mut total_visits = 0u64;
     for _ in 0..row_count {
         let gap = r.varint()?;
         let state = match prev {
@@ -271,6 +277,9 @@ fn decode_body(bytes: &[u8], want_kind: u8) -> Result<(usize, f64, Vec<Row>), Co
                 if visits[a] == 0 {
                     return Err(CodecError::ZeroVisits);
                 }
+                total_visits = total_visits
+                    .checked_add(visits[a])
+                    .ok_or(CodecError::VisitOverflow)?;
             }
         }
         rows.push(Row {
@@ -291,7 +300,8 @@ fn decode_body(bytes: &[u8], want_kind: u8) -> Result<(usize, f64, Vec<Row>), Co
 /// Returns [`CodecError`] on any malformed input: wrong magic, version
 /// or kind, an action count outside `1..=`[`MAX_ACTIONS`], truncation,
 /// trailing bytes, non-finite values, out-of-range masks, zero visit
-/// counts under set mask bits or non-ascending keys.
+/// counts under set mask bits, visit counts summing past `u64::MAX` or
+/// non-ascending keys.
 pub fn decode_table<S: QStore>(bytes: &[u8]) -> Result<QTable<S>, CodecError> {
     let (n_actions, default_q, rows) = decode_body(bytes, KIND_FULL)?;
     let mut table: QTable<S> = QTable::empty(n_actions, default_q);
@@ -526,7 +536,7 @@ mod tests {
 
     #[test]
     fn rejects_each_malformed_input() {
-        let cases: [(&str, Vec<u8>, CodecError); 9] = [
+        let cases: [(&str, Vec<u8>, CodecError); 10] = [
             (
                 "zero actions",
                 hand_built(0, 0.0, &rows(&[])),
@@ -571,6 +581,15 @@ mod tests {
                 "set mask bit with zero visits",
                 hand_built(2, 0.0, &rows(&[(5, 1, &[(7.0, 0)])])),
                 CodecError::ZeroVisits,
+            ),
+            (
+                "visit counts past u64::MAX",
+                hand_built(
+                    2,
+                    0.0,
+                    &rows(&[(5, 0b11, &[(1.0, 1 << 63), (1.0, 1 << 63)])]),
+                ),
+                CodecError::VisitOverflow,
             ),
         ];
         for (what, bytes, want) in cases {
