@@ -830,8 +830,8 @@ mod tests {
         );
     }
 
-    /// A segment byte is 0 (gap) or 1 (session). Any other value used to
-    /// decode as a session and re-encode as 1.
+    /// A segment byte is 0 (gap) or 1 (session). Any other value is
+    /// rejected: read as a session, it would re-encode as 1.
     #[test]
     fn unknown_segment_bytes_are_rejected() {
         let trace = two_tick_trace();
