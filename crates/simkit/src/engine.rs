@@ -227,4 +227,56 @@ mod tests {
     fn bad_tick_panics() {
         let _ = Engine::with_tick(0.0);
     }
+
+    /// Byte pins of every baseline governor's trajectory on both
+    /// presets: a 30 s PubG session then a 30 s Facebook session at
+    /// seed 1000, each under a fresh governor, digested as the length
+    /// and FNV-1a 64 of every `Sample` field's bits. Any change to
+    /// what schedutil, Int. QoS PM, performance, powersave or ondemand
+    /// do to the device fails here.
+    #[test]
+    fn baseline_governor_runs_are_pinned() {
+        let pins: [(&str, &str, (usize, u64)); 10] = [
+            ("exynos9810", "schedutil", (124_800, 0x9e8d_9ea2_b2fd_096d)),
+            ("exynos9810", "intqos", (124_800, 0x4ada_9f3c_efa3_630d)),
+            (
+                "exynos9810",
+                "performance",
+                (124_800, 0x2a15_f734_36a8_12ff),
+            ),
+            ("exynos9810", "powersave", (124_800, 0x0850_9deb_e4f3_dce6)),
+            ("exynos9810", "ondemand", (124_800, 0xea6b_9e30_b456_c5d3)),
+            ("exynos9820", "schedutil", (134_400, 0x16be_2a60_f401_d878)),
+            ("exynos9820", "intqos", (134_400, 0xbf37_209d_839f_272b)),
+            (
+                "exynos9820",
+                "performance",
+                (134_400, 0x1f32_b057_e21b_7dc4),
+            ),
+            ("exynos9820", "powersave", (134_400, 0xdbac_8de9_e7aa_d391)),
+            ("exynos9820", "ondemand", (134_400, 0xcccd_b0e7_ffe5_7a24)),
+        ];
+        for (preset, governor, pin) in pins {
+            let soc = crate::PlatformPreset::by_name(preset).unwrap().soc;
+            let mut bytes = Vec::new();
+            for app in ["pubg", "facebook"] {
+                let mut gov = governors::by_name(governor).unwrap();
+                let plan = SessionPlan::single(app, 30.0);
+                let run = crate::experiment::evaluate_governor_on(gov.as_mut(), &plan, 1000, &soc);
+                for s in run.outcome.trace.samples() {
+                    for x in [s.time_s, s.fps, s.power_w, s.temp_hot_c, s.temp_device_c] {
+                        bytes.extend_from_slice(&x.to_bits().to_le_bytes());
+                    }
+                    for khz in s.freq_khz.iter() {
+                        bytes.extend_from_slice(&khz.to_le_bytes());
+                    }
+                }
+            }
+            assert_eq!(
+                (bytes.len(), crate::fnv1a64(&bytes)),
+                pin,
+                "{governor} on {preset}"
+            );
+        }
+    }
 }
