@@ -16,7 +16,7 @@ use workload::{SessionPlan, SessionSim};
 
 /// A hot environment: 35 °C ambient and trips 10 °C lower than stock.
 fn constrained_soc() -> Soc {
-    let mut cfg = SocConfig::exynos9810_at_ambient(35.0);
+    let mut cfg = SocConfig::exynos9810().with_ambient(35.0);
     cfg.throttle = ThrottleConfig {
         enabled: true,
         trip_c: vec![65.0, 65.0, 61.0],

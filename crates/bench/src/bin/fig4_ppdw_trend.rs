@@ -57,7 +57,7 @@ fn main() {
     // Gameplay segments of varying intensity under the stock governor
     // (content difficulty scaled around the nominal gameplay demand).
     for &intensity in &[3.0f64, 2.4, 2.0, 1.6, 1.3, 1.0, 0.8, 0.6] {
-        let mut soc = Soc::new(SocConfig::exynos9810_at_ambient(AMBIENT_C));
+        let mut soc = Soc::new(SocConfig::exynos9810().with_ambient(AMBIENT_C));
         let scaled = demand.scaled(intensity);
         let (fps, pow, peak) = run_point(&mut soc, &scaled, 120.0, 60.0);
         let value = ppdw(fps, pow, peak, AMBIENT_C);
@@ -75,10 +75,10 @@ fn main() {
     // the content is paced to produce almost no frames (splash screens,
     // loading): FPS ≈ {0, 1, 10} at maximum power and temperature.
     for &paced_fps in &[0.0, 1.0, 10.0] {
-        let mut soc = Soc::new(SocConfig::exynos9810_at_ambient(AMBIENT_C));
-        for id in soc.dvfs().ids().collect::<Vec<_>>() {
-            let top = soc.dvfs().domain(id).table().max().freq_khz;
-            soc.dvfs_mut().pin_freq(id, top).expect("OPP valid");
+        let mut soc = Soc::new(SocConfig::exynos9810().with_ambient(AMBIENT_C));
+        for id in soc.platform().ids().collect::<Vec<_>>() {
+            let dom = soc.dvfs_mut().domain_mut(id);
+            dom.pin_level(dom.table().len() - 1);
         }
         // Heavy background burn mimics the loading-screen computation.
         let mut d = demand.with_background(2.2e9, 0.8e9, 0.3e9);

@@ -177,7 +177,7 @@ mod tests {
 
     #[test]
     fn up_down_move_the_cap() {
-        let mut dvfs = DvfsController::exynos9810();
+        let mut dvfs = DvfsController::for_platform(&Platform::exynos9810());
         let start = dvfs.domain(big()).max_cap().freq_khz;
         Action {
             domain: big(),
@@ -196,7 +196,7 @@ mod tests {
 
     #[test]
     fn hold_changes_nothing() {
-        let mut dvfs = DvfsController::exynos9810();
+        let mut dvfs = DvfsController::for_platform(&Platform::exynos9810());
         let before: Vec<u32> = dvfs
             .ids()
             .map(|c| dvfs.domain(c).max_cap().freq_khz)
@@ -217,7 +217,7 @@ mod tests {
 
     #[test]
     fn actions_only_touch_their_domain() {
-        let mut dvfs = DvfsController::exynos9810();
+        let mut dvfs = DvfsController::for_platform(&Platform::exynos9810());
         Action {
             domain: gpu(),
             direction: Direction::Down,
@@ -244,7 +244,7 @@ mod tests {
 
     #[test]
     fn repeated_down_saturates_at_bottom() {
-        let mut dvfs = DvfsController::exynos9810();
+        let mut dvfs = DvfsController::for_platform(&Platform::exynos9810());
         for _ in 0..50 {
             Action {
                 domain: big(),

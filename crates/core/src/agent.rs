@@ -259,7 +259,7 @@ impl NextAgent {
         // paper's 30-bin space exceeds the direct limit and keeps the
         // fast-hashed index automatically.
         let encoder = StateEncoder::for_platform(&config.platform, config.fps_bins)
-            // qlint::allow(PN01, reason = "Platform construction validates its ladders, so its encoding cannot fail; documented under # Panics")
+            // qlint::allow(PN01, reason = "platforms come only from the presets, whose ladders the simkit preset test checks, so the encoding cannot fail; documented under # Panics")
             .expect("platform yields a valid state encoding");
         let table = DenseQTable::dense_for_space(
             config.platform.action_count(),
@@ -286,7 +286,7 @@ impl<S: QStore> NextAgent<S> {
     #[must_use]
     pub fn with_table(config: NextConfig, table: QTable<S>, training: bool) -> Self {
         let encoder = StateEncoder::for_platform(&config.platform, config.fps_bins)
-            // qlint::allow(PN01, reason = "Platform construction validates its ladders, so its encoding cannot fail; documented under # Panics")
+            // qlint::allow(PN01, reason = "platforms come only from the presets, whose ladders the simkit preset test checks, so the encoding cannot fail; documented under # Panics")
             .expect("platform yields a valid state encoding");
         let table = table.resized_for_space(encoder.state_space_size());
         NextAgent::from_parts(config, encoder, table, training)

@@ -32,7 +32,7 @@
 //!    restricts it to Lineage and PubG (§V).
 
 use mpsoc::dvfs::DvfsController;
-use mpsoc::freq::{KiloHertz, Opp};
+use mpsoc::freq::Opp;
 use mpsoc::platform::{DomainId, DomainRole, Platform};
 use mpsoc::power::DomainPowerModel;
 use mpsoc::soc::SocState;
@@ -108,8 +108,8 @@ struct Binding {
     /// The managed GPU domain (first GPU-role domain; falls back to the
     /// managed CPU on GPU-less platforms).
     gpu: DomainId,
-    /// Remaining CPU-role domains with their frequency floors.
-    helper_floors: Vec<(DomainId, KiloHertz)>,
+    /// Remaining CPU-role domains with their frequency-floor levels.
+    helper_floors: Vec<(DomainId, usize)>,
     power_cpu: DomainPowerModel,
     power_gpu: DomainPowerModel,
 }
@@ -129,12 +129,10 @@ impl Binding {
             .ids()
             .filter(|&id| id != cpu && platform.domain(id).role == DomainRole::Cpu)
             .map(|id| {
-                let table = &platform.domain(id).table;
+                let levels = platform.domain(id).table.len();
                 #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-                let level =
-                    ((table.len() as f64 * HELPER_FLOOR_FRACTION) as usize).min(table.len() - 1);
-                // qlint::allow(PN01, reason = "level is clamped to len-1 on the previous line")
-                (id, table.opp(level).expect("level below len").freq_khz)
+                let level = ((levels as f64 * HELPER_FLOOR_FRACTION) as usize).min(levels - 1);
+                (id, level)
             })
             .collect();
         Binding {
@@ -256,39 +254,38 @@ impl Governor for IntQosPm {
         self.window.push(state.fps);
         self.observe(state);
 
-        for &(id, floor_khz) in &self.binding.helper_floors {
-            dvfs.set_min_freq(id, floor_khz)
-                // qlint::allow(PN01, reason = "floors were read from the same domain tables at bind time")
-                .expect("floor OPP in helper table");
+        for &(id, floor) in &self.binding.helper_floors {
+            dvfs.domain_mut(id).set_min_level(floor);
         }
 
         let target = (self.target_fps() * FPS_MARGIN).clamp(MIN_TARGET_FPS, MAX_TARGET_FPS);
 
-        // Exhaustive search over the CPU×GPU pair space (108 candidates
+        // Exhaustive search over the CPU×GPU level pairs (108 candidates
         // on the 9810 — cheap) for the minimum-cost pair meeting the
         // target.
-        let cpu_table = dvfs.domain(self.binding.cpu).table().clone();
-        let gpu_table = dvfs.domain(self.binding.gpu).table().clone();
-        let mut meeting: Option<(f64, Opp, Opp)> = None;
-        let mut fps_star: Option<(f64, f64, Opp, Opp)> = None; // (pred, cost, …)
+        let cpu_table = dvfs.domain(self.binding.cpu).table();
+        let gpu_table = dvfs.domain(self.binding.gpu).table();
+        let top = (cpu_table.len() - 1, gpu_table.len() - 1);
+        let mut meeting: Option<(f64, usize, usize)> = None;
+        let mut fps_star: Option<(f64, f64, usize, usize)> = None; // (pred, cost, …)
         let mut have_model = true;
-        for &cpu in cpu_table.iter() {
-            for &gpu in gpu_table.iter() {
+        for (ci, &cpu) in cpu_table.iter().enumerate() {
+            for (gi, &gpu) in gpu_table.iter().enumerate() {
                 let Some(pred) = self.predict_fps(cpu, gpu) else {
                     have_model = false;
                     continue;
                 };
                 let c = self.cost(cpu, gpu);
                 if pred >= target && meeting.is_none_or(|(bc, _, _)| c < bc) {
-                    meeting = Some((c, cpu, gpu));
+                    meeting = Some((c, ci, gi));
                 }
                 // Track the cheapest pair within half a frame of the
                 // best achievable rate, for the unreachable-target case.
                 match fps_star {
-                    None => fps_star = Some((pred, c, cpu, gpu)),
+                    None => fps_star = Some((pred, c, ci, gi)),
                     Some((fs, fc, _, _)) => {
                         if pred > fs + 0.5 || (pred >= fs - 0.5 && c < fc) {
-                            fps_star = Some((pred.max(fs), c, cpu, gpu));
+                            fps_star = Some((pred.max(fs), c, ci, gi));
                         }
                     }
                 }
@@ -298,7 +295,7 @@ impl Governor for IntQosPm {
             // No model yet (game still loading): run at the top so QoS
             // is never sacrificed — the bootstrap behaviour of the
             // original.
-            (cpu_table.max(), gpu_table.max())
+            top
         } else if let Some((_, b, g)) = meeting {
             (b, g)
         } else if let Some((_, _, b, g)) = fps_star {
@@ -307,14 +304,10 @@ impl Governor for IntQosPm {
             // domain buys nothing).
             (b, g)
         } else {
-            (cpu_table.max(), gpu_table.max())
+            top
         };
-        dvfs.pin_freq(self.binding.cpu, cpu.freq_khz)
-            // qlint::allow(PN01, reason = "frequency was read from this domain's own OPP table")
-            .expect("OPP from table valid");
-        dvfs.pin_freq(self.binding.gpu, gpu.freq_khz)
-            // qlint::allow(PN01, reason = "frequency was read from this domain's own OPP table")
-            .expect("OPP from table valid");
+        dvfs.domain_mut(self.binding.cpu).pin_level(cpu);
+        dvfs.domain_mut(self.binding.gpu).pin_level(gpu);
     }
 
     fn reset(&mut self) {
@@ -370,7 +363,9 @@ mod tests {
         let b = Binding::for_platform(&Platform::exynos9810());
         assert_eq!(b.cpu, big());
         assert_eq!(b.gpu, gpu());
-        assert_eq!(b.helper_floors, vec![(DomainId::new(1), 949_000)]);
+        assert_eq!(b.helper_floors, vec![(DomainId::new(1), 4)]);
+        let little = mpsoc::freq::OppTable::exynos9810_little();
+        assert_eq!(little.opp(4).unwrap().freq_khz, 949_000);
 
         let b = Binding::for_platform(&Platform::exynos9820());
         assert_eq!(b.cpu.index(), 0, "big M4 cluster is the managed CPU");

@@ -64,7 +64,7 @@ mod tests {
     fn opens_caps_and_lets_util_tracking_ramp() {
         let mut soc = Soc::new(SocConfig::exynos9810());
         // Pre-constrain, as if a previous agent left caps behind.
-        soc.dvfs_mut().set_max_freq(big(), 962_000).unwrap();
+        soc.dvfs_mut().domain_mut(big()).set_max_level(3);
         let mut gov = Schedutil::new();
         let heavy = FrameDemand::new(25.0e6, 6.0e6, 30.0e6).with_background(0.5e9, 0.2e9, 0.0);
         for _ in 0..200 {
@@ -92,7 +92,7 @@ mod tests {
         let mut soc = Soc::new(SocConfig::exynos9810());
         let mut gov = Schedutil::new();
         gov.control(&soc.state(), soc.dvfs_mut());
-        soc.dvfs_mut().set_max_freq(gpu(), 299_000).unwrap();
+        soc.dvfs_mut().domain_mut(gpu()).set_max_level(1);
         // Without reset, the governor leaves foreign caps alone.
         gov.control(&soc.state(), soc.dvfs_mut());
         assert_eq!(soc.dvfs().domain(gpu()).max_cap().freq_khz, 299_000);

@@ -30,10 +30,8 @@ impl Governor for Performance {
 
     fn control(&mut self, _state: &SocState, dvfs: &mut DvfsController) {
         for i in 0..dvfs.n_domains() {
-            let id = DomainId::new(i);
-            let top = dvfs.domain(id).table().max().freq_khz;
-            // qlint::allow(PN01, reason = "frequency was read from this domain's own OPP table")
-            dvfs.pin_freq(id, top).expect("top OPP always valid");
+            let dom = dvfs.domain_mut(DomainId::new(i));
+            dom.pin_level(dom.table().len() - 1);
         }
     }
 }
@@ -57,10 +55,7 @@ impl Governor for Powersave {
 
     fn control(&mut self, _state: &SocState, dvfs: &mut DvfsController) {
         for i in 0..dvfs.n_domains() {
-            let id = DomainId::new(i);
-            let bottom = dvfs.domain(id).table().min().freq_khz;
-            // qlint::allow(PN01, reason = "frequency was read from this domain's own OPP table")
-            dvfs.pin_freq(id, bottom).expect("bottom OPP always valid");
+            dvfs.domain_mut(DomainId::new(i)).pin_level(0);
         }
     }
 }
@@ -94,24 +89,13 @@ impl Governor for Ondemand {
 
     fn control(&mut self, state: &SocState, dvfs: &mut DvfsController) {
         for i in 0..dvfs.n_domains() {
-            let id = DomainId::new(i);
-            let util = state.util[i];
-            let table = dvfs.domain(id).table().clone();
-            if util > self.up_threshold {
-                dvfs.pin_freq(id, table.max().freq_khz)
-                    // qlint::allow(PN01, reason = "frequency was read from this domain's own OPP table")
-                    .expect("top OPP valid");
+            let dom = dvfs.domain_mut(DomainId::new(i));
+            let level = if state.util[i] > self.up_threshold {
+                dom.table().len() - 1
             } else {
-                let cur_level = dvfs.domain(id).current_level();
-                let next = cur_level.saturating_sub(1);
-                let target = table
-                    .opp(next)
-                    // qlint::allow(PN01, reason = "next is current_level-1 saturated at 0, always in range")
-                    .expect("level below current is valid")
-                    .freq_khz;
-                // qlint::allow(PN01, reason = "frequency was read from this domain's own OPP table")
-                dvfs.pin_freq(id, target).expect("OPP from table valid");
-            }
+                dom.current_level().saturating_sub(1)
+            };
+            dom.pin_level(level);
         }
     }
 }

@@ -954,10 +954,10 @@ mod tests {
         // Pin every domain to its top OPP on every device so the clamp
         // must engage.
         for id in single.platform().ids().collect::<Vec<_>>() {
-            let top = single.dvfs().domain(id).table().max().freq_khz;
-            single.dvfs_mut().pin_freq(id, top).unwrap();
+            let top = single.dvfs().domain(id).table().len() - 1;
+            single.dvfs_mut().domain_mut(id).pin_level(top);
             for l in 0..2 {
-                batch.dvfs_mut(l).pin_freq(id, top).unwrap();
+                batch.dvfs_mut(l).domain_mut(id).pin_level(top);
             }
         }
         for _ in 0..8_000 {
@@ -979,7 +979,7 @@ mod tests {
         let mut singles = [Soc::new(cfg.clone()), Soc::new(cfg.clone())];
         let mut batch = SocBatch::replicate(&cfg, 2).unwrap();
         let big = DomainId::new(0);
-        let table = cfg.platform.domains()[0].table.clone();
+        let levels = cfg.platform.domains()[0].table.len();
         for t in 0..800usize {
             let demands = [demand_at(t, 0), demand_at(t, 1)];
             batch.tick(0.025, &demands);
@@ -988,10 +988,9 @@ mod tests {
             }
             if t % 4 == 3 {
                 for (l, single) in singles.iter_mut().enumerate() {
-                    let level = (t / 4 + 7 * l) % table.len();
-                    let khz = table.opp(level).unwrap().freq_khz;
-                    single.dvfs_mut().set_max_freq(big, khz).unwrap();
-                    batch.dvfs_mut(l).set_max_freq(big, khz).unwrap();
+                    let level = (t / 4 + 7 * l) % levels;
+                    single.dvfs_mut().domain_mut(big).set_max_level(level);
+                    batch.dvfs_mut(l).domain_mut(big).set_max_level(level);
                 }
             }
             for (l, single) in singles.iter().enumerate() {
@@ -1138,12 +1137,11 @@ mod tests {
                 let before: Vec<SocState> = (0..width).map(|l| *batch.state(l)).collect();
                 for &(lane, pin, level) in actuations {
                     let id = DomainId::new(level % n);
-                    let table = &config.platform.domains()[id.index()].table;
-                    let khz = table.opp(level % table.len()).unwrap().freq_khz;
-                    let dvfs = batch.dvfs_mut(lane % width);
-                    // A cap below a pinned floor is refused; refused or
-                    // not, actuation must leave the snapshot alone.
-                    let _ = if pin == 1 { dvfs.pin_freq(id, khz) } else { dvfs.set_max_freq(id, khz) };
+                    let dom = batch.dvfs_mut(lane % width).domain_mut(id);
+                    let level = level % dom.table().len();
+                    // A cap below a pinned floor clamps to it; either
+                    // way, actuation must leave the snapshot alone.
+                    if pin == 1 { dom.pin_level(level) } else { dom.set_max_level(level) }
                 }
                 for (l, state) in before.iter().enumerate() {
                     prop_assert!(batch.state(l) == state, "tick {} lane {}: actuation leaked", t, l);
@@ -1213,10 +1211,8 @@ mod tests {
                         let dom = ctl.domain_mut(DomainId::new(d));
                         let len = dom.table().len();
                         let (lo, hi) = ((a % len).min(b % len), (a % len).max(b % len));
-                        let khz = |level: usize| dom.table().opp(level).unwrap().freq_khz;
-                        let (lo_khz, hi_khz) = (khz(lo), khz(hi));
-                        dom.set_max_freq(hi_khz).unwrap();
-                        dom.set_min_freq(lo_khz).unwrap();
+                        dom.set_max_level(hi);
+                        dom.set_min_level(lo);
                         dom.force_level(cur % len).unwrap();
                     }
                     ctl

@@ -9,10 +9,15 @@
 //! 2. the kernel's utilisation-tracking frequency selection (the
 //!    schedutil policy) that picks the operating point *within* those
 //!    caps each scheduling period.
+//!
+//! Governors actuate through [`DvfsController::domain_mut`] and name
+//! every frequency by its ladder level: they borrow a domain's
+//! [`crate::freq::OppTable`], pick levels, then set caps or pin a level
+//! on the [`FreqDomain`]. The setters saturate and clamp, so actuation
+//! cannot fail.
 
 use crate::freq::{FreqDomain, KiloHertz, OppTable};
 use crate::platform::{DomainId, Platform, MAX_DOMAINS};
-use crate::Result;
 
 /// Default schedutil-style headroom: the kernel targets
 /// `next_f = 1.25 · f_cur · util`.
@@ -65,12 +70,6 @@ impl DvfsController {
         DvfsController::new(platform.domains().iter().map(|d| d.table.clone()).collect())
     }
 
-    /// Controller with the Exynos 9810 ladders.
-    #[must_use]
-    pub fn exynos9810() -> Self {
-        DvfsController::for_platform(&Platform::exynos9810())
-    }
-
     /// Number of DVFS domains.
     #[must_use]
     pub fn n_domains(&self) -> usize {
@@ -97,43 +96,6 @@ impl DvfsController {
     #[must_use]
     pub fn current_khz(&self, id: DomainId) -> KiloHertz {
         self.domain(id).current().freq_khz
-    }
-
-    /// Sets the `maxfreq` cap of one domain (the Next agent's actuator).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`FreqDomain::set_max_freq`] errors.
-    pub fn set_max_freq(&mut self, id: DomainId, freq_khz: KiloHertz) -> Result<()> {
-        self.domain_mut(id).set_max_freq(freq_khz)
-    }
-
-    /// Sets the `minfreq` cap of one domain.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`FreqDomain::set_min_freq`] errors.
-    pub fn set_min_freq(&mut self, id: DomainId, freq_khz: KiloHertz) -> Result<()> {
-        self.domain_mut(id).set_min_freq(freq_khz)
-    }
-
-    /// Pins a domain to one exact OPP by collapsing both caps onto it
-    /// (what a direct-frequency governor such as Int. QoS PM does).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when `freq_khz` is not an OPP of the domain.
-    pub fn pin_freq(&mut self, id: DomainId, freq_khz: KiloHertz) -> Result<()> {
-        let dom = self.domain_mut(id);
-        // Order min/max updates so no intermediate state is inverted.
-        if freq_khz >= dom.min_cap().freq_khz {
-            dom.set_max_freq(freq_khz)?;
-            dom.set_min_freq(freq_khz)?;
-        } else {
-            dom.set_min_freq(freq_khz)?;
-            dom.set_max_freq(freq_khz)?;
-        }
-        Ok(())
     }
 
     /// Restores full frequency ranges on every domain.
@@ -225,6 +187,10 @@ fn ceil_level_hz(table: &OppTable, target_hz: f64) -> usize {
 mod tests {
     use super::*;
 
+    fn exynos9810() -> DvfsController {
+        DvfsController::for_platform(&Platform::exynos9810())
+    }
+
     fn big() -> DomainId {
         DomainId::new(0)
     }
@@ -237,7 +203,7 @@ mod tests {
 
     #[test]
     fn controller_starts_at_min_levels() {
-        let ctl = DvfsController::exynos9810();
+        let ctl = exynos9810();
         assert_eq!(ctl.n_domains(), 3);
         assert_eq!(ctl.current_khz(big()), 650_000);
         assert_eq!(ctl.current_khz(little()), 455_000);
@@ -254,7 +220,7 @@ mod tests {
 
     #[test]
     fn util_selection_ramps_up_under_load() {
-        let mut ctl = DvfsController::exynos9810();
+        let mut ctl = exynos9810();
         // Saturated big cluster: repeated selection climbs the ladder to
         // the top.
         for _ in 0..40 {
@@ -270,7 +236,7 @@ mod tests {
 
     #[test]
     fn util_selection_ramps_down_when_idle() {
-        let mut ctl = DvfsController::exynos9810();
+        let mut ctl = exynos9810();
         for _ in 0..40 {
             ctl.select_by_util(&[1.0, 1.0, 1.0]);
         }
@@ -283,8 +249,8 @@ mod tests {
 
     #[test]
     fn util_selection_respects_max_cap() {
-        let mut ctl = DvfsController::exynos9810();
-        ctl.set_max_freq(big(), 1_170_000).unwrap();
+        let mut ctl = exynos9810();
+        ctl.domain_mut(big()).set_max_level(5);
         for _ in 0..40 {
             ctl.select_by_util(&[1.0, 1.0, 1.0]);
         }
@@ -293,8 +259,8 @@ mod tests {
 
     #[test]
     fn util_selection_respects_min_cap() {
-        let mut ctl = DvfsController::exynos9810();
-        ctl.set_min_freq(gpu(), 455_000).unwrap();
+        let mut ctl = exynos9810();
+        ctl.domain_mut(gpu()).set_min_level(3);
         for _ in 0..40 {
             ctl.select_by_util(&[0.0, 0.0, 0.0]);
         }
@@ -302,12 +268,12 @@ mod tests {
     }
 
     #[test]
-    fn pin_freq_collapses_caps_in_both_directions() {
-        let mut ctl = DvfsController::exynos9810();
-        ctl.pin_freq(big(), 2_314_000).unwrap();
+    fn pin_level_collapses_caps_in_both_directions() {
+        let mut ctl = exynos9810();
+        ctl.domain_mut(big()).pin_level(14);
         assert_eq!(ctl.current_khz(big()), 2_314_000);
         // Pin downwards from a high pin.
-        ctl.pin_freq(big(), 858_000).unwrap();
+        ctl.domain_mut(big()).pin_level(2);
         assert_eq!(ctl.current_khz(big()), 858_000);
         for _ in 0..10 {
             ctl.select_by_util(&[1.0, 1.0, 1.0]);
@@ -321,8 +287,8 @@ mod tests {
 
     #[test]
     fn reset_caps_unpins() {
-        let mut ctl = DvfsController::exynos9810();
-        ctl.pin_freq(big(), 858_000).unwrap();
+        let mut ctl = exynos9810();
+        ctl.domain_mut(big()).pin_level(2);
         ctl.reset_caps();
         for _ in 0..40 {
             ctl.select_by_util(&[1.0, 0.0, 0.0]);
@@ -332,14 +298,14 @@ mod tests {
 
     #[test]
     fn margin_floor_is_one() {
-        let mut ctl = DvfsController::exynos9810();
+        let mut ctl = exynos9810();
         ctl.set_util_margin(0.2);
         assert_eq!(ctl.util_margin(), 1.0);
     }
 
     #[test]
     fn short_util_slice_reads_zero_for_missing_domains() {
-        let mut ctl = DvfsController::exynos9810();
+        let mut ctl = exynos9810();
         for _ in 0..40 {
             ctl.select_by_util(&[1.0]);
         }

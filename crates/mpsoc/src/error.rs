@@ -1,19 +1,9 @@
 use std::fmt;
 
-use crate::freq::KiloHertz;
-
 /// Error type for all fallible operations in the `mpsoc` crate.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum Error {
-    /// A frequency that is not an entry of the domain's OPP table was
-    /// requested.
-    UnknownFrequency {
-        /// Name of the DVFS domain the request targeted.
-        domain: String,
-        /// The frequency that was requested, in kHz.
-        freq_khz: KiloHertz,
-    },
     /// A frequency-level index outside the OPP table was requested.
     LevelOutOfRange {
         /// Name of the DVFS domain the request targeted.
@@ -23,16 +13,6 @@ pub enum Error {
         /// Number of levels in the table.
         len: usize,
     },
-    /// `minfreq` would exceed `maxfreq` (or vice versa) after the
-    /// requested change.
-    InvertedFreqRange {
-        /// Name of the DVFS domain the request targeted.
-        domain: String,
-        /// Requested minimum frequency in kHz.
-        min_khz: KiloHertz,
-        /// Requested maximum frequency in kHz.
-        max_khz: KiloHertz,
-    },
     /// A configuration value failed validation.
     InvalidConfig(String),
 }
@@ -40,26 +20,10 @@ pub enum Error {
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Error::UnknownFrequency { domain, freq_khz } => {
-                write!(
-                    f,
-                    "frequency {freq_khz} kHz is not an OPP of domain {domain}"
-                )
-            }
             Error::LevelOutOfRange { domain, level, len } => {
                 write!(
                     f,
                     "level {level} out of range for domain {domain} ({len} levels)"
-                )
-            }
-            Error::InvertedFreqRange {
-                domain,
-                min_khz,
-                max_khz,
-            } => {
-                write!(
-                    f,
-                    "inverted frequency range for domain {domain}: min {min_khz} kHz > max {max_khz} kHz"
                 )
             }
             Error::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
@@ -75,9 +39,10 @@ mod tests {
 
     #[test]
     fn display_mentions_domain_and_value() {
-        let err = Error::UnknownFrequency {
+        let err = Error::LevelOutOfRange {
             domain: "big".to_owned(),
-            freq_khz: 123,
+            level: 123,
+            len: 18,
         };
         let msg = err.to_string();
         assert!(msg.contains("123"));

@@ -10,6 +10,14 @@
 //!
 //! the `exynos9820_*` ladders describe the Galaxy-S10-class tri-cluster
 //! preset (see [`crate::platform::Platform::exynos9820`]).
+//!
+//! The ladders are compiled-in `const` MHz arrays, and no other code
+//! builds an [`OppTable`]; the preset test of `simkit::platform` checks
+//! every ladder the platform registry names. Code names a frequency by
+//! its ladder level: a [`FreqDomain`]'s `maxfreq`/`minfreq` caps are set
+//! by level (each of Next's actions moves one cap one level, §IV-B),
+//! saturating at the top of the ladder and clamped into the policy
+//! range, so no setter can fail.
 
 use crate::{Error, Result};
 
@@ -49,74 +57,34 @@ pub struct OppTable {
 }
 
 impl OppTable {
-    /// Builds a table from `(freq_khz, volt_v)` pairs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidConfig`] if the table is empty, not
-    /// strictly ascending in frequency, or has a non-positive voltage.
-    pub fn new(name: &str, opps: Vec<Opp>) -> Result<Self> {
-        if opps.is_empty() {
-            return Err(Error::InvalidConfig(format!(
-                "empty OPP table for domain {name}"
-            )));
-        }
-        for pair in opps.windows(2) {
-            if pair[1].freq_khz <= pair[0].freq_khz {
-                return Err(Error::InvalidConfig(format!(
-                    "OPP table for {name} not strictly ascending at {} kHz",
-                    pair[1].freq_khz
-                )));
-            }
-        }
-        if opps.iter().any(|o| o.volt_v <= 0.0) {
-            return Err(Error::InvalidConfig(format!(
-                "non-positive voltage in {name} table"
-            )));
-        }
-        Ok(OppTable {
-            name: name.to_owned(),
-            opps,
-        })
-    }
-
-    /// Synthesises a table from a frequency ladder (in MHz, any order)
-    /// and a linear V-f curve between `v_min` (slowest OPP) and `v_max`
-    /// (fastest OPP).
+    /// Synthesises a table from a strictly ascending frequency ladder
+    /// (in MHz) and a linear V-f curve between `v_min` (slowest OPP)
+    /// and `v_max` (fastest OPP).
     ///
     /// The paper lists frequencies but not voltages; commercial mobile
     /// SoCs use close-to-linear V-f curves across the usable range, so a
     /// linear interpolation preserves the convexity of `P(f) ∝ V²f` that
     /// the DVFS trade-off depends on.
     ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidConfig`] on an empty ladder or
-    /// non-positive/inverted voltage bounds.
-    pub fn from_mhz_ladder(name: &str, mhz: &[u32], v_min: f64, v_max: f64) -> Result<Self> {
-        if mhz.is_empty() {
-            return Err(Error::InvalidConfig(format!("empty ladder for {name}")));
-        }
-        if v_min <= 0.0 || v_max < v_min {
-            return Err(Error::InvalidConfig(format!(
-                "invalid voltage bounds [{v_min}, {v_max}] for {name}"
-            )));
-        }
-        let mut sorted: Vec<u32> = mhz.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        let lo = f64::from(sorted[0]);
-        // qlint::allow(PN01, reason = "the emptiness check above already returned an error")
-        let hi = f64::from(*sorted.last().expect("non-empty"));
+    /// Only the compiled-in ladders below reach this, so it checks
+    /// nothing: the preset test over the platform registry asserts that
+    /// every shipped ladder is non-empty, strictly ascending and at
+    /// positive voltages.
+    pub(crate) fn from_mhz_ladder(name: &str, mhz: &[u32], v_min: f64, v_max: f64) -> Self {
+        let lo = f64::from(mhz[0]);
+        let hi = f64::from(mhz[mhz.len() - 1]);
         let span = (hi - lo).max(1.0);
-        let opps = sorted
+        let opps = mhz
             .iter()
             .map(|&m| {
                 let t = (f64::from(m) - lo) / span;
                 Opp::new(m * 1000, v_min + t * (v_max - v_min))
             })
             .collect();
-        OppTable::new(name, opps)
+        OppTable {
+            name: name.to_owned(),
+            opps,
+        }
     }
 
     /// The name of the domain this table belongs to.
@@ -150,22 +118,6 @@ impl OppTable {
         })
     }
 
-    /// Index of the exact frequency `freq_khz`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownFrequency`] if the frequency is not an
-    /// entry of the table.
-    pub fn level_of(&self, freq_khz: KiloHertz) -> Result<usize> {
-        self.opps
-            .iter()
-            .position(|o| o.freq_khz == freq_khz)
-            .ok_or(Error::UnknownFrequency {
-                domain: self.name.clone(),
-                freq_khz,
-            })
-    }
-
     /// Highest level whose frequency does not exceed `freq_khz`; level 0
     /// if every entry exceeds it.
     #[must_use]
@@ -185,8 +137,7 @@ impl OppTable {
     /// Fastest OPP.
     #[must_use]
     pub fn max(&self) -> Opp {
-        // qlint::allow(PN01, reason = "construction rejects empty ladders")
-        *self.opps.last().expect("table is non-empty")
+        self.opps[self.opps.len() - 1]
     }
 
     /// Iterator over the OPPs, ascending by frequency.
@@ -201,24 +152,21 @@ impl OppTable {
             650, 741, 858, 962, 1066, 1170, 1261, 1469, 1586, 1690, 1794, 1924, 2002, 2106, 2314,
             2496, 2652, 2704,
         ];
-        // qlint::allow(PN01, reason = "compiled-in ladder literal, exercised by the preset tests")
-        OppTable::from_mhz_ladder("big", &MHZ, 0.568, 1.092).expect("static ladder valid")
+        OppTable::from_mhz_ladder("big", &MHZ, 0.568, 1.092)
     }
 
     /// The paper's 10-level LITTLE-cluster (Cortex-A55) ladder.
     #[must_use]
     pub fn exynos9810_little() -> Self {
         const MHZ: [u32; 10] = [455, 598, 715, 832, 949, 1053, 1248, 1456, 1690, 1794];
-        // qlint::allow(PN01, reason = "compiled-in ladder literal, exercised by the preset tests")
-        OppTable::from_mhz_ladder("little", &MHZ, 0.531, 0.988).expect("static ladder valid")
+        OppTable::from_mhz_ladder("little", &MHZ, 0.531, 0.988)
     }
 
     /// The paper's 6-level GPU (Mali-G72 MP18) ladder.
     #[must_use]
     pub fn exynos9810_gpu() -> Self {
         const MHZ: [u32; 6] = [260, 299, 338, 455, 546, 572];
-        // qlint::allow(PN01, reason = "compiled-in ladder literal, exercised by the preset tests")
-        OppTable::from_mhz_ladder("gpu", &MHZ, 0.581, 0.862).expect("static ladder valid")
+        OppTable::from_mhz_ladder("gpu", &MHZ, 0.581, 0.862)
     }
 
     /// The 9820-class 16-level big-cluster (2× Exynos M4) ladder.
@@ -228,8 +176,7 @@ impl OppTable {
             520, 650, 754, 858, 962, 1066, 1170, 1352, 1560, 1664, 1820, 1976, 2106, 2314, 2496,
             2730,
         ];
-        // qlint::allow(PN01, reason = "compiled-in ladder literal, exercised by the preset tests")
-        OppTable::from_mhz_ladder("big", &MHZ, 0.558, 1.100).expect("static ladder valid")
+        OppTable::from_mhz_ladder("big", &MHZ, 0.558, 1.100)
     }
 
     /// The 9820-class 12-level middle-cluster (2× Cortex-A75) ladder.
@@ -238,24 +185,21 @@ impl OppTable {
         const MHZ: [u32; 12] = [
             520, 650, 754, 858, 1066, 1170, 1352, 1560, 1742, 1950, 2158, 2310,
         ];
-        // qlint::allow(PN01, reason = "compiled-in ladder literal, exercised by the preset tests")
-        OppTable::from_mhz_ladder("mid", &MHZ, 0.540, 1.020).expect("static ladder valid")
+        OppTable::from_mhz_ladder("mid", &MHZ, 0.540, 1.020)
     }
 
     /// The 9820-class 9-level LITTLE-cluster (4× Cortex-A55) ladder.
     #[must_use]
     pub fn exynos9820_little() -> Self {
         const MHZ: [u32; 9] = [442, 598, 754, 910, 1053, 1248, 1456, 1690, 1950];
-        // qlint::allow(PN01, reason = "compiled-in ladder literal, exercised by the preset tests")
-        OppTable::from_mhz_ladder("little", &MHZ, 0.525, 0.975).expect("static ladder valid")
+        OppTable::from_mhz_ladder("little", &MHZ, 0.525, 0.975)
     }
 
     /// The 9820-class 9-level GPU (Mali-G76 MP12) ladder.
     #[must_use]
     pub fn exynos9820_gpu() -> Self {
         const MHZ: [u32; 9] = [260, 325, 377, 433, 481, 545, 598, 650, 702];
-        // qlint::allow(PN01, reason = "compiled-in ladder literal, exercised by the preset tests")
-        OppTable::from_mhz_ladder("gpu", &MHZ, 0.575, 0.880).expect("static ladder valid")
+        OppTable::from_mhz_ladder("gpu", &MHZ, 0.575, 0.880)
     }
 }
 
@@ -303,8 +247,7 @@ impl FreqDomain {
     /// Current OPP.
     #[must_use]
     pub fn current(&self) -> Opp {
-        // qlint::allow(PN01, reason = "cur_level is only ever set through range-checked setters")
-        self.table.opp(self.cur_level).expect("cur_level in range")
+        self.table.opps[self.cur_level]
     }
 
     /// Current level index (0 = slowest).
@@ -316,15 +259,13 @@ impl FreqDomain {
     /// Lower policy cap as an OPP.
     #[must_use]
     pub fn min_cap(&self) -> Opp {
-        // qlint::allow(PN01, reason = "min_level is only ever set through range-checked setters")
-        self.table.opp(self.min_level).expect("min_level in range")
+        self.table.opps[self.min_level]
     }
 
     /// Upper policy cap as an OPP.
     #[must_use]
     pub fn max_cap(&self) -> Opp {
-        // qlint::allow(PN01, reason = "max_level is only ever set through range-checked setters")
-        self.table.opp(self.max_level).expect("max_level in range")
+        self.table.opps[self.max_level]
     }
 
     /// Upper policy cap level index.
@@ -378,46 +319,30 @@ impl FreqDomain {
         Ok(())
     }
 
-    /// Sets the `maxfreq` policy cap to the exact OPP `freq_khz`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownFrequency`] for a non-OPP frequency and
-    /// [`Error::InvertedFreqRange`] if the cap would fall below
-    /// `minfreq`.
-    pub fn set_max_freq(&mut self, freq_khz: KiloHertz) -> Result<()> {
-        let level = self.table.level_of(freq_khz)?;
-        if level < self.min_level {
-            return Err(Error::InvertedFreqRange {
-                domain: self.name().to_owned(),
-                min_khz: self.min_cap().freq_khz,
-                max_khz: freq_khz,
-            });
-        }
-        self.max_level = level;
+    /// Sets the `maxfreq` policy cap to `level`, saturating at the top
+    /// of the ladder and clamped to no lower than the `minfreq` cap.
+    /// The current level is clamped under the new cap.
+    pub fn set_max_level(&mut self, level: usize) {
+        self.max_level = level.min(self.table.len() - 1).max(self.min_level);
         self.cur_level = self.cur_level.min(self.max_level);
-        Ok(())
     }
 
-    /// Sets the `minfreq` policy cap to the exact OPP `freq_khz`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownFrequency`] for a non-OPP frequency and
-    /// [`Error::InvertedFreqRange`] if the cap would rise above
-    /// `maxfreq`.
-    pub fn set_min_freq(&mut self, freq_khz: KiloHertz) -> Result<()> {
-        let level = self.table.level_of(freq_khz)?;
-        if level > self.max_level {
-            return Err(Error::InvertedFreqRange {
-                domain: self.name().to_owned(),
-                min_khz: freq_khz,
-                max_khz: self.max_cap().freq_khz,
-            });
-        }
-        self.min_level = level;
+    /// Sets the `minfreq` policy cap to `level`, clamped to no higher
+    /// than the `maxfreq` cap. The current level is raised to the new
+    /// floor.
+    pub fn set_min_level(&mut self, level: usize) {
+        self.min_level = level.min(self.max_level);
         self.cur_level = self.cur_level.max(self.min_level);
-        Ok(())
+    }
+
+    /// Pins the domain to one OPP by collapsing both caps and the
+    /// current level onto `level`, saturating at the top of the ladder
+    /// (what a direct-frequency governor such as Int. QoS PM does).
+    pub fn pin_level(&mut self, level: usize) {
+        let level = level.min(self.table.len() - 1);
+        self.min_level = level;
+        self.max_level = level;
+        self.cur_level = level;
     }
 
     /// Moves the `maxfreq` cap one ladder step up, saturating at the top.
@@ -502,18 +427,6 @@ mod tests {
     }
 
     #[test]
-    fn level_of_finds_each_entry() {
-        let table = OppTable::exynos9810_big();
-        for (idx, opp) in table.iter().enumerate() {
-            assert_eq!(table.level_of(opp.freq_khz).unwrap(), idx);
-        }
-        assert!(matches!(
-            table.level_of(1),
-            Err(Error::UnknownFrequency { .. })
-        ));
-    }
-
-    #[test]
     fn floor_level_rounds_down() {
         let table = OppTable::exynos9810_gpu();
         assert_eq!(table.floor_level(260_000), 0);
@@ -523,20 +436,11 @@ mod tests {
     }
 
     #[test]
-    fn empty_and_unsorted_tables_rejected() {
-        assert!(OppTable::new("big", vec![]).is_err());
-        let unsorted = vec![Opp::new(2_000_000, 1.0), Opp::new(1_000_000, 0.8)];
-        assert!(OppTable::new("big", unsorted).is_err());
-        let dup = vec![Opp::new(1_000_000, 0.8), Opp::new(1_000_000, 0.9)];
-        assert!(OppTable::new("big", dup).is_err());
-    }
-
-    #[test]
     fn domain_caps_clamp_current_level() {
         let mut dom = FreqDomain::new(OppTable::exynos9810_big());
         dom.set_level(17).unwrap();
         assert_eq!(dom.current().freq_khz, 2_704_000);
-        dom.set_max_freq(1_794_000).unwrap();
+        dom.set_max_level(10);
         assert_eq!(
             dom.current().freq_khz,
             1_794_000,
@@ -554,23 +458,34 @@ mod tests {
     fn domain_min_cap_raises_current() {
         let mut dom = FreqDomain::new(OppTable::exynos9810_little());
         assert_eq!(dom.current().freq_khz, 455_000);
-        dom.set_min_freq(949_000).unwrap();
+        dom.set_min_level(4);
         assert_eq!(dom.current().freq_khz, 949_000);
     }
 
     #[test]
-    fn inverted_ranges_rejected() {
+    fn cap_setters_clamp_into_the_policy_range() {
         let mut dom = FreqDomain::new(OppTable::exynos9810_little());
-        dom.set_max_freq(949_000).unwrap();
-        assert!(matches!(
-            dom.set_min_freq(1_794_000),
-            Err(Error::InvertedFreqRange { .. })
-        ));
-        dom.set_min_freq(949_000).unwrap();
-        assert!(matches!(
-            dom.set_max_freq(455_000),
-            Err(Error::InvertedFreqRange { .. })
-        ));
+        dom.set_max_level(4);
+        dom.set_min_level(9);
+        assert_eq!(dom.min_cap().freq_khz, 949_000, "floor clamps to the cap");
+        dom.set_max_level(0);
+        assert_eq!(dom.max_cap().freq_khz, 949_000, "cap clamps to the floor");
+        dom.set_max_level(99);
+        assert_eq!(
+            dom.max_cap().freq_khz,
+            1_794_000,
+            "cap saturates at the top"
+        );
+        dom.pin_level(99);
+        assert_eq!(
+            (
+                dom.min_cap_level(),
+                dom.max_cap_level(),
+                dom.current_level()
+            ),
+            (9, 9, 9),
+            "a pin saturates at the top"
+        );
     }
 
     #[test]
@@ -589,7 +504,7 @@ mod tests {
     #[test]
     fn step_max_down_respects_min_cap() {
         let mut dom = FreqDomain::new(OppTable::exynos9810_gpu());
-        dom.set_min_freq(338_000).unwrap();
+        dom.set_min_level(2);
         for _ in 0..10 {
             dom.step_max_down();
         }
@@ -599,8 +514,8 @@ mod tests {
     #[test]
     fn reset_caps_restores_full_range() {
         let mut dom = FreqDomain::new(OppTable::exynos9810_big());
-        dom.set_max_freq(962_000).unwrap();
-        dom.set_min_freq(858_000).unwrap();
+        dom.set_max_level(3);
+        dom.set_min_level(2);
         dom.reset_caps();
         assert_eq!(dom.min_cap().freq_khz, 650_000);
         assert_eq!(dom.max_cap().freq_khz, 2_704_000);

@@ -37,15 +37,16 @@
 //! use mpsoc::{DomainId, Soc, SocConfig, perf::FrameDemand};
 //!
 //! let mut soc = Soc::new(SocConfig::exynos9810());
-//! // Cap the big cluster at 1794 MHz the way the Next agent would.
+//! // Cap the big cluster at ladder level 10 (1794 MHz), the way the
+//! // Next agent's actions move a domain's maxfreq cap.
 //! let big = soc.platform().domain_named("big").unwrap();
-//! soc.dvfs_mut().set_max_freq(big, 1_794_000)?;
+//! soc.dvfs_mut().domain_mut(big).set_max_level(10);
+//! assert_eq!(soc.dvfs().domain(big).max_cap().freq_khz, 1_794_000);
 //! // Run 100 ms of a moderate workload.
 //! let demand = FrameDemand::new(4.0e6, 2.0e6, 8.0e6);
 //! let out = soc.tick(0.1, &demand);
 //! assert!(out.power_w > 0.0);
 //! assert_eq!(big, DomainId::new(0));
-//! # Ok::<(), mpsoc::Error>(())
 //! ```
 
 #![forbid(unsafe_code)]

@@ -13,6 +13,15 @@
 //!   (big + LITTLE + GPU, `m = 3`, 9 actions),
 //! * [`Platform::exynos9820`] — a Galaxy-S10-class tri-cluster CPU +
 //!   GPU platform (big + mid + LITTLE + GPU, `m = 4`, 12 actions).
+//!
+//! These preset constructors are the only way to build a [`Platform`],
+//! and they state each preset's facts once; they cannot fail. The
+//! registry that names them is `simkit::PlatformPreset`, whose preset
+//! test asserts, for every name it lists, what a validating constructor
+//! would check: non-empty, strictly ascending ladders at positive
+//! voltages, 1 to [`MAX_DOMAINS`] uniquely named domains with positive
+//! channel shares, a finite base power, a hot domain in range, and
+//! thermal nodes inside the network.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut, Index, IndexMut};
@@ -21,7 +30,6 @@ use crate::freq::OppTable;
 use crate::perf::Channel;
 use crate::power::DomainPowerModel;
 use crate::thermal::NodeId;
-use crate::{Error, Result};
 
 /// Upper bound on the number of DVFS domains a platform may declare.
 ///
@@ -110,63 +118,6 @@ pub struct Platform {
 }
 
 impl Platform {
-    /// Builds a platform from its domain list.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidConfig`] when the domain list is empty or
-    /// exceeds [`MAX_DOMAINS`], a name repeats, a channel share is not
-    /// positive and finite, the base power is negative, or `hot_domain`
-    /// is out of range.
-    pub fn new(
-        name: &str,
-        domains: Vec<DomainSpec>,
-        base_power_w: f64,
-        hot_domain: DomainId,
-    ) -> Result<Self> {
-        if domains.is_empty() {
-            return Err(Error::InvalidConfig(format!(
-                "platform '{name}' has no DVFS domains"
-            )));
-        }
-        if domains.len() > MAX_DOMAINS {
-            return Err(Error::InvalidConfig(format!(
-                "platform '{name}' declares {} domains, max is {MAX_DOMAINS}",
-                domains.len()
-            )));
-        }
-        for (i, d) in domains.iter().enumerate() {
-            if domains[..i].iter().any(|o| o.name == d.name) {
-                return Err(Error::InvalidConfig(format!(
-                    "platform '{name}' repeats domain name '{}'",
-                    d.name
-                )));
-            }
-            if !(d.channel_share > 0.0 && d.channel_share.is_finite()) {
-                return Err(Error::InvalidConfig(format!(
-                    "domain '{}' has non-positive channel share",
-                    d.name
-                )));
-            }
-        }
-        if !(base_power_w >= 0.0 && base_power_w.is_finite()) {
-            return Err(Error::InvalidConfig(format!(
-                "platform '{name}' has invalid base power {base_power_w}"
-            )));
-        }
-        if hot_domain.index() >= domains.len() {
-            return Err(Error::InvalidConfig(format!(
-                "hot domain {hot_domain} out of range for platform '{name}'"
-            )));
-        }
-        Ok(Platform {
-            name: name.to_owned(),
-            domains,
-            base_power_w,
-            hot_domain,
-        })
-    }
-
     /// The platform's name.
     #[must_use]
     pub fn name(&self) -> &str {
@@ -243,22 +194,6 @@ impl Platform {
         self.domains.iter().map(|d| d.table.len() - 1).sum()
     }
 
-    /// Names of the shipped platform presets.
-    #[must_use]
-    pub fn preset_names() -> &'static [&'static str] {
-        &["exynos9810", "exynos9820"]
-    }
-
-    /// Looks a shipped preset up by name.
-    #[must_use]
-    pub fn by_name(name: &str) -> Option<Platform> {
-        match name {
-            "exynos9810" => Some(Platform::exynos9810()),
-            "exynos9820" => Some(Platform::exynos9820()),
-            _ => None,
-        }
-    }
-
     /// The paper's Galaxy Note 9 platform: Exynos 9810 with big
     /// (4× Mongoose 3), LITTLE (4× A55) and GPU (Mali-G72 MP18) domains
     /// — `m = 3`, 9 actions, 0.9 W platform floor.
@@ -299,8 +234,12 @@ impl Platform {
                 trip_c: 71.0,
             },
         ];
-        // qlint::allow(PN01, reason = "compiled-in preset, exercised by the platform tests")
-        Platform::new("exynos9810", domains, 0.9, DomainId::new(0)).expect("preset valid")
+        Platform {
+            name: "exynos9810".to_owned(),
+            domains,
+            base_power_w: 0.9,
+            hot_domain: DomainId::new(0),
+        }
     }
 
     /// A Galaxy-S10-class tri-cluster-CPU + GPU platform in the Exynos
@@ -358,8 +297,12 @@ impl Platform {
                 trip_c: 71.0,
             },
         ];
-        // qlint::allow(PN01, reason = "compiled-in preset, exercised by the platform tests")
-        Platform::new("exynos9820", domains, 0.9, DomainId::new(0)).expect("preset valid")
+        Platform {
+            name: "exynos9820".to_owned(),
+            domains,
+            base_power_w: 0.9,
+            hot_domain: DomainId::new(0),
+        }
     }
 }
 
@@ -525,34 +468,5 @@ mod tests {
             .map(|d| d.channel_share)
             .sum();
         assert!((shares - 1.0).abs() < 1e-12, "big channel shares sum to 1");
-    }
-
-    #[test]
-    fn presets_resolve_by_name() {
-        for &name in Platform::preset_names() {
-            let p = Platform::by_name(name).expect("preset resolves");
-            assert_eq!(p.name(), name);
-        }
-        assert!(Platform::by_name("snapdragon855").is_none());
-    }
-
-    #[test]
-    fn invalid_platforms_rejected() {
-        let base = Platform::exynos9810();
-        let err = Platform::new("empty", vec![], 0.9, DomainId::new(0));
-        assert!(err.is_err());
-
-        let mut dup = base.domains().to_vec();
-        dup[1].name = "big".to_owned();
-        assert!(Platform::new("dup", dup, 0.9, DomainId::new(0)).is_err());
-
-        let mut bad_share = base.domains().to_vec();
-        bad_share[0].channel_share = 0.0;
-        assert!(Platform::new("share", bad_share, 0.9, DomainId::new(0)).is_err());
-
-        assert!(Platform::new("hot", base.domains().to_vec(), 0.9, DomainId::new(5)).is_err());
-        assert!(
-            Platform::new("base", base.domains().to_vec(), f64::NAN, DomainId::new(0)).is_err()
-        );
     }
 }

@@ -54,38 +54,31 @@ impl SocConfig {
     /// display, [`DEFAULT_AMBIENT_C`] ambient, util-tracking enabled.
     #[must_use]
     pub fn exynos9810() -> Self {
-        SocConfig {
-            platform: Platform::exynos9810(),
-            thermal: ThermalConfig::exynos9810(DEFAULT_AMBIENT_C),
-            refresh_hz: 60.0,
-            util_selection: true,
-            throttle: ThrottleConfig::exynos9810(),
-        }
+        SocConfig::device(
+            Platform::exynos9810(),
+            ThermalConfig::exynos9810(DEFAULT_AMBIENT_C),
+        )
     }
 
     /// The Galaxy-S10-class tri-cluster-CPU + GPU configuration
     /// (`m = 4`, see [`Platform::exynos9820`]).
     #[must_use]
     pub fn exynos9820() -> Self {
-        let platform = Platform::exynos9820();
-        let throttle = ThrottleConfig::for_platform(&platform);
-        SocConfig {
-            platform,
-            thermal: ThermalConfig::exynos9820(DEFAULT_AMBIENT_C),
-            refresh_hz: 60.0,
-            util_selection: true,
-            throttle,
-        }
+        SocConfig::device(
+            Platform::exynos9820(),
+            ThermalConfig::exynos9820(DEFAULT_AMBIENT_C),
+        )
     }
 
-    /// Looks a shipped platform preset up by name (see
-    /// [`Platform::preset_names`]).
-    #[must_use]
-    pub fn preset(name: &str) -> Option<Self> {
-        match name {
-            "exynos9810" => Some(SocConfig::exynos9810()),
-            "exynos9820" => Some(SocConfig::exynos9820()),
-            _ => None,
+    /// A preset device: 60 Hz display, util tracking on, and throttling
+    /// at the trip points the platform's domains declare.
+    fn device(platform: Platform, thermal: ThermalConfig) -> Self {
+        SocConfig {
+            throttle: ThrottleConfig::for_platform(&platform),
+            platform,
+            thermal,
+            refresh_hz: 60.0,
+            util_selection: true,
         }
     }
 
@@ -95,12 +88,6 @@ impl SocConfig {
     pub fn with_ambient(mut self, ambient_c: f64) -> Self {
         self.thermal.ambient_c = ambient_c;
         self
-    }
-
-    /// The stock Exynos 9810 at a different ambient temperature.
-    #[must_use]
-    pub fn exynos9810_at_ambient(ambient_c: f64) -> Self {
-        SocConfig::exynos9810().with_ambient(ambient_c)
     }
 }
 
@@ -320,8 +307,8 @@ mod tests {
     fn maxfreq_cap_reduces_power_on_heavy_load() {
         let mut free = Soc::new(SocConfig::exynos9810());
         let mut capped = Soc::new(SocConfig::exynos9810());
-        capped.dvfs_mut().set_max_freq(big(), 1_170_000).unwrap();
-        capped.dvfs_mut().set_max_freq(gpu(), 338_000).unwrap();
+        capped.dvfs_mut().domain_mut(big()).set_max_level(5);
+        capped.dvfs_mut().domain_mut(gpu()).set_max_level(2);
         let (fps_free, p_free) = run(&mut free, &heavy_game(), 20.0);
         let (fps_capped, p_capped) = run(&mut capped, &heavy_game(), 20.0);
         assert!(
@@ -410,19 +397,6 @@ mod tests {
     }
 
     #[test]
-    fn preset_lookup_matches_constructors() {
-        assert!(SocConfig::preset("exynos9810").is_some());
-        assert_eq!(
-            SocConfig::preset("exynos9820")
-                .unwrap()
-                .platform
-                .n_domains(),
-            4
-        );
-        assert!(SocConfig::preset("tegra").is_none());
-    }
-
-    #[test]
     fn thermal_throttle_caps_sustained_heat() {
         // A low trip point plus a performance-pinned heavy load: the
         // clamp must engage and hold the die near the trip.
@@ -434,8 +408,8 @@ mod tests {
         };
         let mut soc = Soc::new(cfg);
         for id in [big(), DomainId::new(1), gpu()] {
-            let top = soc.dvfs().domain(id).table().max().freq_khz;
-            soc.dvfs_mut().pin_freq(id, top).unwrap();
+            let dom = soc.dvfs_mut().domain_mut(id);
+            dom.pin_level(dom.table().len() - 1);
         }
         let demand = heavy_game();
         for _ in 0..(600.0 / 0.025) as usize {
@@ -452,8 +426,8 @@ mod tests {
         cfg.throttle = crate::throttle::ThrottleConfig::disabled();
         let mut hot = Soc::new(cfg);
         for id in [big(), DomainId::new(1), gpu()] {
-            let top = hot.dvfs().domain(id).table().max().freq_khz;
-            hot.dvfs_mut().pin_freq(id, top).unwrap();
+            let dom = hot.dvfs_mut().domain_mut(id);
+            dom.pin_level(dom.table().len() - 1);
         }
         for _ in 0..(600.0 / 0.025) as usize {
             hot.tick(0.025, &demand);

@@ -41,17 +41,6 @@ impl ThrottleConfig {
         }
     }
 
-    /// The Exynos 9810 defaults: 75 °C trips on the CPU clusters and
-    /// 71 °C on the GPU, 5 °C hysteresis.
-    #[must_use]
-    pub fn exynos9810() -> Self {
-        ThrottleConfig {
-            enabled: true,
-            trip_c: vec![75.0, 75.0, 71.0],
-            hysteresis_c: 5.0,
-        }
-    }
-
     /// Throttling disabled (useful for controlled experiments).
     #[must_use]
     pub fn disabled() -> Self {
@@ -66,12 +55,6 @@ impl ThrottleConfig {
     /// (infinite for domains beyond the list: they never trip).
     pub(crate) fn trip_of(&self, domain: usize) -> f64 {
         self.trip_c.get(domain).copied().unwrap_or(f64::INFINITY)
-    }
-}
-
-impl Default for ThrottleConfig {
-    fn default() -> Self {
-        ThrottleConfig::exynos9810()
     }
 }
 
@@ -128,8 +111,8 @@ mod tests {
         for (i, d) in cfg.platform.domains().iter().enumerate() {
             batch
                 .dvfs_mut(0)
-                .pin_freq(DomainId::new(i), d.table.max().freq_khz)
-                .unwrap();
+                .domain_mut(DomainId::new(i))
+                .pin_level(d.table.len() - 1);
         }
         let demand = FrameDemand::new(22.0e6, 6.0e6, 30.0e6).with_background(0.3e9, 0.1e9, 0.0);
         for _ in 0..ticks {
@@ -147,7 +130,7 @@ mod tests {
 
     #[test]
     fn hot_sensor_steps_clamp_down() {
-        let config = ThrottleConfig::exynos9810();
+        let config = ThrottleConfig::for_platform(&Platform::exynos9810());
         let mut clamps = TOPS;
         step(&config, &mut clamps, &TOPS, &[80.0, 30.0, 30.0]);
         assert_eq!(clamps[0], 16);
@@ -160,7 +143,7 @@ mod tests {
 
     #[test]
     fn hysteresis_gates_recovery() {
-        let config = ThrottleConfig::exynos9810();
+        let config = ThrottleConfig::for_platform(&Platform::exynos9810());
         let mut clamps = TOPS;
         for _ in 0..3 {
             step(&config, &mut clamps, &TOPS, &[80.0, 30.0, 30.0]);
@@ -195,7 +178,7 @@ mod tests {
 
     #[test]
     fn gpu_trips_earlier_than_cpu() {
-        let config = ThrottleConfig::exynos9810();
+        let config = ThrottleConfig::for_platform(&Platform::exynos9810());
         let mut clamps = TOPS;
         step(&config, &mut clamps, &TOPS, &[73.0, 73.0, 73.0]);
         assert_eq!(clamps[0], 17, "73 C below CPU trip");

@@ -42,11 +42,11 @@ fn throttling_run_final_state_is_pinned() {
         .platform
         .domains()
         .iter()
-        .map(|d| d.table.max().freq_khz)
+        .map(|d| d.table.len() - 1)
         .collect();
     let mut soc = Soc::new(cfg);
     for (i, &top) in tops.iter().enumerate() {
-        soc.dvfs_mut().pin_freq(DomainId::new(i), top).unwrap();
+        soc.dvfs_mut().domain_mut(DomainId::new(i)).pin_level(top);
     }
     let demand = FrameDemand::new(22.0e6, 6.0e6, 30.0e6).with_background(0.3e9, 0.1e9, 0.0);
     for _ in 0..8_000 {

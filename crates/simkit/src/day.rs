@@ -406,7 +406,7 @@ pub fn run_day_lanes_traced<B: QStore, S: TraceSink>(
     }
     let n = specs.len();
     let engine = Engine::new();
-    // qlint::allow(PN01, reason = "the spec's preset was validated when it was built")
+    // qlint::allow(PN01, reason = "every registered preset's SocConfig builds, which the preset test in simkit::platform asserts")
     let mut batch = SocBatch::replicate(&first.preset.soc, n).expect("preset SoC config is valid");
     let is_next: Vec<bool> = specs.iter().map(|s| s.governor == "next").collect();
     let mut baselines: Vec<Option<Box<dyn Governor>>> = specs

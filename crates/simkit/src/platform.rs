@@ -4,8 +4,15 @@
 //! campaign front ends need to run a named platform end to end: the device
 //! ([`SocConfig`]) and the matching agent configuration
 //! ([`NextConfig`], whose action and state spaces are shaped by the
-//! same platform descriptor). The `--platform` CLI flag resolves
-//! through [`PlatformPreset::by_name`].
+//! same platform descriptor).
+//!
+//! `PRESETS` is the one registry of shipped platforms: the
+//! `--platform` CLI flag, campaigns, replay, the HTML report and the
+//! benchmark resolve names through [`PlatformPreset::by_name`], and
+//! [`PlatformPreset::names`] lists it. The preset constructors are
+//! compiled in and cannot fail; this module's preset test asserts, for
+//! every registered preset, each invariant a validating constructor
+//! would check.
 
 use mpsoc::platform::Platform;
 use mpsoc::soc::SocConfig;
@@ -43,22 +50,31 @@ impl PlatformPreset {
         }
     }
 
-    /// Looks a preset up by name.
+    /// Looks a preset up by name in `PRESETS`.
     #[must_use]
     pub fn by_name(name: &str) -> Option<Self> {
-        match name {
-            "exynos9810" => Some(PlatformPreset::exynos9810()),
-            "exynos9820" => Some(PlatformPreset::exynos9820()),
-            _ => None,
-        }
+        PRESETS
+            .iter()
+            .find(|&&(n, _)| n == name)
+            .map(|&(_, build)| build())
     }
 
-    /// Names of the shipped presets.
+    /// Names of the shipped presets, in `PRESETS` order.
     #[must_use]
-    pub fn names() -> &'static [&'static str] {
-        Platform::preset_names()
+    pub fn names() -> Vec<&'static str> {
+        PRESETS.iter().map(|&(name, _)| name).collect()
     }
 }
+
+/// Every shipped platform preset, by name. Adding a SoC means adding
+/// its constructor here; nothing else lists presets.
+const PRESETS: [(&str, Build); 2] = [
+    ("exynos9810", PlatformPreset::exynos9810),
+    ("exynos9820", PlatformPreset::exynos9820),
+];
+
+/// A preset constructor.
+type Build = fn() -> PlatformPreset;
 
 impl Default for PlatformPreset {
     fn default() -> Self {
@@ -69,10 +85,62 @@ impl Default for PlatformPreset {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpsoc::platform::MAX_DOMAINS;
+    use mpsoc::soc::Soc;
+
+    /// The preset test: every preset the registry names satisfies each
+    /// invariant a validating constructor would check, which is why the
+    /// compiled-in ladders and presets are built without one.
+    #[test]
+    fn every_registered_preset_is_well_formed() {
+        let names = PlatformPreset::names();
+        for (i, &name) in names.iter().enumerate() {
+            assert!(!names[..i].contains(&name), "registry repeats {name}");
+            let preset = PlatformPreset::by_name(name).unwrap();
+            let platform = &preset.soc.platform;
+            let domains = platform.domains();
+            assert!(
+                (1..=MAX_DOMAINS).contains(&domains.len()),
+                "{name} declares {} domains",
+                domains.len()
+            );
+            for (j, d) in domains.iter().enumerate() {
+                let at = format!("{name}/{}", d.name);
+                assert!(
+                    domains[..j].iter().all(|o| o.name != d.name),
+                    "{at}: repeated domain name"
+                );
+                assert!(
+                    d.channel_share > 0.0 && d.channel_share.is_finite(),
+                    "{at}: channel share {}",
+                    d.channel_share
+                );
+                let opps: Vec<_> = d.table.iter().collect();
+                assert!(!opps.is_empty(), "{at}: empty ladder");
+                assert!(
+                    opps.windows(2).all(|w| w[0].freq_khz < w[1].freq_khz),
+                    "{at}: ladder not strictly ascending"
+                );
+                assert!(
+                    opps.iter().all(|o| o.volt_v > 0.0),
+                    "{at}: non-positive voltage"
+                );
+            }
+            let base = platform.base_power_w();
+            assert!(base >= 0.0 && base.is_finite(), "{name}: base power {base}");
+            assert!(
+                platform.hot_domain().index() < domains.len(),
+                "{name}: hot domain out of range"
+            );
+            if let Err(e) = Soc::try_new(preset.soc.clone()) {
+                panic!("{name}: {e}");
+            }
+        }
+    }
 
     #[test]
     fn presets_are_internally_consistent() {
-        for &name in PlatformPreset::names() {
+        for name in PlatformPreset::names() {
             let p = PlatformPreset::by_name(name).expect("preset exists");
             assert_eq!(p.name, name);
             assert_eq!(p.soc.platform.name(), name);

@@ -162,7 +162,7 @@ mod tests {
     fn soc_bin_changes_the_learned_table() {
         let base = TrainSpec::new("facebook", NextConfig::paper(), 11, 60.0);
         let stock = Trainer::new().train(base.clone());
-        let hot = Trainer::new().train(base.with_soc(SocConfig::exynos9810_at_ambient(35.0)));
+        let hot = Trainer::new().train(base.with_soc(SocConfig::exynos9810().with_ambient(35.0)));
         assert_ne!(
             encode_table(stock.agent.table()),
             encode_table(hot.agent.table()),

@@ -942,7 +942,7 @@ fn print_apps() {
 }
 
 fn print_platforms() {
-    for &name in PlatformPreset::names() {
+    for name in PlatformPreset::names() {
         let preset = PlatformPreset::by_name(name).expect("shipped preset");
         let platform = &preset.soc.platform;
         let domains: Vec<String> = platform
