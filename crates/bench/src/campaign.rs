@@ -173,12 +173,16 @@ mod tests {
     use super::*;
     use crate::json::parse_document;
     use qlearn::{encode_table, DenseQTable};
-    use simkit::campaign::{run_campaign, CampaignConfig};
+    use simkit::campaign::{run_campaign_with, CampaignConfig, CampaignOptions, CampaignOutcome};
 
     fn tiny_report() -> CampaignReport {
         let mut config = CampaignConfig::quick(4, 2, 77);
         config.shard_size = 3;
-        run_campaign(&config, 2)
+        let outcome = run_campaign_with(&config, 2, &CampaignOptions::default());
+        let Ok(CampaignOutcome::Complete(report)) = outcome else {
+            panic!("campaign did not complete: {outcome:?}");
+        };
+        report
     }
 
     #[test]

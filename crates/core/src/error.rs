@@ -1,11 +1,10 @@
 //! Typed errors for malformed platform descriptors.
 //!
 //! The state-space machinery used to `assert!` its invariants, which
-//! turned a bad [`mpsoc::Platform`] into a process abort. Constructors
-//! now return [`CoreError`] so callers assembling platforms at runtime
-//! (CLI flags, config files, fleets) can surface the problem instead of
-//! crashing; the panicking `_unchecked` constructors remain for tests
-//! and static presets.
+//! turned a bad [`mpsoc::Platform`] into a process abort. Its
+//! constructors return [`CoreError`] instead, and have no panicking
+//! twins: tests call them too, e.g.
+//! `StateEncoder::for_platform(&Platform::exynos9810(), bins)`.
 
 use std::fmt;
 

@@ -51,17 +51,6 @@ impl StateSpace {
         })
     }
 
-    /// Panicking convenience constructor for tests and static presets.
-    ///
-    /// # Panics
-    ///
-    /// Panics where [`StateSpace::new`] would return an error.
-    #[must_use]
-    pub fn new_unchecked(dims: &[usize]) -> Self {
-        // qlint::allow(PN01, reason = "documented panicking constructor; fallible callers use StateSpace::new")
-        StateSpace::new(dims).expect("valid state-space dimensions")
-    }
-
     /// Number of dimensions.
     #[must_use]
     pub fn n_dims(&self) -> usize {
@@ -143,7 +132,7 @@ mod tests {
 
     #[test]
     fn flat_index_is_mixed_radix_msd_first() {
-        let space = StateSpace::new_unchecked(&[3, 4, 5]);
+        let space = StateSpace::new(&[3, 4, 5]).unwrap();
         assert_eq!(space.size(), 60);
         assert_eq!(space.flat_index(&[0, 0, 0]), 0);
         assert_eq!(space.flat_index(&[0, 0, 1]), 1);
@@ -154,7 +143,7 @@ mod tests {
 
     #[test]
     fn pack_unpack_roundtrip_covers_the_space() {
-        let space = StateSpace::new_unchecked(&[2, 3, 2]);
+        let space = StateSpace::new(&[2, 3, 2]).unwrap();
         let mut seen = std::collections::HashSet::new();
         for a in 0..2 {
             for b in 0..3 {
@@ -175,7 +164,7 @@ mod tests {
 
     #[test]
     fn unpack_into_avoids_allocation() {
-        let space = StateSpace::new_unchecked(&[7, 11]);
+        let space = StateSpace::new(&[7, 11]).unwrap();
         let mut digits = [0usize; 2];
         space.unpack_into(38, &mut digits);
         assert_eq!(space.flat_index(&digits), 38);
@@ -184,13 +173,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds radix")]
     fn digit_at_radix_panics() {
-        let _ = StateSpace::new_unchecked(&[3, 3]).flat_index(&[0, 3]);
+        let _ = StateSpace::new(&[3, 3]).unwrap().flat_index(&[0, 3]);
     }
 
     #[test]
     #[should_panic(expected = "outside the state space")]
     fn unpack_out_of_range_panics() {
-        let _ = StateSpace::new_unchecked(&[2, 2]).unpack(4);
+        let _ = StateSpace::new(&[2, 2]).unwrap().unpack(4);
     }
 
     #[test]
@@ -208,11 +197,5 @@ mod tests {
             StateSpace::new(&[usize::MAX, usize::MAX]),
             Err(CoreError::StateSpaceTooLarge)
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "valid state-space dimensions")]
-    fn unchecked_constructor_panics_on_bad_dims() {
-        let _ = StateSpace::new_unchecked(&[3, 0]);
     }
 }

@@ -92,17 +92,6 @@ impl StateEncoder {
         })
     }
 
-    /// Panicking convenience constructor for tests and static presets.
-    ///
-    /// # Panics
-    ///
-    /// Panics where [`StateEncoder::new`] would return an error.
-    #[must_use]
-    pub fn new_unchecked(freq_levels: &[usize], fps_bins: usize) -> Self {
-        // qlint::allow(PN01, reason = "documented panicking constructor; fallible callers use StateEncoder::new")
-        StateEncoder::new(freq_levels, fps_bins).expect("valid encoder shape")
-    }
-
     /// Encoder for a platform's declared domain ladders.
     ///
     /// # Errors
@@ -110,13 +99,6 @@ impl StateEncoder {
     /// Propagates [`StateEncoder::new`] errors.
     pub fn for_platform(platform: &Platform, fps_bins: usize) -> Result<Self, CoreError> {
         StateEncoder::new(&platform.freq_levels(), fps_bins)
-    }
-
-    /// Encoder for the Exynos 9810 ladders (18/10/6 levels) at the
-    /// paper's preferred 30 FPS bins.
-    #[must_use]
-    pub fn exynos9810(fps_bins: usize) -> Self {
-        StateEncoder::new_unchecked(&[18, 10, 6], fps_bins)
     }
 
     /// Number of DVFS-domain frequency digits in the encoding.
@@ -198,6 +180,10 @@ mod tests {
     use super::*;
     use mpsoc::platform::PerDomain;
 
+    fn exynos9810(fps_bins: usize) -> StateEncoder {
+        StateEncoder::for_platform(&Platform::exynos9810(), fps_bins).unwrap()
+    }
+
     fn sample_state(fps: f64, power: f64, th: f64, td: f64, levels: &[usize]) -> SocState {
         let n = levels.len();
         SocState {
@@ -217,7 +203,7 @@ mod tests {
 
     #[test]
     fn encode_decode_roundtrip() {
-        let enc = StateEncoder::exynos9810(30);
+        let enc = exynos9810(30);
         let state = sample_state(43.0, 5.5, 61.0, 44.0, &[17, 9, 5]);
         let key = enc.encode(&state, 30.0);
         let dec = enc.decode(key);
@@ -242,7 +228,7 @@ mod tests {
 
     #[test]
     fn distinct_observations_distinct_keys() {
-        let enc = StateEncoder::exynos9810(30);
+        let enc = exynos9810(30);
         let a = enc.encode(&sample_state(60.0, 3.0, 40.0, 35.0, &[0, 0, 0]), 60.0);
         let b = enc.encode(&sample_state(60.0, 3.0, 40.0, 35.0, &[1, 0, 0]), 60.0);
         let c = enc.encode(&sample_state(10.0, 3.0, 40.0, 35.0, &[0, 0, 0]), 60.0);
@@ -257,7 +243,7 @@ mod tests {
 
     #[test]
     fn nearby_values_in_same_bin_share_key() {
-        let enc = StateEncoder::exynos9810(30);
+        let enc = exynos9810(30);
         let a = enc.encode(&sample_state(30.2, 5.0, 50.0, 40.0, &[4, 4, 2]), 60.0);
         let b = enc.encode(&sample_state(31.0, 5.1, 50.4, 40.3, &[4, 4, 2]), 60.0);
         assert_eq!(
@@ -268,24 +254,24 @@ mod tests {
 
     #[test]
     fn state_space_size_matches_paper_scale() {
-        let enc = StateEncoder::exynos9810(30);
+        let enc = exynos9810(30);
         let expect = 18u64 * 10 * 6 * 30 * 30 * 4 * 6 * 6;
         assert_eq!(enc.state_space_size(), expect);
         // Fewer FPS bins shrink the space quadratically (both the
         // current-FPS and target-FPS dimensions).
-        let small = StateEncoder::exynos9810(10);
+        let small = exynos9810(10);
         assert_eq!(small.state_space_size(), 18 * 10 * 6 * 10 * 10 * 4 * 6 * 6);
     }
 
     #[test]
     fn keys_fit_in_u64_headroom() {
-        let enc = StateEncoder::exynos9810(60);
+        let enc = exynos9810(60);
         assert!(enc.state_space_size() < u64::MAX / 1024);
     }
 
     #[test]
     fn extreme_observations_clamp_not_panic() {
-        let enc = StateEncoder::exynos9810(30);
+        let enc = exynos9810(30);
         let state = sample_state(500.0, 100.0, 200.0, -10.0, &[17, 9, 5]);
         let key = enc.encode(&state, 1e9);
         let dec = enc.decode(key);
@@ -308,7 +294,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds radix")]
     fn out_of_range_level_panics() {
-        let enc = StateEncoder::exynos9810(30);
+        let enc = exynos9810(30);
         let state = sample_state(30.0, 3.0, 40.0, 35.0, &[18, 0, 0]);
         let _ = enc.encode(&state, 30.0);
     }
@@ -316,7 +302,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "must match the encoder's platform")]
     fn mismatched_domain_count_panics() {
-        let enc = StateEncoder::exynos9810(30);
+        let enc = exynos9810(30);
         let state = sample_state(30.0, 3.0, 40.0, 35.0, &[0, 0, 0, 0]);
         let _ = enc.encode(&state, 30.0);
     }

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use mpsoc::platform::PerDomain;
+use mpsoc::platform::{PerDomain, Platform};
 use mpsoc::soc::SocState;
 use next_core::ppdw::{ppdw, PpdwBounds};
 use next_core::{Action, FrameWindow, StateEncoder, StateSpace};
@@ -111,7 +111,7 @@ proptest! {
     /// reproduces every quantised digit.
     #[test]
     fn state_encoding_roundtrips(state in arb_soc_state(), target in 0.0..60.0f64) {
-        let enc = StateEncoder::exynos9810(30);
+        let enc = StateEncoder::for_platform(&Platform::exynos9810(), 30).unwrap();
         let key = enc.encode(&state, target);
         let dec = enc.decode(key);
         prop_assert_eq!(&dec.freq_level[..], &state.max_cap_level[..]);
@@ -127,7 +127,7 @@ proptest! {
         target in 0.0..60.0f64,
         bump in 1usize..5,
     ) {
-        let enc = StateEncoder::exynos9810(30);
+        let enc = StateEncoder::for_platform(&Platform::exynos9810(), 30).unwrap();
         let mut s2 = s1;
         s2.max_cap_level[0] = (s1.max_cap_level[0] + bump) % 18;
         prop_assume!(s2.max_cap_level != s1.max_cap_level);

@@ -1163,24 +1163,6 @@ fn write_checkpoint(dir: &Path, bytes: &[u8]) -> io::Result<()> {
     fs::rename(&tmp, dir.join(CHECKPOINT_FILE))
 }
 
-/// Runs a campaign end to end with the default options (no
-/// checkpointing).
-///
-/// # Panics
-///
-/// Panics on an invalid [`CampaignConfig`].
-#[must_use]
-pub fn run_campaign(config: &CampaignConfig, workers: usize) -> CampaignReport {
-    match run_campaign_with(config, workers, &CampaignOptions::default()) {
-        Ok(CampaignOutcome::Complete(report)) => report,
-        Ok(CampaignOutcome::Paused { .. }) => {
-            unreachable!("no stop_after was set, the campaign cannot pause")
-        }
-        // qlint::allow(PN01, reason = "documented panicking convenience wrapper; fallible callers use run_campaign_with")
-        Err(e) => panic!("{e}"),
-    }
-}
-
 /// The trained warm-seed tables of a campaign — the expensive,
 /// round-independent half of a fresh start, split out so callers (the
 /// benchmark harness in particular) can time seeding and steady-state
@@ -1217,7 +1199,7 @@ fn fresh_state(
 /// Trains the warm-seed tables of `config` without running any rounds.
 /// Deterministic for any worker count, so
 /// [`run_campaign_from_seed`] on the result reproduces
-/// [`run_campaign`] exactly.
+/// [`run_campaign_with`] exactly.
 ///
 /// # Errors
 ///
@@ -1231,8 +1213,9 @@ pub fn warm_seed(config: &CampaignConfig, workers: usize) -> Result<CampaignWarm
 }
 
 /// Runs every round of `config` from a pre-trained warm seed and
-/// returns the completed report — byte-identical to [`run_campaign`]
-/// on the same config, minus the seed-training cost.
+/// returns the completed report — byte-identical to
+/// [`run_campaign_with`] on the same config, minus the seed-training
+/// cost.
 ///
 /// # Panics
 ///
@@ -1318,6 +1301,15 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).expect("create temp dir");
         dir
+    }
+
+    /// `config` run to completion with the default options.
+    fn run_campaign(config: &CampaignConfig, workers: usize) -> CampaignReport {
+        let outcome = run_campaign_with(config, workers, &CampaignOptions::default());
+        let Ok(CampaignOutcome::Complete(report)) = outcome else {
+            panic!("campaign did not complete: {outcome:?}");
+        };
+        report
     }
 
     fn tiny(devices: usize, rounds: usize, seed: u64) -> CampaignConfig {

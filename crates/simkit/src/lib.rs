@@ -52,9 +52,9 @@ pub mod trainer;
 
 pub use batch::BatchLane;
 pub use campaign::{
-    run_campaign, run_campaign_from_seed, run_campaign_with, warm_seed, CampaignConfig,
-    CampaignOptions, CampaignOutcome, CampaignReport, CampaignRound, CampaignWarmSeed,
-    CohortSummary, MetricSummary, TableArtifact,
+    run_campaign_from_seed, run_campaign_with, warm_seed, CampaignConfig, CampaignOptions,
+    CampaignOutcome, CampaignReport, CampaignRound, CampaignWarmSeed, CohortSummary, MetricSummary,
+    TableArtifact,
 };
 pub use day::{
     replay_day, run_day, run_day_lanes, run_day_lanes_traced, run_day_traced, run_days,

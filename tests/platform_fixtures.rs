@@ -13,7 +13,9 @@
 
 use next_mpsoc::bench::campaign::campaign_to_json;
 use next_mpsoc::next_core::{Action, NextAgent, StateEncoder};
-use next_mpsoc::simkit::campaign::{run_campaign, CampaignConfig};
+use next_mpsoc::simkit::campaign::{
+    run_campaign_with, CampaignConfig, CampaignOptions, CampaignOutcome,
+};
 use next_mpsoc::simkit::experiment::evaluate_governor_on;
 use next_mpsoc::simkit::{sweep, PlatformPreset, StandardEvaluator, TrainSpec, Trainer};
 use next_mpsoc::workload::SessionPlan;
@@ -69,10 +71,11 @@ fn sweep_on_exynos9820_is_byte_identical_to_the_pinned_fixture() {
 fn mixed_campaign_is_byte_identical_to_the_pinned_fixture() {
     let fixture = include_str!("fixtures/campaign_mixed.json");
     let config = CampaignConfig::quick(8, 2, 7).with_platforms(&["exynos9810", "exynos9820"]);
-    let rendered = format!(
-        "{}\n",
-        campaign_to_json(&run_campaign(&config, 2), "quick").render()
-    );
+    let outcome = run_campaign_with(&config, 2, &CampaignOptions::default());
+    let Ok(CampaignOutcome::Complete(report)) = outcome else {
+        panic!("campaign did not complete: {outcome:?}");
+    };
+    let rendered = format!("{}\n", campaign_to_json(&report, "quick").render());
     assert_eq!(
         rendered, fixture,
         "mixed-platform campaign.json drifted from the pinned fixture"
