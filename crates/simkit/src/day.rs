@@ -18,7 +18,10 @@
 //!   governor,
 //! * screen-off gaps keep ticking the SoC with idle (zero) demand at a
 //!   coarse tick, so each pickup starts from a physically-warm device
-//!   instead of the cold-boot state a per-session harness fakes,
+//!   instead of the cold-boot state a per-session harness fakes; no
+//!   governor runs in a gap, so the caps and floors it set last stay
+//!   in force (only `schedutil`, `next` and `powersave` leave every
+//!   domain free to fall to its lowest OPP),
 //! * for the `next` governor, per-app Q-tables are fetched and stored
 //!   through [`QTableStore`] exactly as §IV-B prescribes: the first
 //!   pickup of an unseen app trains once on a dedicated training
@@ -267,9 +270,13 @@ fn fetch_or_train<B: QStore>(
 
 /// Ticks every lane of the batch through a screen-off gap with idle
 /// demand, writing `(energy_j, peak_temp_hot_c, elapsed_s)` into
-/// `acc[lane]`. The display is off: no frames, no governor — the
-/// kernel's util tracking drops every domain to its floor within a few
-/// ticks.
+/// `acc[lane]`. The display is off: no frames and no governor control
+/// steps, so the caps and floors a lane's governor set before the gap
+/// stay in force through it, and the kernel's util tracking picks
+/// levels within them. Under `schedutil`, `next` and `powersave` every
+/// domain reaches level 0 within a few ticks; `performance` holds
+/// every domain at its top OPP, and `intqos` and `ondemand` hold the
+/// raised floors they set.
 fn run_gap_lanes<S: TraceSink>(
     batch: &mut SocBatch,
     gap_s: f64,
@@ -955,6 +962,39 @@ mod tests {
                 s.pickup,
                 s.start_temp_hot_c
             );
+        }
+    }
+
+    /// Governors that leave the floors at level 0 (schedutil, next)
+    /// let the kernel's util tracking take every domain to the bottom
+    /// of its ladder before each screen-off gap ends.
+    #[test]
+    fn util_tracking_governors_end_every_gap_at_level_zero() {
+        for preset in [PlatformPreset::exynos9810(), PlatformPreset::exynos9820()] {
+            for governor in ["schedutil", "next"] {
+                let mut spec = tiny_spec(governor);
+                spec.preset = preset.clone();
+                let (_, trace) = run_day_traced(&spec, &mut dense_store());
+                let records = &trace.records;
+                let mut gaps = 0;
+                for (i, r) in records.iter().enumerate() {
+                    let gap_ends = r.kind == SegmentKind::Gap
+                        && records
+                            .get(i + 1)
+                            .is_none_or(|n| n.kind != SegmentKind::Gap || n.pickup != r.pickup);
+                    if gap_ends {
+                        gaps += 1;
+                        assert!(
+                            r.freq_level.iter().all(|&l| l == 0),
+                            "{governor} on {}: gap {} ends at levels {:?}",
+                            preset.name,
+                            r.pickup,
+                            r.freq_level
+                        );
+                    }
+                }
+                assert_eq!(gaps, spec.plan.pickups.len() + 1, "{governor}");
+            }
         }
     }
 
