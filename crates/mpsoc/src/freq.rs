@@ -463,7 +463,7 @@ mod tests {
     }
 
     #[test]
-    fn cap_setters_clamp_into_the_policy_range() {
+    fn inverted_ranges_rejected() {
         let mut dom = FreqDomain::new(OppTable::exynos9810_little());
         dom.set_max_level(4);
         dom.set_min_level(9);

@@ -139,18 +139,25 @@ mod tests {
     }
 
     #[test]
-    fn presets_are_internally_consistent() {
+    fn presets_resolve_by_name() {
         for name in PlatformPreset::names() {
             let p = PlatformPreset::by_name(name).expect("preset exists");
             assert_eq!(p.name, name);
             assert_eq!(p.soc.platform.name(), name);
+        }
+        assert!(PlatformPreset::by_name("apple-a13").is_none());
+    }
+
+    #[test]
+    fn presets_are_internally_consistent() {
+        for (name, build) in PRESETS {
+            let p = build();
             assert_eq!(
                 p.next.platform.freq_levels(),
                 p.soc.platform.freq_levels(),
-                "agent and device must describe the same platform"
+                "{name}: agent and device must describe the same platform"
             );
         }
-        assert!(PlatformPreset::by_name("apple-a13").is_none());
     }
 
     #[test]
