@@ -207,9 +207,11 @@ impl OppTable {
 /// plus the governor-visible `minfreq`/`maxfreq` caps and the current
 /// level.
 ///
-/// The current level always lies within `[min_level, max_level]`; setting
-/// a tighter cap clamps the current level immediately, mirroring how the
-/// kernel's cpufreq core re-evaluates the policy when limits change.
+/// Setting a tighter cap clamps the current level into
+/// `[min_level, max_level]` immediately, mirroring how the kernel's
+/// cpufreq core re-evaluates the policy when limits change. Only the
+/// hardware override ([`FreqDomain::force_level`], the thermal
+/// throttler's clamp) may leave it below the floor.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FreqDomain {
     table: OppTable,
