@@ -19,9 +19,9 @@
 //! registry that names them is `simkit::PlatformPreset`, whose preset
 //! test asserts, for every name it lists, what a validating constructor
 //! would check: non-empty, strictly ascending ladders at positive
-//! voltages, 1 to [`MAX_DOMAINS`] uniquely named domains with positive
-//! channel shares, a finite base power, a hot domain in range, and
-//! thermal nodes inside the network.
+//! voltages, 1 to [`MAX_DOMAINS`] uniquely named domains with positive,
+//! finite channel shares, a finite, non-negative base power, a hot
+//! domain in range, and thermal nodes inside the network.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut, Index, IndexMut};
