@@ -11,13 +11,14 @@
 //! the `exynos9820_*` ladders describe the Galaxy-S10-class tri-cluster
 //! preset (see [`crate::platform::Platform::exynos9820`]).
 //!
-//! The ladders are compiled-in `const` MHz arrays, and no other code
-//! builds an [`OppTable`]; the preset test of `simkit::platform` checks
-//! every ladder the platform registry names. Code names a frequency by
-//! its ladder level: a [`FreqDomain`]'s `maxfreq`/`minfreq` caps are set
-//! by level (each of Next's actions moves one cap one level, §IV-B),
-//! saturating at the top of the ladder and clamped into the policy
-//! range, so no setter can fail.
+//! The ladders are compiled-in `const` MHz arrays, each asserted at
+//! compile time to be non-empty and strictly ascending, and no other
+//! code builds an [`OppTable`]; the preset test of `simkit::platform`
+//! checks every ladder the platform registry names. Code names a
+//! frequency by its ladder level: a [`FreqDomain`]'s
+//! `maxfreq`/`minfreq` caps are set by level (each of Next's actions
+//! moves one cap one level, §IV-B), saturating at the top of the ladder
+//! and clamped into the policy range, so no setter can fail.
 
 use crate::{Error, Result};
 
@@ -67,9 +68,10 @@ impl OppTable {
     /// the DVFS trade-off depends on.
     ///
     /// Only the compiled-in ladders below reach this, so it checks
-    /// nothing: the preset test over the platform registry asserts that
-    /// every shipped ladder is non-empty, strictly ascending and at
-    /// positive voltages.
+    /// nothing: each of them asserts `is_ladder` at compile time, and
+    /// the preset test over the platform registry asserts that every
+    /// shipped ladder is non-empty, strictly ascending and at positive
+    /// voltages.
     pub(crate) fn from_mhz_ladder(name: &str, mhz: &[u32], v_min: f64, v_max: f64) -> Self {
         let lo = f64::from(mhz[0]);
         let hi = f64::from(mhz[mhz.len() - 1]);
@@ -152,6 +154,7 @@ impl OppTable {
             650, 741, 858, 962, 1066, 1170, 1261, 1469, 1586, 1690, 1794, 1924, 2002, 2106, 2314,
             2496, 2652, 2704,
         ];
+        const _: () = assert!(is_ladder(&MHZ));
         OppTable::from_mhz_ladder("big", &MHZ, 0.568, 1.092)
     }
 
@@ -159,6 +162,7 @@ impl OppTable {
     #[must_use]
     pub fn exynos9810_little() -> Self {
         const MHZ: [u32; 10] = [455, 598, 715, 832, 949, 1053, 1248, 1456, 1690, 1794];
+        const _: () = assert!(is_ladder(&MHZ));
         OppTable::from_mhz_ladder("little", &MHZ, 0.531, 0.988)
     }
 
@@ -166,6 +170,7 @@ impl OppTable {
     #[must_use]
     pub fn exynos9810_gpu() -> Self {
         const MHZ: [u32; 6] = [260, 299, 338, 455, 546, 572];
+        const _: () = assert!(is_ladder(&MHZ));
         OppTable::from_mhz_ladder("gpu", &MHZ, 0.581, 0.862)
     }
 
@@ -176,6 +181,7 @@ impl OppTable {
             520, 650, 754, 858, 962, 1066, 1170, 1352, 1560, 1664, 1820, 1976, 2106, 2314, 2496,
             2730,
         ];
+        const _: () = assert!(is_ladder(&MHZ));
         OppTable::from_mhz_ladder("big", &MHZ, 0.558, 1.100)
     }
 
@@ -185,6 +191,7 @@ impl OppTable {
         const MHZ: [u32; 12] = [
             520, 650, 754, 858, 1066, 1170, 1352, 1560, 1742, 1950, 2158, 2310,
         ];
+        const _: () = assert!(is_ladder(&MHZ));
         OppTable::from_mhz_ladder("mid", &MHZ, 0.540, 1.020)
     }
 
@@ -192,6 +199,7 @@ impl OppTable {
     #[must_use]
     pub fn exynos9820_little() -> Self {
         const MHZ: [u32; 9] = [442, 598, 754, 910, 1053, 1248, 1456, 1690, 1950];
+        const _: () = assert!(is_ladder(&MHZ));
         OppTable::from_mhz_ladder("little", &MHZ, 0.525, 0.975)
     }
 
@@ -199,8 +207,24 @@ impl OppTable {
     #[must_use]
     pub fn exynos9820_gpu() -> Self {
         const MHZ: [u32; 9] = [260, 325, 377, 433, 481, 545, 598, 650, 702];
+        const _: () = assert!(is_ladder(&MHZ));
         OppTable::from_mhz_ladder("gpu", &MHZ, 0.575, 0.880)
     }
+}
+
+/// Whether `mhz` can be a ladder: non-empty and strictly ascending.
+/// Every compiled-in ladder asserts this in a `const` item, so a ladder
+/// literal that is empty, out of order or repeats a frequency does not
+/// build.
+const fn is_ladder(mhz: &[u32]) -> bool {
+    let mut i = 1;
+    while i < mhz.len() {
+        if mhz[i - 1] >= mhz[i] {
+            return false;
+        }
+        i += 1;
+    }
+    !mhz.is_empty()
 }
 
 /// Mutable frequency-domain state of one DVFS domain: its OPP table
@@ -426,6 +450,15 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn empty_and_unsorted_tables_rejected() {
+        assert!(!is_ladder(&[]));
+        assert!(!is_ladder(&[2_000, 1_000]));
+        assert!(!is_ladder(&[1_000, 1_000]));
+        assert!(is_ladder(&[1_000]));
+        assert!(is_ladder(&[1_000, 2_000]));
     }
 
     #[test]

@@ -85,8 +85,47 @@ impl Default for PlatformPreset {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpsoc::platform::MAX_DOMAINS;
+    use mpsoc::platform::{DomainId, DomainSpec, MAX_DOMAINS};
     use mpsoc::soc::Soc;
+
+    /// Each invariant a validating `Platform` constructor would check,
+    /// over a platform's domains, base power and hot domain: the first
+    /// one they break, if any.
+    fn platform_fault(
+        domains: &[DomainSpec],
+        base_power_w: f64,
+        hot: DomainId,
+    ) -> Result<(), String> {
+        if !(1..=MAX_DOMAINS).contains(&domains.len()) {
+            return Err(format!("{} domains", domains.len()));
+        }
+        for (j, d) in domains.iter().enumerate() {
+            let at = &d.name;
+            if domains[..j].iter().any(|o| o.name == d.name) {
+                return Err(format!("{at}: repeated domain name"));
+            }
+            if !(d.channel_share > 0.0 && d.channel_share.is_finite()) {
+                return Err(format!("{at}: channel share {}", d.channel_share));
+            }
+            let opps: Vec<_> = d.table.iter().collect();
+            if opps.is_empty() {
+                return Err(format!("{at}: empty ladder"));
+            }
+            if !opps.windows(2).all(|w| w[0].freq_khz < w[1].freq_khz) {
+                return Err(format!("{at}: ladder not strictly ascending"));
+            }
+            if !opps.iter().all(|o| o.volt_v > 0.0) {
+                return Err(format!("{at}: non-positive voltage"));
+            }
+        }
+        if !(base_power_w >= 0.0 && base_power_w.is_finite()) {
+            return Err(format!("base power {base_power_w}"));
+        }
+        if hot.index() >= domains.len() {
+            return Err(format!("hot {hot} out of range"));
+        }
+        Ok(())
+    }
 
     /// The preset test: every preset the registry names satisfies each
     /// invariant a validating constructor would check, which is why the
@@ -97,45 +136,43 @@ mod tests {
         for (i, &name) in names.iter().enumerate() {
             assert!(!names[..i].contains(&name), "registry repeats {name}");
             let preset = PlatformPreset::by_name(name).unwrap();
-            let platform = &preset.soc.platform;
-            let domains = platform.domains();
-            assert!(
-                (1..=MAX_DOMAINS).contains(&domains.len()),
-                "{name} declares {} domains",
-                domains.len()
-            );
-            for (j, d) in domains.iter().enumerate() {
-                let at = format!("{name}/{}", d.name);
-                assert!(
-                    domains[..j].iter().all(|o| o.name != d.name),
-                    "{at}: repeated domain name"
-                );
-                assert!(
-                    d.channel_share > 0.0 && d.channel_share.is_finite(),
-                    "{at}: channel share {}",
-                    d.channel_share
-                );
-                let opps: Vec<_> = d.table.iter().collect();
-                assert!(!opps.is_empty(), "{at}: empty ladder");
-                assert!(
-                    opps.windows(2).all(|w| w[0].freq_khz < w[1].freq_khz),
-                    "{at}: ladder not strictly ascending"
-                );
-                assert!(
-                    opps.iter().all(|o| o.volt_v > 0.0),
-                    "{at}: non-positive voltage"
-                );
+            let p = &preset.soc.platform;
+            if let Err(e) = platform_fault(p.domains(), p.base_power_w(), p.hot_domain()) {
+                panic!("{name}: {e}");
             }
-            let base = platform.base_power_w();
-            assert!(base >= 0.0 && base.is_finite(), "{name}: base power {base}");
-            assert!(
-                platform.hot_domain().index() < domains.len(),
-                "{name}: hot domain out of range"
-            );
             if let Err(e) = Soc::try_new(preset.soc.clone()) {
                 panic!("{name}: {e}");
             }
         }
+    }
+
+    /// The preset test's checks reject each broken platform a
+    /// validating constructor would have refused.
+    #[test]
+    fn invalid_platforms_rejected() {
+        let rejects = |domains: &[DomainSpec], base_power_w: f64, hot: usize, fault: &str| {
+            match platform_fault(domains, base_power_w, DomainId::new(hot)) {
+                Err(e) => assert!(e.contains(fault), "{e} is not {fault}"),
+                Ok(()) => panic!("{fault} accepted"),
+            }
+        };
+        let base = Platform::exynos9810();
+        rejects(&[], 0.9, 0, "0 domains");
+
+        let mut dup = base.domains().to_vec();
+        dup[1].name = "big".to_owned();
+        rejects(&dup, 0.9, 0, "repeated domain name");
+
+        let mut bad_share = base.domains().to_vec();
+        bad_share[0].channel_share = 0.0;
+        rejects(&bad_share, 0.9, 0, "channel share");
+
+        rejects(base.domains(), 0.9, 5, "out of range");
+        rejects(base.domains(), f64::NAN, 0, "base power");
+        assert_eq!(
+            platform_fault(base.domains(), 0.9, DomainId::new(0)),
+            Ok(())
+        );
     }
 
     #[test]
