@@ -1031,4 +1031,144 @@ mod tests {
     fn unknown_governor_rejected() {
         let _ = run_day(&tiny_spec("warpdrive"), &mut dense_store());
     }
+
+    /// Every float and count of `report` and its sessions, as
+    /// little-endian bits; strings are length-prefixed.
+    fn report_bytes(report: &DayReport, out: &mut Vec<u8>) {
+        fn put_str(out: &mut Vec<u8>, s: &str) {
+            out.extend_from_slice(&(s.len() as u64).to_le_bytes());
+            out.extend_from_slice(s.as_bytes());
+        }
+        fn put_f64s(out: &mut Vec<u8>, xs: &[f64]) {
+            for x in xs {
+                out.extend_from_slice(&x.to_bits().to_le_bytes());
+            }
+        }
+        put_str(out, &report.governor);
+        put_str(out, &report.platform);
+        out.extend_from_slice(&u64::from(report.trainings).to_le_bytes());
+        out.extend_from_slice(&(report.pickup_count() as u64).to_le_bytes());
+        put_f64s(
+            out,
+            &[
+                report.screen_on_s,
+                report.screen_off_s,
+                report.energy_screen_on_j,
+                report.energy_gap_j,
+                report.avg_fps,
+                report.avg_power_w,
+                report.peak_temp_hot_c,
+                report.battery_drain_pct,
+                report.charges_used,
+            ],
+        );
+        for s in &report.sessions {
+            out.extend_from_slice(&(s.pickup as u64).to_le_bytes());
+            put_str(out, &s.app);
+            let m = &s.summary;
+            put_f64s(
+                out,
+                &[
+                    s.start_s,
+                    s.duration_s,
+                    m.duration_s,
+                    m.avg_power_w,
+                    m.peak_power_w,
+                    m.avg_fps,
+                    m.fps_std,
+                    m.avg_temp_hot_c,
+                    m.peak_temp_hot_c,
+                    m.peak_temp_device_c,
+                    m.energy_j,
+                    s.ppdw,
+                    s.start_temp_hot_c,
+                ],
+            );
+        }
+    }
+
+    /// Byte pins of the day runner on both presets, each the length
+    /// and FNV-1a 64 of the bytes: every lane's NXTR trace of a
+    /// 4-pickup, 400 s gamer day with all six governors in one
+    /// lockstep batch; the NXTR trace of a first-boot `next` day on an
+    /// empty store, which trains each app on first use; and every
+    /// float and count of those seven reports. Any change to what a
+    /// day lane computes, or to the order it sums in, fails here.
+    #[test]
+    fn day_runs_are_pinned() {
+        type Pin = (usize, u64);
+        let pins: [(&str, [Pin; 6], Pin, Pin); 2] = [
+            (
+                "exynos9810",
+                [
+                    (142_758, 0xe0c7_e041_3ceb_12d1),
+                    (142_755, 0x54ec_37cf_5935_3cd2),
+                    (142_753, 0x5b42_4a87_baee_fd7a),
+                    (142_760, 0x6c18_be3b_7424_fd1e),
+                    (142_758, 0xc961_85d4_31c7_5af7),
+                    (142_757, 0xf16c_3062_ae77_dd17),
+                ],
+                (142_753, 0x5b42_4a87_baee_fd7a),
+                (4_384, 0x81d5_9411_6099_6803),
+            ),
+            (
+                "exynos9820",
+                [
+                    (156_473, 0x487e_492f_1c3f_7b32),
+                    (156_470, 0xd3fd_be7c_96b8_6f41),
+                    (156_468, 0x4e35_4081_a151_4a77),
+                    (156_475, 0x0f6b_9121_e54f_957b),
+                    (156_473, 0xa09c_4a09_ff45_0973),
+                    (156_472, 0x8f5e_513d_a27f_3556),
+                ],
+                (156_468, 0x4e35_4081_a151_4a77),
+                (4_384, 0x182d_0c43_6e64_53d1),
+            ),
+        ];
+        let cfg = DayPlanConfig {
+            pickups: 4,
+            day_length_s: 400.0,
+            session_scale: 0.1,
+            min_session_s: 15.0,
+        };
+        let plan = DayPlan::generate(&Persona::gamer(), &cfg, 11);
+        let governors: Vec<String> = StandardEvaluator::GOVERNORS
+            .iter()
+            .map(|&g| g.to_owned())
+            .collect();
+        let pin_of = |bytes: &[u8]| (bytes.len(), crate::fnv1a64(bytes));
+        for (preset, lane_pins, first_boot_pin, report_pin) in pins {
+            let preset = PlatformPreset::by_name(preset).unwrap();
+            let cells = run_days_traced(
+                std::slice::from_ref(&plan),
+                &governors,
+                &preset,
+                1.0,
+                30.0,
+                2,
+            );
+            let spec = DaySpec::new(plan.clone(), "next")
+                .with_preset(preset.clone())
+                .with_train_budget_s(30.0);
+            let (first_boot, first_trace) = run_day_traced(&spec, &mut dense_store());
+            assert_eq!(
+                first_boot.trainings as usize,
+                plan.distinct_apps().len(),
+                "first boot trains each app"
+            );
+            let lanes: Vec<Pin> = cells.iter().map(|(_, t)| pin_of(&t.encode())).collect();
+            let mut reports = Vec::new();
+            for (report, _) in &cells {
+                report_bytes(report, &mut reports);
+            }
+            report_bytes(&first_boot, &mut reports);
+            let got = (lanes, pin_of(&first_trace.encode()), pin_of(&reports));
+            assert_eq!(
+                got,
+                (lane_pins.to_vec(), first_boot_pin, report_pin),
+                "day runs on {}",
+                preset.name
+            );
+        }
+    }
 }
