@@ -168,7 +168,7 @@ impl DvfsController {
                     want
                 }
             };
-            dom.set_level(level).unwrap();
+            dom.set_level(level);
         }
     }
 }

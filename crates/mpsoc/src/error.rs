@@ -4,15 +4,6 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum Error {
-    /// A frequency-level index outside the OPP table was requested.
-    LevelOutOfRange {
-        /// Name of the DVFS domain the request targeted.
-        domain: String,
-        /// The requested level index.
-        level: usize,
-        /// Number of levels in the table.
-        len: usize,
-    },
     /// A configuration value failed validation.
     InvalidConfig(String),
 }
@@ -20,12 +11,6 @@ pub enum Error {
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Error::LevelOutOfRange { domain, level, len } => {
-                write!(
-                    f,
-                    "level {level} out of range for domain {domain} ({len} levels)"
-                )
-            }
             Error::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
         }
     }
@@ -36,17 +21,15 @@ impl std::error::Error for Error {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::soc::{Soc, SocConfig};
 
     #[test]
     fn display_mentions_domain_and_value() {
-        let err = Error::LevelOutOfRange {
-            domain: "big".to_owned(),
-            level: 123,
-            len: 18,
-        };
-        let msg = err.to_string();
-        assert!(msg.contains("123"));
-        assert!(msg.contains("big"));
+        let mut config = SocConfig::exynos9810();
+        config.thermal.nodes[0].capacitance_j_per_k = -2.5;
+        let msg = Soc::try_new(config).expect_err("bad node").to_string();
+        assert!(msg.contains("-2.5"), "{msg}");
+        assert!(msg.contains("big"), "{msg}");
     }
 
     #[test]

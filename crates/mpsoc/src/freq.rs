@@ -15,12 +15,13 @@
 //! compile time to be non-empty and strictly ascending, and no other
 //! code builds an [`OppTable`]; the preset test of `simkit::platform`
 //! checks every ladder the platform registry names. Code names a
-//! frequency by its ladder level: a [`FreqDomain`]'s
-//! `maxfreq`/`minfreq` caps are set by level (each of Next's actions
-//! moves one cap one level, §IV-B), saturating at the top of the ladder
-//! and clamped into the policy range, so no setter can fail.
-
-use crate::{Error, Result};
+//! frequency by its ladder level, and no level can leave the ladder:
+//! every level setter of a [`FreqDomain`] saturates at its top, so none
+//! can fail. The `maxfreq`/`minfreq` caps (each of Next's actions moves
+//! one cap one level, §IV-B) and the governor-set current level are
+//! also clamped into the policy range; only the throttler's override
+//! ignores it. [`OppTable::opp`] reads a level as `slice::get` does,
+//! with `None` past the top.
 
 /// Frequency in kilohertz, the unit Linux cpufreq sysfs uses.
 pub type KiloHertz = u32;
@@ -107,27 +108,11 @@ impl OppTable {
         self.opps.is_empty()
     }
 
-    /// The OPP at `level` (0 = slowest).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::LevelOutOfRange`] if `level >= len()`.
-    pub fn opp(&self, level: usize) -> Result<Opp> {
-        self.opps.get(level).copied().ok_or(Error::LevelOutOfRange {
-            domain: self.name.clone(),
-            level,
-            len: self.opps.len(),
-        })
-    }
-
-    /// Highest level whose frequency does not exceed `freq_khz`; level 0
-    /// if every entry exceeds it.
+    /// The OPP at `level` (0 = slowest), or `None` past the top of the
+    /// ladder.
     #[must_use]
-    pub fn floor_level(&self, freq_khz: KiloHertz) -> usize {
-        self.opps
-            .iter()
-            .rposition(|o| o.freq_khz <= freq_khz)
-            .unwrap_or(0)
+    pub fn opp(&self, level: usize) -> Option<Opp> {
+        self.opps.get(level).copied()
     }
 
     /// Slowest OPP.
@@ -306,43 +291,19 @@ impl FreqDomain {
         self.min_level
     }
 
-    /// Sets the current level, clamping into the policy range.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::LevelOutOfRange`] if `level` is not a table
-    /// index (clamping applies only to the policy range, not the table).
-    pub fn set_level(&mut self, level: usize) -> Result<()> {
-        if level >= self.table.len() {
-            return Err(Error::LevelOutOfRange {
-                domain: self.name().to_owned(),
-                level,
-                len: self.table.len(),
-            });
-        }
+    /// Sets the current level, clamped into the policy range (whose
+    /// top is at most the top of the ladder, so a level past it
+    /// saturates there).
+    pub fn set_level(&mut self, level: usize) {
         self.cur_level = level.clamp(self.min_level, self.max_level);
-        Ok(())
     }
 
     /// Hardware override: sets the current level ignoring the policy
-    /// caps (used by the thermal throttler, which outranks software
-    /// policy exactly as the kernel thermal framework outranks
-    /// userspace governors).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::LevelOutOfRange`] if `level` is not a table
-    /// index.
-    pub fn force_level(&mut self, level: usize) -> Result<()> {
-        if level >= self.table.len() {
-            return Err(Error::LevelOutOfRange {
-                domain: self.name().to_owned(),
-                level,
-                len: self.table.len(),
-            });
-        }
-        self.cur_level = level;
-        Ok(())
+    /// caps, saturating at the top of the ladder (used by the thermal
+    /// throttler, which outranks software policy exactly as the kernel
+    /// thermal framework outranks userspace governors).
+    pub fn force_level(&mut self, level: usize) {
+        self.cur_level = level.min(self.table.len() - 1);
     }
 
     /// Sets the `maxfreq` policy cap to `level`, saturating at the top
@@ -462,18 +423,9 @@ mod tests {
     }
 
     #[test]
-    fn floor_level_rounds_down() {
-        let table = OppTable::exynos9810_gpu();
-        assert_eq!(table.floor_level(260_000), 0);
-        assert_eq!(table.floor_level(300_000), 1); // 299 MHz
-        assert_eq!(table.floor_level(999_999_999), table.len() - 1);
-        assert_eq!(table.floor_level(1), 0);
-    }
-
-    #[test]
     fn domain_caps_clamp_current_level() {
         let mut dom = FreqDomain::new(OppTable::exynos9810_big());
-        dom.set_level(17).unwrap();
+        dom.set_level(17);
         assert_eq!(dom.current().freq_khz, 2_704_000);
         dom.set_max_level(10);
         assert_eq!(
@@ -481,12 +433,20 @@ mod tests {
             1_794_000,
             "current must clamp to new cap"
         );
-        dom.set_level(17).unwrap();
+        dom.set_level(99);
         assert_eq!(
             dom.current().freq_khz,
             1_794_000,
             "requests above cap clamp"
         );
+        dom.force_level(99);
+        assert_eq!(
+            dom.current_level(),
+            17,
+            "the override ignores the cap and saturates at the top"
+        );
+        assert_eq!(dom.table().opp(17), Some(dom.current()));
+        assert_eq!(dom.table().opp(18), None, "no OPP past the top");
     }
 
     #[test]
