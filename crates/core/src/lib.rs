@@ -19,9 +19,10 @@
 //! 3. the chosen action moves the corresponding cluster's `maxfreq` cap
 //!    — the hardware stays free to idle below it.
 //!
-//! Trained Q-tables are kept per application in a [`store::QTableStore`]
-//! and reused on later launches, so training happens once per app
-//! (§IV-B); [`qlearn::federated`] covers the cloud/federated variant.
+//! Trained Q-tables are kept in memory, one per application, in a
+//! [`store::QTableStore`] and reused on later launches, so training
+//! happens once per app (§IV-B); [`qlearn::federated`] covers the
+//! cloud/federated variant.
 //!
 //! # Example
 //!

@@ -3,10 +3,9 @@
 //! JSON cannot carry fleet-scale table state: a populated paper-space
 //! table is ~600k cells, and a self-describing JSON cell record costs
 //! ~60 bytes where the binary form costs ~11. This is the one format
-//! tables persist in: the per-app table store's directory mode, the
-//! CLI's table files, campaign checkpoints and the uplink-cost model
-//! (bytes a device actually sends per federated round) all need an
-//! exact, dependency-free encoding — exact meaning
+//! tables persist in: the CLI's table files, campaign checkpoints and
+//! the uplink-cost model (bytes a device actually sends per federated
+//! round) all need an exact, dependency-free encoding — exact meaning
 //! *bit*-exact: values travel as raw IEEE-754 bits, so a decoded table
 //! re-encodes to identical bytes and a resumed campaign reproduces an
 //! uninterrupted run byte for byte.

@@ -5,7 +5,10 @@
 //! [`SocBatch`] through the structure-of-arrays physics kernel, and
 //! then runs each lane's governor hooks (`observe` at tick rate,
 //! `control` at the governor's own cadence) against that lane's state
-//! and DVFS controller. [`Engine::run_into`] is its one-lane call.
+//! and DVFS controller, and hands each lane's ticks to its
+//! [`TraceSink`]; an untraced run passes the zero-sized
+//! [`NullSink`](crate::trace::NullSink).
+//! [`Engine::run_into`] is its one-lane call.
 //!
 //! Lanes never observe each other — batching only interleaves
 //! independent lanes — so lane `l`'s trace, learned Q-table and summary
@@ -21,7 +24,7 @@
 //! use governors::by_name;
 //! use mpsoc::soc::SocConfig;
 //! use mpsoc::SocBatch;
-//! use simkit::{BatchLane, Engine, RunOutcome, Trace};
+//! use simkit::{BatchLane, Engine, NullSink, RunOutcome, Trace};
 //! use workload::{SessionPlan, SessionSim};
 //!
 //! let engine = Engine::new();
@@ -39,7 +42,7 @@
 //!     RunOutcome { trace: Trace::new(), presented_frames: 0, repeated_vsyncs: 0 };
 //!     2
 //! ];
-//! engine.run_lanes_into(&mut batch, &mut lanes, 5.0, &mut outcomes);
+//! engine.run_lanes_traced(&mut batch, &mut lanes, 5.0, &mut outcomes, &mut [NullSink; 2]);
 //! let (sched, save) = (outcomes[0].trace.summary(), outcomes[1].trace.summary());
 //! assert!(save.avg_power_w <= sched.avg_power_w, "powersave cannot burn more");
 //! ```
@@ -49,9 +52,9 @@ use mpsoc::perf::FrameDemand;
 use mpsoc::SocBatch;
 use workload::SessionSim;
 
-use crate::engine::{Engine, RunOutcome};
+use crate::engine::{Engine, RunOutcome, TICK_S};
 use crate::metrics::Sample;
-use crate::trace::{NullSink, TickView, TraceSink};
+use crate::trace::{TickView, TraceSink};
 
 /// One device lane of a batched run: its governor and its session.
 pub struct BatchLane<'a> {
@@ -73,29 +76,10 @@ impl std::fmt::Debug for BatchLane<'_> {
 impl Engine {
     /// Runs every lane's session on the batch for `duration_s`
     /// simulated seconds, writing lane `l`'s results into
-    /// `outcomes[l]` (fully overwritten; trace allocations are
-    /// reused, as in [`Engine::run_into`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `lanes` and `outcomes` both match the batch
-    /// width.
-    pub fn run_lanes_into(
-        &self,
-        batch: &mut SocBatch,
-        lanes: &mut [BatchLane<'_>],
-        duration_s: f64,
-        outcomes: &mut [RunOutcome],
-    ) {
-        // `NullSink` is a ZST, so this Vec never allocates and the
-        // traced loop monomorphises back to the untraced one.
-        let mut sinks = vec![NullSink; lanes.len()];
-        self.run_lanes_traced(batch, lanes, duration_s, outcomes, &mut sinks);
-    }
-
-    /// Like [`Engine::run_lanes_into`], with one [`TraceSink`] per lane
-    /// observing that lane's ticks. This is the engine's one tick loop;
-    /// [`Engine::run_into_traced`] is its one-lane call.
+    /// `outcomes[l]` (fully overwritten; trace allocations are reused,
+    /// as in [`Engine::run_into`]) and handing its ticks to `sinks[l]`.
+    /// This is the engine's one tick loop; [`Engine::run_into`] is its
+    /// one-lane call.
     ///
     /// # Panics
     ///
@@ -113,7 +97,7 @@ impl Engine {
         assert_eq!(outcomes.len(), lanes.len(), "one outcome per lane");
         assert_eq!(sinks.len(), lanes.len(), "one sink per lane");
         let ticks = self.ticks_for(duration_s);
-        let dt = self.tick_s();
+        let dt = TICK_S;
         let mut control_every = Vec::with_capacity(lanes.len());
         for (lane, outcome) in lanes.iter_mut().zip(outcomes.iter_mut()) {
             outcome.trace.clear();
@@ -178,6 +162,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::NullSink;
     use governors::by_name;
     use mpsoc::soc::{Soc, SocConfig};
     use mpsoc::SocBatch;
@@ -226,7 +211,8 @@ mod tests {
             })
             .collect();
         let mut outcomes = outcome_buf(names.len());
-        engine.run_lanes_into(&mut batch, &mut lanes, 30.0, &mut outcomes);
+        let mut sinks = vec![NullSink; names.len()];
+        engine.run_lanes_traced(&mut batch, &mut lanes, 30.0, &mut outcomes, &mut sinks);
         for (l, name) in names.iter().enumerate() {
             assert_eq!(outcomes[l], scalar[l], "lane {l} ({name}) diverged");
         }
@@ -265,7 +251,8 @@ mod tests {
             })
             .collect();
         let mut outcomes = outcome_buf(seeds.len());
-        engine.run_lanes_into(&mut batch, &mut lanes, 20.0, &mut outcomes);
+        let mut sinks = vec![NullSink; seeds.len()];
+        engine.run_lanes_traced(&mut batch, &mut lanes, 20.0, &mut outcomes, &mut sinks);
         for l in 0..seeds.len() {
             assert_eq!(outcomes[l], scalar[l], "lane {l} diverged");
         }
@@ -278,6 +265,6 @@ mod tests {
         let engine = Engine::new();
         let mut batch = SocBatch::replicate(&SocConfig::exynos9810(), 2).unwrap();
         let mut outcomes = outcome_buf(0);
-        engine.run_lanes_into(&mut batch, &mut [], 1.0, &mut outcomes);
+        engine.run_lanes_traced(&mut batch, &mut [], 1.0, &mut outcomes, &mut [NullSink; 0]);
     }
 }

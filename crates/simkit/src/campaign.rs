@@ -63,7 +63,7 @@ use qlearn::{MergeAccumulator, QTable};
 use workload::scenario::{splitmix64, DayPlanConfig};
 use workload::{DayPlan, Persona};
 
-use crate::day::{run_day, DaySpec};
+use crate::day::{check_ticks, run_day, DaySpec};
 use crate::metrics::Battery;
 use crate::platform::PlatformPreset;
 use crate::sweep::{parallel_map, StandardEvaluator};
@@ -309,8 +309,10 @@ impl CampaignConfig {
     /// # Errors
     ///
     /// Returns the human-readable violation: zero devices/rounds/shard,
-    /// an unknown or repeated platform, an infeasible day plan, or a
-    /// non-positive gap tick or training budget.
+    /// an unknown or repeated platform, a day plan recipe
+    /// [`DayPlanConfig::validate`] rejects, a gap tick or minimum
+    /// session shorter than one engine tick, or a non-positive training
+    /// budget.
     pub fn validate(&self) -> Result<(), String> {
         if self.devices == 0 {
             return Err("campaign needs at least one device".to_owned());
@@ -333,9 +335,7 @@ impl CampaignConfig {
             }
         }
         self.plan.validate()?;
-        if !(self.gap_tick_s > 0.0 && self.gap_tick_s.is_finite()) {
-            return Err("gap tick must be positive and finite".to_owned());
-        }
+        check_ticks(self.gap_tick_s, self.plan.min_session_s)?;
         if !(self.train_budget_s > 0.0 && self.train_budget_s.is_finite()) {
             return Err("training budget must be positive and finite".to_owned());
         }
@@ -730,10 +730,7 @@ fn run_device_day(
             .get(&(dev.platform, app.clone()))
             // qlint::allow(PN01, reason = "the warm seed is built over persona_app_union, a superset of any day plan")
             .expect("warm seed covers every persona app");
-        store
-            .save(app, &QTable::overlay(Arc::clone(base)))
-            // qlint::allow(PN01, reason = "a store without a directory performs no I/O")
-            .expect("in-memory store cannot fail");
+        let Ok(()) = store.save(app, &QTable::overlay(Arc::clone(base)));
     }
 
     let mut spec = DaySpec::new(plan, "next")
@@ -1322,6 +1319,7 @@ mod tests {
 
     #[test]
     fn config_validation_names_the_violation() {
+        type Mutate = fn(&mut CampaignConfig);
         assert!(CampaignConfig::quick(0, 1, 1)
             .validate()
             .unwrap_err()
@@ -1343,6 +1341,18 @@ mod tests {
             .validate()
             .unwrap_err();
         assert!(err.contains("exynos9810") && err.contains("twice"), "{err}");
+        // Day recipes a campaign could not run, or would never finish.
+        let cases: [(&str, Mutate); 3] = [
+            ("gap tick", |c| c.gap_tick_s = 1e-3),
+            ("minimum session", |c| c.plan.min_session_s = 0.01),
+            ("day length", |c| c.plan.day_length_s = 1e300),
+        ];
+        for (field, mutate) in cases {
+            let mut bad = CampaignConfig::quick(1, 1, 1);
+            mutate(&mut bad);
+            let err = bad.validate().unwrap_err();
+            assert!(err.contains(field), "{field}: {err}");
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!
 //! There is one tick loop, [`Engine::run_lanes_traced`], which steps N
 //! devices in lockstep; a single-device run is its one-lane call over
-//! the [`Soc`]'s width-1 batch.
+//! the [`Soc`]'s width-1 batch. Every run ticks at [`TICK_S`].
 
 use governors::Governor;
 use mpsoc::soc::Soc;
@@ -20,13 +20,16 @@ use workload::SessionSim;
 
 use crate::batch::BatchLane;
 use crate::metrics::Trace;
-use crate::trace::{NullSink, TraceSink};
+use crate::trace::NullSink;
 
-/// The simulation engine (base tick configuration).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Engine {
-    tick_s: f64,
-}
+/// The engine's base tick, seconds: the paper's 25 ms frame-sampling
+/// period.
+pub const TICK_S: f64 = 0.025;
+
+/// The simulation engine. It has no settings: every run ticks at
+/// [`TICK_S`].
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct Engine;
 
 /// Result of one engine run.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,16 +43,16 @@ pub struct RunOutcome {
 }
 
 impl Engine {
-    /// Engine with the paper's 25 ms base tick.
+    /// The engine.
     #[must_use]
     pub fn new() -> Self {
-        Engine { tick_s: 0.025 }
+        Engine
     }
 
-    /// Base tick in seconds.
+    /// Base tick in seconds: [`TICK_S`].
     #[must_use]
     pub fn tick_s(&self) -> f64 {
-        self.tick_s
+        TICK_S
     }
 
     /// Number of base ticks a run of `duration_s` executes — the exact
@@ -57,7 +60,7 @@ impl Engine {
     /// of re-deriving it).
     #[must_use]
     pub fn ticks_for(&self, duration_s: f64) -> u64 {
-        let ticks = (duration_s / self.tick_s).round().max(0.0);
+        let ticks = (duration_s / TICK_S).round().max(0.0);
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         {
             ticks as u64
@@ -68,7 +71,7 @@ impl Engine {
     /// the exact cadence [`Engine::run`] uses (at least 1).
     #[must_use]
     pub fn control_every_ticks(&self, period_s: f64) -> u64 {
-        let every = (period_s / self.tick_s).round().max(1.0);
+        let every = (period_s / TICK_S).round().max(1.0);
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         {
             every as u64
@@ -101,7 +104,10 @@ impl Engine {
     /// allocator.
     ///
     /// The outcome is fully overwritten — any previous contents are
-    /// discarded.
+    /// discarded. This is the one-lane call of
+    /// [`Engine::run_lanes_traced`] on the device's batch, with the
+    /// zero-sized [`NullSink`], so the recording branches fold away and
+    /// the tick loop is exactly the untraced one.
     pub fn run_into(
         &self,
         soc: &mut Soc,
@@ -110,38 +116,13 @@ impl Engine {
         duration_s: f64,
         outcome: &mut RunOutcome,
     ) {
-        self.run_into_traced(soc, governor, session, duration_s, outcome, &mut NullSink);
-    }
-
-    /// Like [`Engine::run_into`], with a [`TraceSink`] observing every
-    /// tick. The sink is generic, so with the zero-sized [`NullSink`]
-    /// (which is what `run_into` passes) the recording branches fold
-    /// away and the tick loop is exactly the untraced one.
-    ///
-    /// This is the one-lane call of [`Engine::run_lanes_traced`] on the
-    /// device's batch.
-    pub fn run_into_traced<S: TraceSink>(
-        &self,
-        soc: &mut Soc,
-        governor: &mut dyn Governor,
-        session: &mut SessionSim,
-        duration_s: f64,
-        outcome: &mut RunOutcome,
-        sink: &mut S,
-    ) {
         self.run_lanes_traced(
             soc.batch_mut(),
             &mut [BatchLane { governor, session }],
             duration_s,
             std::slice::from_mut(outcome),
-            std::slice::from_mut(sink),
+            &mut [NullSink],
         );
-    }
-}
-
-impl Default for Engine {
-    fn default() -> Self {
-        Engine::new()
     }
 }
 

@@ -57,8 +57,8 @@ pub use campaign::{
     TableArtifact,
 };
 pub use day::{
-    replay_day, run_day, run_day_lanes, run_day_lanes_traced, run_day_traced, run_days,
-    run_days_traced, DayReport, DaySpec, SessionReport,
+    replay_day, run_day, run_day_lanes_traced, run_day_traced, run_days, run_days_traced,
+    DayReport, DaySpec, SessionReport,
 };
 pub use engine::{Engine, RunOutcome};
 pub use experiment::{train_next_for_app, EvalResult};

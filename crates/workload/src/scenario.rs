@@ -283,14 +283,44 @@ impl DayPlanConfig {
         Self::SCREEN_ON_FRACTION * self.day_length_s
     }
 
-    /// Checks that the configured pickups can fit the screen-on budget
-    /// at their minimum session length — the feasibility precondition
-    /// of [`DayPlan::generate`].
+    /// The longest day a plan may span, seconds (24 h).
+    pub const MAX_DAY_LENGTH_S: f64 = 24.0 * 3_600.0;
+
+    /// Checks the recipe [`DayPlan::generate`] needs: at least one
+    /// pickup, finite fields, a positive day of at most
+    /// [`Self::MAX_DAY_LENGTH_S`], a positive minimum session, and
+    /// pickups that fit the screen-on budget at their minimum session
+    /// length.
     ///
     /// # Errors
     ///
-    /// Returns the human-readable violation when the day is too short.
+    /// Returns the human-readable violation, naming the field.
     pub fn validate(&self) -> Result<(), String> {
+        if self.pickups == 0 {
+            return Err("pickups: a day needs at least one pickup".to_owned());
+        }
+        for (field, value) in [
+            ("day length", self.day_length_s),
+            ("session scale", self.session_scale),
+            ("minimum session", self.min_session_s),
+        ] {
+            if !value.is_finite() {
+                return Err(format!("{field} must be finite, got {value}"));
+            }
+        }
+        if !(self.day_length_s > 0.0 && self.day_length_s <= Self::MAX_DAY_LENGTH_S) {
+            return Err(format!(
+                "day length must be positive and at most {} s (24 h), got {} s",
+                Self::MAX_DAY_LENGTH_S,
+                self.day_length_s
+            ));
+        }
+        if self.min_session_s <= 0.0 {
+            return Err(format!(
+                "minimum session must be positive, got {} s",
+                self.min_session_s
+            ));
+        }
         if f64::from(self.pickups) * self.min_session_s > self.screen_on_budget_s() {
             return Err(format!(
                 "day too short: {} pickups x {} s minimum sessions cannot fit {:.0} % of a \
@@ -436,16 +466,9 @@ impl DayPlan {
     ///
     /// # Panics
     ///
-    /// Panics on zero pickups, a non-positive day length, or a day too
-    /// short to fit `pickups × min_session_s` in the screen-on budget
-    /// (see [`DayPlanConfig::validate`]).
+    /// Panics on a recipe [`DayPlanConfig::validate`] rejects.
     #[must_use]
     pub fn generate(persona: &Persona, config: &DayPlanConfig, seed: u64) -> Self {
-        assert!(config.pickups > 0, "a day needs at least one pickup");
-        assert!(
-            config.day_length_s > 0.0 && config.day_length_s.is_finite(),
-            "day length must be positive"
-        );
         if let Err(violation) = config.validate() {
             // qlint::allow(PN01, reason = "documented panic on invalid DayPlanConfig; generation has no error channel")
             panic!("{violation}");

@@ -37,9 +37,10 @@ use next_mpsoc::qlearn::{decode_table, encode_table, DenseQTable};
 use next_mpsoc::simkit::campaign::{
     run_campaign_with, CampaignConfig, CampaignOptions, CampaignOutcome,
 };
+use next_mpsoc::simkit::engine::TICK_S;
 use next_mpsoc::simkit::experiment::{evaluate_governor, train_next_for_app};
 use next_mpsoc::simkit::trace::{bisect, TickTrace};
-use next_mpsoc::simkit::{day, sweep, Battery, Engine, PlatformPreset, StandardEvaluator, Summary};
+use next_mpsoc::simkit::{day, sweep, Battery, PlatformPreset, StandardEvaluator, Summary};
 use next_mpsoc::workload::{apps, DayPlan, DayPlanConfig, Persona, SessionPlan};
 
 fn main() -> ExitCode {
@@ -297,8 +298,9 @@ fn get_f64(flags: &Flags, name: &str, default: f64) -> Result<f64, String> {
 }
 
 /// Reads `--name` as seconds (`default` when absent): finite, positive
-/// and at least `min_s`. Session durations pass one engine tick as
-/// `min_s`, since a shorter session has no trace to summarise.
+/// and at least `min_s`. Session durations pass one engine tick
+/// ([`TICK_S`]) as `min_s`, since a shorter session has no trace to
+/// summarise.
 fn get_seconds(flags: &Flags, name: &str, default: f64, min_s: f64) -> Result<f64, String> {
     let s = get_f64(flags, name, default)?;
     if s.is_finite() && s > 0.0 && s >= min_s {
@@ -310,11 +312,6 @@ fn get_seconds(flags: &Flags, name: &str, default: f64, min_s: f64) -> Result<f6
             "--{name} must be a positive number of seconds, got {s}"
         ))
     }
-}
-
-/// The shortest session `--duration` accepts: one engine tick.
-fn min_session_s() -> f64 {
-    Engine::new().tick_s()
 }
 
 fn get_u64(flags: &Flags, name: &str, default: u64) -> Result<u64, String> {
@@ -395,7 +392,7 @@ fn cmd_run(flags: &Flags) -> Result<(), String> {
         flags,
         "duration",
         SessionPlan::paper_session_length_s(&app),
-        min_session_s(),
+        TICK_S,
     )?;
     let seed = get_u64(flags, "seed", 1000)?;
     let plan = SessionPlan::single(&app, duration);
@@ -485,7 +482,7 @@ fn cmd_sweep(flags: &Flags) -> Result<(), String> {
     }
     let seeds = parse_seeds(flags, vec![1000])?;
     let duration = if flags.contains_key("duration") {
-        Some(get_seconds(flags, "duration", 0.0, min_session_s())?)
+        Some(get_seconds(flags, "duration", 0.0, TICK_S)?)
     } else {
         None
     };
@@ -905,7 +902,7 @@ fn cmd_compare(flags: &Flags) -> Result<(), String> {
         flags,
         "duration",
         SessionPlan::paper_session_length_s(&app),
-        min_session_s(),
+        TICK_S,
     )?;
     let seed = get_u64(flags, "seed", 1000)?;
     let plan = SessionPlan::single(&app, duration);

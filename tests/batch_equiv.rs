@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use next_mpsoc::governors::by_name;
 use next_mpsoc::mpsoc::soc::Soc;
 use next_mpsoc::mpsoc::SocBatch;
-use next_mpsoc::simkit::{BatchLane, Engine, PlatformPreset, RunOutcome, Trace};
+use next_mpsoc::simkit::{BatchLane, Engine, NullSink, PlatformPreset, RunOutcome, Trace};
 use next_mpsoc::workload::{SessionPlan, SessionSim};
 
 const PLATFORMS: [&str; 2] = ["exynos9810", "exynos9820"];
@@ -104,7 +104,14 @@ proptest! {
                 })
                 .collect();
             let mut outcomes = empty_outcomes(group.len());
-            engine.run_lanes_into(&mut batch, &mut batch_lanes, duration_s, &mut outcomes);
+            let mut sinks = vec![NullSink; group.len()];
+            engine.run_lanes_traced(
+                &mut batch,
+                &mut batch_lanes,
+                duration_s,
+                &mut outcomes,
+                &mut sinks,
+            );
 
             for (l, spec) in group.iter().enumerate() {
                 prop_assert_eq!(
@@ -133,7 +140,7 @@ proptest! {
     }
 
     /// `Soc` + `Engine::run` and a one-lane `SocBatch` +
-    /// `Engine::run_lanes_into` are two spellings of the same one-lane
+    /// `Engine::run_lanes_traced` are two spellings of the same one-lane
     /// run, and must stay so: a specialised single-device path would
     /// have to reproduce the lane loop bit for bit.
     #[test]
@@ -162,7 +169,7 @@ proptest! {
             session: &mut session,
         }];
         let mut outcomes = empty_outcomes(1);
-        engine.run_lanes_into(&mut batch, &mut lanes, duration_s, &mut outcomes);
+        engine.run_lanes_traced(&mut batch, &mut lanes, duration_s, &mut outcomes, &mut [NullSink]);
 
         prop_assert_eq!(&outcomes[0], &scalar);
         prop_assert!(*batch.state(0) == soc.state(), "final state diverged");

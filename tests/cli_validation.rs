@@ -1,13 +1,14 @@
 //! Usage errors through the built binary. A flag the command does not
-//! accept, and a duration or budget that is not a finite, positive
-//! number of seconds (a session: at least one 0.025 s tick), exit 1
-//! with a message naming the flag: never a panic, never a silent run.
+//! accept, a duration or budget that is not a finite, positive number
+//! of seconds (a session: at least one 0.025 s tick), and a day longer
+//! than 24 h exit 1 with a message naming the flag or the field: never
+//! a panic, never a silent run, never a run that does not end.
 
 use std::process::Command;
 
 #[test]
 fn bad_flags_and_seconds_exit_1_naming_the_flag() {
-    let cases: [(&[&str], &str); 15] = [
+    let cases: [(&[&str], &str); 16] = [
         (
             &[
                 "run",
@@ -64,6 +65,7 @@ fn bad_flags_and_seconds_exit_1_naming_the_flag() {
             "--train-budget",
         ),
         (&["day", "--day-length", "0"], "--day-length"),
+        (&["day", "--day-length", "1e300"], "day length"),
         (&["apps", "--quick"], "--quick"),
         (&["perf", "--quick"], "unknown command 'perf'"),
     ];

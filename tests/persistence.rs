@@ -1,34 +1,21 @@
-//! Q-table persistence across "reboots": train, store on disk, reload
-//! into a fresh agent, and verify behaviour is preserved (§IV-B's
-//! train-once / reuse-forever lifecycle).
-
-use std::fs;
+//! Q-table persistence across "reboots": train, encode the table as the
+//! CLI's `NXQT` table files hold it, decode it into a fresh agent, and
+//! verify behaviour is preserved (§IV-B's train-once / reuse-forever
+//! lifecycle); and the in-memory per-app store the day runner uses.
 
 use next_mpsoc::next_core::{NextAgent, NextConfig, QTableStore};
+use next_mpsoc::qlearn::{decode_table, encode_table, DenseQTable};
 use next_mpsoc::simkit::experiment::{evaluate_governor, train_next_for_app};
 use next_mpsoc::workload::SessionPlan;
 
-fn temp_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("next-e2e-{tag}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    dir
-}
-
 #[test]
 fn trained_table_survives_reboot_and_reproduces_behaviour() {
-    let dir = temp_dir("reboot");
     let out = train_next_for_app("facebook", NextConfig::paper(), 7, 300.0);
     let table = out.agent.into_table();
 
-    {
-        let mut store = QTableStore::at_dir(&dir).expect("create store dir");
-        store.save("facebook", &table).expect("save table");
-    }
-
-    // "Reboot": a brand-new store over the same directory.
-    let mut store = QTableStore::at_dir(&dir).expect("reopen store dir");
-    assert!(store.contains("facebook"));
-    let reloaded = store.load("facebook").expect("table present");
+    // "Reboot": all that survives is the encoded table file.
+    let bytes = encode_table(&table);
+    let reloaded: DenseQTable = decode_table(&bytes).expect("own encoding decodes");
     assert_eq!(reloaded, table, "codec must round-trip the learned table");
 
     // Same table + same seed -> identical greedy evaluation.
@@ -38,29 +25,22 @@ fn trained_table_survives_reboot_and_reproduces_behaviour() {
     let a = evaluate_governor(&mut agent_a, &plan, 123);
     let b = evaluate_governor(&mut agent_b, &plan, 123);
     assert_eq!(a.summary, b.summary);
-
-    fs::remove_dir_all(&dir).expect("cleanup");
 }
 
 #[test]
 fn store_keeps_apps_separate() {
-    let dir = temp_dir("multi");
-    let mut store = QTableStore::at_dir(&dir).expect("create store dir");
+    let mut store = QTableStore::in_memory();
 
     let fb = train_next_for_app("facebook", NextConfig::paper(), 7, 120.0);
     let sp = train_next_for_app("spotify", NextConfig::paper(), 7, 120.0);
-    store.save("facebook", fb.agent.table()).expect("save");
-    store.save("spotify", sp.agent.table()).expect("save");
+    let Ok(()) = store.save("facebook", fb.agent.table());
+    let Ok(()) = store.save("spotify", sp.agent.table());
 
     let fb_loaded = store.load("facebook").expect("facebook stored");
     let sp_loaded = store.load("spotify").expect("spotify stored");
     assert_ne!(fb_loaded, sp_loaded, "per-app tables must differ");
-    assert_eq!(
-        store.cached_apps(),
-        vec!["facebook".to_owned(), "spotify".to_owned()]
-    );
-
-    fs::remove_dir_all(&dir).expect("cleanup");
+    assert_eq!(&fb_loaded, fb.agent.table());
+    assert_eq!(&sp_loaded, sp.agent.table());
 }
 
 #[test]

@@ -9,7 +9,7 @@
 //! injected divergence at the precise tick and field.
 
 use next_mpsoc::simkit::day::{replay_day, run_days_traced};
-use next_mpsoc::simkit::trace::{bisect, TickTrace};
+use next_mpsoc::simkit::trace::{bisect, TickTrace, TraceMeta};
 use next_mpsoc::simkit::PlatformPreset;
 use next_mpsoc::workload::{DayPlan, DayPlanConfig, Persona};
 
@@ -113,4 +113,36 @@ fn replay_rejects_foreign_metadata() {
     let mut meta = trace.meta.clone();
     meta.tick_s = 0.5;
     assert!(replay_day(&meta, 2).is_err(), "foreign base tick must fail");
+}
+
+/// A corrupt or absurd day recipe in a trace header fails cleanly, with
+/// an error naming the field: no panic, and no gap loop that never
+/// ends.
+#[test]
+fn replay_rejects_absurd_recipes_naming_the_field() {
+    type Mutate = fn(&mut TraceMeta);
+    let trace = record("schedutil", "exynos9810", 2);
+    let cases: [(&str, Mutate); 9] = [
+        ("pickups", |m| m.plan.pickups = 0),
+        ("day length", |m| m.plan.day_length_s = f64::NAN),
+        ("day length", |m| m.plan.day_length_s = f64::INFINITY),
+        ("day length", |m| m.plan.day_length_s = 1e300),
+        ("session scale", |m| m.plan.session_scale = f64::NAN),
+        ("minimum session", |m| m.plan.min_session_s = f64::NAN),
+        ("minimum session", |m| {
+            m.plan.min_session_s = 0.0;
+            m.plan.session_scale = 0.0;
+        }),
+        ("minimum session", |m| m.plan.min_session_s = 0.01),
+        // Bit 61 of 1.0 flipped: a 7.46e-155 s gap tick.
+        ("gap tick", |m| {
+            m.gap_tick_s = f64::from_bits(1.0f64.to_bits() ^ (1 << 61));
+        }),
+    ];
+    for (field, mutate) in cases {
+        let mut meta = trace.meta.clone();
+        mutate(&mut meta);
+        let err = replay_day(&meta, 2).expect_err(field);
+        assert!(err.contains(field), "{field}: {err}");
+    }
 }
