@@ -854,8 +854,9 @@ fn seeded_tables(
 /// Returns a message for unknown platform/persona/governor names, a
 /// foreign engine tick, a domain count that does not match the named
 /// platform, a plan recipe [`workload::DayPlanConfig::validate`]
-/// rejects, or a gap tick or minimum session shorter than one engine
-/// tick; each message names the field.
+/// rejects, a gap tick or minimum session shorter than one engine tick,
+/// or a training budget or battery field that is not positive and
+/// finite; each message names the field.
 pub fn replay_day(meta: &TraceMeta, workers: usize) -> Result<(DayReport, TickTrace), String> {
     let preset = PlatformPreset::by_name(&meta.platform)
         .ok_or_else(|| format!("unknown platform '{}'", meta.platform))?;
@@ -880,6 +881,15 @@ pub fn replay_day(meta: &TraceMeta, workers: usize) -> Result<(DayReport, TickTr
     }
     meta.plan.validate()?;
     check_ticks(meta.gap_tick_s, meta.plan.min_session_s)?;
+    for (field, value) in [
+        ("training budget", meta.train_budget_s),
+        ("battery capacity", meta.battery.capacity_mah),
+        ("battery voltage", meta.battery.nominal_v),
+    ] {
+        if !(value > 0.0 && value.is_finite()) {
+            return Err(format!("{field} must be positive and finite, got {value}"));
+        }
+    }
     let plan = DayPlan::generate(&persona, &meta.plan, meta.seed);
     let mut store = QTableStore::in_memory();
     let governors = [meta.governor.clone()];

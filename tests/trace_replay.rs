@@ -122,7 +122,7 @@ fn replay_rejects_foreign_metadata() {
 fn replay_rejects_absurd_recipes_naming_the_field() {
     type Mutate = fn(&mut TraceMeta);
     let trace = record("schedutil", "exynos9810", 2);
-    let cases: [(&str, Mutate); 9] = [
+    let cases: [(&str, Mutate); 11] = [
         ("pickups", |m| m.plan.pickups = 0),
         ("day length", |m| m.plan.day_length_s = f64::NAN),
         ("day length", |m| m.plan.day_length_s = f64::INFINITY),
@@ -138,6 +138,8 @@ fn replay_rejects_absurd_recipes_naming_the_field() {
         ("gap tick", |m| {
             m.gap_tick_s = f64::from_bits(1.0f64.to_bits() ^ (1 << 61));
         }),
+        ("training budget", |m| m.train_budget_s = f64::NAN),
+        ("battery capacity", |m| m.battery.capacity_mah = f64::NAN),
     ];
     for (field, mutate) in cases {
         let mut meta = trace.meta.clone();
