@@ -9,42 +9,21 @@
 //! wastefulness — and therefore the headroom any manager can harvest —
 //! depends on that single knob.
 
-use governors::{Governor, Schedutil};
+use governors::Schedutil;
 use mpsoc::{Soc, SocConfig};
 use simkit::report::Table;
-use simkit::{Engine, Sample, Trace};
+use simkit::Engine;
 use workload::{SessionPlan, SessionSim};
 
 fn run_with_boost(app: &str, threshold: f64) -> simkit::Summary {
-    let engine = Engine::new();
     let mut soc = Soc::new(SocConfig::exynos9810());
     soc.dvfs_mut().set_boost_threshold(threshold);
-    let mut gov = Schedutil::new();
-    let mut session = SessionSim::new(
-        SessionPlan::single(app, SessionPlan::paper_session_length_s(app)),
-        bench::EVAL_SEED,
-    );
-    let mut trace = Trace::new();
-    let ticks = (SessionPlan::paper_session_length_s(app) / engine.tick_s()) as usize;
-    let control_every = (gov.period_s() / engine.tick_s()).round() as usize;
-    for t in 0..ticks {
-        let demand = session.advance(engine.tick_s());
-        let out = soc.tick(engine.tick_s(), &demand);
-        let state = soc.state();
-        gov.observe(&state);
-        if (t + 1) % control_every == 0 {
-            gov.control(&state, soc.dvfs_mut());
-        }
-        trace.push(Sample {
-            time_s: state.time_s,
-            fps: out.fps,
-            power_w: out.power_w,
-            temp_hot_c: state.temp_hot_c,
-            temp_device_c: state.temp_device_c,
-            freq_khz: state.freq_khz,
-        });
-    }
-    trace.summary()
+    let duration_s = SessionPlan::paper_session_length_s(app);
+    let mut session = SessionSim::new(SessionPlan::single(app, duration_s), bench::EVAL_SEED);
+    Engine::new()
+        .run(&mut soc, &mut Schedutil::new(), &mut session, duration_s)
+        .trace
+        .summary()
 }
 
 fn main() {

@@ -268,7 +268,7 @@ mod tests {
         // states.
         let actions = 12;
         let states = 3_000u64;
-        let mut table = DenseQTable::dense_for_space(actions, 0.0, states);
+        let mut table = DenseQTable::new(actions);
         for s in 0..states {
             for a in 0..actions {
                 // sin() fills the whole mantissa — nothing about the
@@ -304,7 +304,7 @@ mod tests {
 
     #[test]
     fn json_cells_list_exactly_the_visited_cells() {
-        let mut table = DenseQTable::dense_for_space(4, 0.0, 8);
+        let mut table = DenseQTable::new(4);
         table.set(2, 1, 0.5);
         table.set(2, 1, 0.75);
         table.set(5, 3, -1.25);

@@ -1,12 +1,13 @@
 //! The Next agent: frame-window target extraction + Q-learning control
 //! loop (§IV).
 //!
-//! Every 25 ms the agent records an FPS sample into its
-//! [`FrameWindow`]; every 100 ms it is invoked to act: it refreshes the
-//! target FPS from the window mode (once per window length), encodes the
-//! observation, applies the Eq. 3 Q-update for the previous transition
-//! with a PPDW-based reward, picks the next of the 9 actions ε-greedily,
-//! and moves the corresponding cluster's `maxfreq` cap.
+//! Every 25 ms engine tick the agent records an FPS sample into its
+//! [`FrameWindow`] (through [`Governor::observe`]); every 100 ms it is
+//! invoked to act: it refreshes the target FPS from the window mode
+//! (once per window length), encodes the observation, applies the
+//! Eq. 3 Q-update for the previous transition with a PPDW-based reward,
+//! picks the next of the 9 actions ε-greedily, and moves the
+//! corresponding cluster's `maxfreq` cap.
 //!
 //! Training happens once per application: the agent tracks an
 //! exponential moving average of its temporal-difference error and
@@ -41,9 +42,9 @@ pub struct NextConfig {
     /// FPS quantisation bins for the state encoding (paper: 30).
     pub fps_bins: usize,
     /// Frame-window capacity in samples (paper: 160 = 4 s of 25 ms).
+    /// The window takes one sample per engine tick, through
+    /// [`Governor::observe`].
     pub window_samples: usize,
-    /// Frame sampling period, seconds (paper: 25 ms).
-    pub sample_period_s: f64,
     /// Control period, seconds (paper: Next is invoked every 100 ms).
     pub control_period_s: f64,
     /// How often the target FPS is refreshed from the window mode,
@@ -125,7 +126,6 @@ impl NextConfig {
             platform: Platform::exynos9810(),
             fps_bins: 30,
             window_samples: 160,
-            sample_period_s: 0.025,
             control_period_s: 0.1,
             target_refresh_s: 4.0,
             target_decay: 0.7,
@@ -208,11 +208,13 @@ pub struct TrainingStats {
 /// The Next agent.
 ///
 /// The Q-tables are generic over the [`QStore`] backend. The default is
-/// the dense-indexed arena: the control loop's argmax and update touch
-/// one contiguous row per invocation instead of probing a hash map once
-/// per action. The campaign runner instead drives agents over
-/// [`qlearn::OverlayStore`] tables so a warm start shares the round's
-/// merged global by `Arc` instead of cloning it.
+/// the dense-indexed arena: the control loop's argmax and update cost
+/// one row-index probe and touch one contiguous row per invocation,
+/// instead of probing once per action, and the index grows with the
+/// states visited, not with the encoder's state space. The campaign
+/// runner instead drives agents over [`qlearn::OverlayStore`] tables so
+/// a warm start shares the round's merged global by `Arc` instead of
+/// cloning it.
 #[derive(Debug, Clone)]
 pub struct NextAgent<S: QStore = DenseStore> {
     config: NextConfig,
@@ -254,30 +256,18 @@ impl NextAgent {
     /// optimistic initialisation) on the default dense backend.
     #[must_use]
     pub fn new(config: NextConfig) -> Self {
-        // Declaring the encoder's state-space size lets small spaces
-        // (coarse FPS bins) use the direct slot-table row index; the
-        // paper's 30-bin space exceeds the direct limit and keeps the
-        // fast-hashed index automatically.
-        let encoder = StateEncoder::for_platform(&config.platform, config.fps_bins)
-            // qlint::allow(PN01, reason = "platforms come only from the presets, whose ladders the simkit preset test checks, so the encoding cannot fail; documented under # Panics")
-            .expect("platform yields a valid state encoding");
-        let table = DenseQTable::dense_for_space(
-            config.platform.action_count(),
-            config.optimistic_q,
-            encoder.state_space_size(),
-        );
-        NextAgent::from_parts(config, encoder, table, true)
+        let table =
+            DenseQTable::with_default_q(config.platform.action_count(), config.optimistic_q);
+        NextAgent::with_table(config, table, true)
     }
 }
 
 impl<S: QStore> NextAgent<S> {
     /// Creates an agent from a previously-trained table. `training`
-    /// selects between continued learning and greedy inference.
-    ///
-    /// A table whose direct index was declared for a smaller state
-    /// space (e.g. trained at coarser FPS bins) is re-homed into one
-    /// covering this config's space, so warm-starting across configs
-    /// cannot run out of index capacity mid-training.
+    /// selects between continued learning and greedy inference. The
+    /// table's row index is keyed by state and bounded by nothing but
+    /// the rows it holds, so a table learned under another encoding
+    /// (e.g. coarser FPS bins) keeps learning here unchanged.
     ///
     /// # Panics
     ///
@@ -288,7 +278,6 @@ impl<S: QStore> NextAgent<S> {
         let encoder = StateEncoder::for_platform(&config.platform, config.fps_bins)
             // qlint::allow(PN01, reason = "platforms come only from the presets, whose ladders the simkit preset test checks, so the encoding cannot fail; documented under # Panics")
             .expect("platform yields a valid state encoding");
-        let table = table.resized_for_space(encoder.state_space_size());
         NextAgent::from_parts(config, encoder, table, training)
     }
 
@@ -304,9 +293,6 @@ impl<S: QStore> NextAgent<S> {
     /// [`NextAgent::WARM_START_EPSILON_SCALE`]`·epsilon0` (floored at
     /// `epsilon_min`), while convergence tracking starts clean so a
     /// fleet round re-converges on its own evidence.
-    ///
-    /// A table declared for a smaller state space is re-homed exactly
-    /// as in [`NextAgent::with_table`].
     ///
     /// # Panics
     ///
@@ -344,9 +330,9 @@ impl<S: QStore> NextAgent<S> {
         } else {
             EpsilonGreedy::greedy()
         };
-        let table_b = config.double_q.then(|| {
-            QTable::empty_for_space(n_actions, config.optimistic_q, encoder.state_space_size())
-        });
+        let table_b = config
+            .double_q
+            .then(|| QTable::empty(n_actions, config.optimistic_q));
         // A platform of single-level ladders has zero steppable cap
         // range; floor at 1 so the (always-zero) headroom term divides
         // cleanly instead of poisoning the reward with NaN.
@@ -1043,10 +1029,10 @@ mod tests {
 
     #[test]
     fn warm_start_across_fps_bin_configs_does_not_outgrow_the_index() {
-        // Train at 2 FPS bins: the 622k-state space fits the direct
-        // slot-table index. Warm-starting that table under the paper's
-        // 30-bin config produces keys far beyond the small index's
-        // declared capacity — with_table must re-home the rows.
+        // Train at 2 FPS bins (a 622,080-state space), then keep
+        // learning under the paper's 30-bin config, whose keys run up to
+        // 139,968,000: the one row index takes both key ranges, and the
+        // coarse rows survive.
         let mut coarse = NextAgent::new(NextConfig::paper().with_fps_bins(2));
         let mut soc = Soc::new(SocConfig::exynos9810());
         run_loop(&mut coarse, &mut soc, &ui_demand(), 10.0);
@@ -1060,7 +1046,7 @@ mod tests {
         assert!(warm.stats().updates > 0);
         assert!(
             warm.table().len() >= states,
-            "rows must survive the re-homing"
+            "rows must survive the warm start"
         );
     }
 

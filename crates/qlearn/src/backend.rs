@@ -4,11 +4,12 @@
 //! update — runs every control period of every simulated session, so the
 //! storage layout matters. [`DenseStore`] keeps the values and visit
 //! counts of **all** actions of a state contiguously in two arena
-//! `Vec`s, reached through a single probe of a row index (a direct slot
-//! table for bounded key spaces, a fast-hashed map otherwise). An argmax
-//! touches one index slot plus one contiguous row — no per-action
-//! probing, no pointer chasing through per-state allocations — which is
-//! what makes the learn/act loop cache-friendly.
+//! `Vec`s, reached through a single probe of one fast-hashed row index.
+//! An argmax costs one hash probe plus one contiguous row scan — no
+//! per-action probing, no pointer chasing through per-state allocations
+//! — which is what makes the learn/act loop cache-friendly, and the
+//! index costs memory per *touched* state only, whatever the size of
+//! the key space (the paper's 30-bin spaces hold 10⁸–10⁹ states).
 //!
 //! The copy-on-write [`crate::overlay::OverlayStore`] layers sparse
 //! private rows over an `Arc`-shared dense base. Both expose rows through
@@ -120,51 +121,6 @@ pub trait QStore: fmt::Debug + Clone + PartialEq {
     /// unspecified order.
     fn for_each_row_mut(&mut self, f: &mut RowVisitorMut<'_>);
 
-    /// Folds `other` into `self` as **visit-weighted sums**: for every
-    /// row of `other`, `values[a] += q[a]·n[a]` and `visits[a] += n[a]`
-    /// (rows absent from `self` start at zero).
-    ///
-    /// This is the streaming kernel behind
-    /// [`crate::federated::MergeAccumulator`]: `self` temporarily holds
-    /// Σ(q·n)/Σn numerators and denominators, *not* Q-values, and is
-    /// normalised only when the accumulator finishes. One fold touches
-    /// each input row exactly once, so merging T tables costs
-    /// O(rows·T) with memory bounded by the union of visited states —
-    /// no all-keys materialisation, no sort.
-    ///
-    /// The default implementation walks `other` row by row through the
-    /// index; backends may override it with a faster layout-aware path
-    /// (see [`DenseStore`]'s arena zip).
-    fn fold_weighted(&mut self, other: &Self) {
-        debug_assert_eq!(self.n_actions(), other.n_actions());
-        other.for_each_row(&mut |state, values, visits| {
-            let (v, n) = self.row_mut(state, 0.0);
-            for a in 0..v.len() {
-                v[a] += values[a] * visits[a] as f64;
-                n[a] += visits[a];
-            }
-        });
-    }
-
-    /// Creates an empty store laid out for a **bounded** key space of
-    /// `n_states` states. Backends with a space-aware index (the dense
-    /// slot table) override this; the default ignores the hint.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_actions` is zero.
-    #[must_use]
-    fn with_space(n_actions: usize, _n_states: u64) -> Self {
-        Self::with_actions(n_actions)
-    }
-
-    /// Whether every key of a space of `n_states` states can be stored
-    /// without re-indexing. Always true unless the backend declared a
-    /// smaller bounded space (the dense direct slot table).
-    fn covers_space(&self, _n_states: u64) -> bool {
-        true
-    }
-
     /// Resident heap bytes attributable to **this** store's rows — the
     /// campaign memory-accounting number. Computed from row counts
     /// only (never from container capacities), so it is deterministic
@@ -180,170 +136,31 @@ pub trait QStore: fmt::Debug + Clone + PartialEq {
 /// Callback receiving mutable `(state, values, visits)` for one row.
 pub type RowVisitorMut<'a> = dyn FnMut(StateKey, &mut [f64], &mut [u64]) + 'a;
 
-/// Key → row-number index of the dense backend.
-///
-/// With a bounded, compact key space (what `StateSpace` produces) the
-/// index is a **direct slot table**: `slots[key]` holds the row number
-/// and a probe is one predictable load from a small array that lives in
-/// cache — no hashing at all. Open-ended key spaces fall back to a
-/// fast-hashed map.
-#[derive(Debug, Clone, PartialEq)]
-enum RowIndex {
-    /// Fast-hashed map for unbounded keys.
-    // qlint::allow(ND03, reason = "probe-only index (key -> row number); never iterated, rows live in the arena Vecs")
-    Map(HashMap<StateKey, u32, KeyHashBuilder>),
-    /// Direct slot table for keys `< slots.len()`; `u32::MAX` = empty.
-    Direct(Vec<u32>),
-}
-
-/// Sentinel marking an empty direct-index slot.
-const EMPTY_SLOT: u32 = u32::MAX;
-
-impl RowIndex {
-    #[inline]
-    fn get(&self, state: StateKey) -> Option<u32> {
-        match self {
-            RowIndex::Map(map) => map.get(&state).copied(),
-            RowIndex::Direct(slots) => {
-                let slot = *slots.get(usize::try_from(state).ok()?)?;
-                (slot != EMPTY_SLOT).then_some(slot)
-            }
-        }
-    }
-
-    fn insert(&mut self, state: StateKey, row: u32) {
-        match self {
-            RowIndex::Map(map) => {
-                map.insert(state, row);
-            }
-            RowIndex::Direct(slots) => {
-                let i = usize::try_from(state).unwrap_or(usize::MAX);
-                assert!(
-                    i < slots.len(),
-                    "state {state} outside the declared direct-index capacity {}",
-                    slots.len()
-                );
-                slots[i] = row;
-            }
-        }
-    }
-}
-
 /// The dense-indexed backend: all rows live contiguously in two arena
-/// `Vec`s, reached through a row index.
+/// `Vec`s, reached through a fast-hashed row index.
 ///
 /// * one probe per table operation, not one *per action* during
-///   argmax — and with the direct slot-table index
-///   ([`DenseStore::with_space`]) the probe is a single array load,
-///   not a hash,
+///   argmax,
 /// * a state's action values are one contiguous slice (branch-free
 ///   argmax scan) instead of per-state heap allocations,
 /// * growing never moves other rows' data relative to each other, so a
 ///   training session's working set stays hot.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DenseStore {
     n_actions: usize,
     /// `state -> row number` (row `i` spans `i*n_actions..(i+1)*n_actions`).
-    index: RowIndex,
+    // qlint::allow(ND03, reason = "probe-only index (key -> row number); never iterated, rows live in the arena Vecs")
+    index: HashMap<StateKey, u32, KeyHashBuilder>,
     /// `row number -> state`, for iteration without walking the index.
     keys: Vec<StateKey>,
     values: Vec<f64>,
     visits: Vec<u64>,
 }
 
-impl Default for DenseStore {
-    fn default() -> Self {
-        DenseStore {
-            n_actions: 0,
-            // qlint::allow(ND03, reason = "probe-only row index, never iterated")
-            index: RowIndex::Map(HashMap::default()),
-            keys: Vec::new(),
-            values: Vec::new(),
-            visits: Vec::new(),
-        }
-    }
-}
-
 impl DenseStore {
-    /// Largest declared state-space size that gets a direct slot-table
-    /// index (16M states = 64 MB of `u32` slots). Bigger spaces use the
-    /// fast-hashed map, which costs memory proportional to *visited*
-    /// states only.
-    pub const DIRECT_INDEX_LIMIT: u64 = 1 << 24;
-
-    /// Empty store for a **bounded** key space of `n_states` states
-    /// (every key must stay `< n_states`, which `StateSpace` encodings
-    /// guarantee). Spaces up to [`DenseStore::DIRECT_INDEX_LIMIT`] get
-    /// the direct slot-table index — a table probe becomes one array
-    /// load; bigger spaces silently use the hashed index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_actions` is zero.
-    #[must_use]
-    pub fn with_space(n_actions: usize, n_states: u64) -> Self {
-        assert!(n_actions > 0, "action set must be non-empty");
-        let index = if n_states <= Self::DIRECT_INDEX_LIMIT {
-            #[allow(clippy::cast_possible_truncation)]
-            RowIndex::Direct(vec![EMPTY_SLOT; n_states as usize])
-        } else {
-            // qlint::allow(ND03, reason = "probe-only row index, never iterated")
-            RowIndex::Map(HashMap::default())
-        };
-        DenseStore {
-            n_actions,
-            index,
-            keys: Vec::new(),
-            values: Vec::new(),
-            visits: Vec::new(),
-        }
-    }
-
-    /// Whether the index is the direct slot table (vs the hashed map).
-    #[must_use]
-    pub fn is_direct_indexed(&self) -> bool {
-        matches!(self.index, RowIndex::Direct(_))
-    }
-
-    /// Whether every key of a space of `n_states` states can be stored:
-    /// always true for the hashed index, bounded by the slot-table
-    /// length for the direct index.
-    #[must_use]
-    pub fn covers_space(&self, n_states: u64) -> bool {
-        match &self.index {
-            RowIndex::Map(_) => true,
-            RowIndex::Direct(slots) => slots.len() as u64 >= n_states,
-        }
-    }
-
     fn span(&self, row: u32) -> std::ops::Range<usize> {
         let start = row as usize * self.n_actions;
         start..start + self.n_actions
-    }
-
-    /// Whether the index can store `state` without panicking (the
-    /// direct slot table is bounded by its declared capacity).
-    fn index_accepts(&self, state: StateKey) -> bool {
-        match &self.index {
-            RowIndex::Map(_) => true,
-            RowIndex::Direct(slots) => usize::try_from(state).is_ok_and(|i| i < slots.len()),
-        }
-    }
-
-    /// Replaces a capacity-bounded direct index with an equivalent
-    /// hashed map, so keys beyond the declared space can be folded in
-    /// (federated merging unions tables from arbitrary encoders).
-    fn demote_index_to_map(&mut self) {
-        if let RowIndex::Direct(_) = self.index {
-            // qlint::allow(ND03, reason = "probe-only row index, never iterated")
-            let mut map: HashMap<StateKey, u32, KeyHashBuilder> = HashMap::default();
-            map.reserve(self.keys.len());
-            for (row, &k) in self.keys.iter().enumerate() {
-                // qlint::allow(PN01, reason = "row_mut already rejects tables beyond u32 rows, so every existing row number fits")
-                map.insert(k, u32::try_from(row).expect("row count fits u32"));
-            }
-            self.index = RowIndex::Map(map);
-        }
     }
 }
 
@@ -352,11 +169,7 @@ impl QStore for DenseStore {
         assert!(n_actions > 0, "action set must be non-empty");
         DenseStore {
             n_actions,
-            // qlint::allow(ND03, reason = "probe-only row index, never iterated")
-            index: RowIndex::Map(HashMap::default()),
-            keys: Vec::new(),
-            values: Vec::new(),
-            visits: Vec::new(),
+            ..DenseStore::default()
         }
     }
 
@@ -369,13 +182,13 @@ impl QStore for DenseStore {
     }
 
     fn row(&self, state: StateKey) -> Option<(&[f64], &[u64])> {
-        let row = self.index.get(state)?;
+        let row = *self.index.get(&state)?;
         let span = self.span(row);
         Some((&self.values[span.clone()], &self.visits[span]))
     }
 
     fn row_mut(&mut self, state: StateKey, fill: f64) -> (&mut [f64], &mut [u64]) {
-        let row = if let Some(r) = self.index.get(state) {
+        let row = if let Some(&r) = self.index.get(&state) {
             r
         } else {
             // qlint::allow(PN01, reason = "4 billion touched rows exceeds any state space here; a capacity panic beats silent row aliasing")
@@ -391,7 +204,7 @@ impl QStore for DenseStore {
     }
 
     fn contains(&self, state: StateKey) -> bool {
-        self.index.get(state).is_some()
+        self.index.contains_key(&state)
     }
 
     fn state_keys(&self) -> Vec<StateKey> {
@@ -420,73 +233,11 @@ impl QStore for DenseStore {
         }
     }
 
-    fn with_space(n_actions: usize, n_states: u64) -> Self {
-        DenseStore::with_space(n_actions, n_states)
-    }
-
-    fn covers_space(&self, n_states: u64) -> bool {
-        DenseStore::covers_space(self, n_states)
-    }
-
     fn resident_bytes(&self) -> usize {
-        let index = match &self.index {
-            // Direct slot tables are sized by the declared space.
-            RowIndex::Direct(slots) => slots.len() * 4,
-            // Hashed index: count entries, not capacity (determinism).
-            RowIndex::Map(_) => self.keys.len() * 12,
-        };
-        self.values.len() * 8 + self.visits.len() * 8 + self.keys.len() * 8 + index
-    }
-
-    /// Dense fast path: when the two arenas share the exact row layout
-    /// (same keys in the same row order — e.g. an accumulator seeded
-    /// from a sibling table, or fully-populated tables built over the
-    /// same `StateSpace` walk), the fold is a straight zip of the four
-    /// arena `Vec`s: no index probes, no key decoding, just one
-    /// contiguous multiply-add pass. An empty accumulator bulk-adopts
-    /// the first input's layout wholesale. Only genuinely divergent
-    /// layouts pay the per-row index path — and even that is one
-    /// slot-table load per row for space-declared tables.
-    fn fold_weighted(&mut self, other: &Self) {
-        debug_assert_eq!(self.n_actions, other.n_actions);
-        if self.keys.is_empty() {
-            // First fold: adopt the input's layout and weight in place.
-            self.index = other.index.clone();
-            self.keys.clone_from(&other.keys);
-            self.visits.clone_from(&other.visits);
-            self.values = other
-                .values
-                .iter()
-                .zip(&other.visits)
-                .map(|(&q, &n)| q * n as f64)
-                .collect();
-            return;
-        }
-        if self.keys == other.keys {
-            // Identical layout: zip the arenas directly.
-            let rows = self.values.iter_mut().zip(self.visits.iter_mut());
-            let others = other.values.iter().zip(&other.visits);
-            for ((v, n), (&q, &m)) in rows.zip(others) {
-                *v += q * m as f64;
-                *n += m;
-            }
-            return;
-        }
-        // Divergent layouts: per-row probe of this store's index. A key
-        // beyond a direct index's declared capacity demotes the index
-        // to the hashed map once (unions may exceed any one space).
-        for (i, &k) in other.keys.iter().enumerate() {
-            let span = i * self.n_actions..(i + 1) * self.n_actions;
-            if !self.index_accepts(k) {
-                self.demote_index_to_map();
-            }
-            let (v, n) = self.row_mut(k, 0.0);
-            let (ov, on) = (&other.values[span.clone()], &other.visits[span]);
-            for a in 0..v.len() {
-                v[a] += ov[a] * on[a] as f64;
-                n[a] += on[a];
-            }
-        }
+        // Per row: its values and visits, its key, and one hashed index
+        // entry (key + row number) — counted by entry, never by
+        // capacity, so the figure is deterministic.
+        self.values.len() * 8 + self.visits.len() * 8 + self.keys.len() * 20
     }
 }
 
@@ -568,45 +319,6 @@ mod tests {
             seen.insert(h.finish() & 0x3ff);
         }
         assert!(seen.len() > 600, "only {} distinct buckets", seen.len());
-    }
-
-    #[test]
-    fn direct_index_matches_map_index() {
-        let ops = [
-            (5u64, 1usize, 0.5f64),
-            (999, 0, -1.0),
-            (5, 2, 2.0),
-            (0, 0, 7.0),
-        ];
-        let mapped: DenseStore = fill(&ops);
-        let mut direct = DenseStore::with_space(3, 1_000);
-        assert!(direct.is_direct_indexed());
-        assert!(!mapped.is_direct_indexed());
-        for &(k, a, v) in &ops {
-            let (values, visits) = direct.row_mut(k, 0.0);
-            values[a] = v;
-            visits[a] += 1;
-        }
-        assert_eq!(direct, mapped, "index layout must not be observable");
-        assert_eq!(direct.state_keys(), mapped.state_keys());
-        assert!(direct.row(1).is_none());
-        assert!(
-            direct.row(5_000).is_none(),
-            "out-of-space probe reads as absent"
-        );
-    }
-
-    #[test]
-    fn oversized_space_falls_back_to_map() {
-        let s = DenseStore::with_space(9, DenseStore::DIRECT_INDEX_LIMIT + 1);
-        assert!(!s.is_direct_indexed());
-    }
-
-    #[test]
-    #[should_panic(expected = "outside the declared direct-index capacity")]
-    fn direct_index_rejects_out_of_space_writes() {
-        let mut s = DenseStore::with_space(3, 10);
-        let _ = s.row_mut(10, 0.0);
     }
 
     #[test]

@@ -19,11 +19,11 @@
 //! and sort the concatenated key set of *every* table, then probe each
 //! table per key) survives only as the oracle of this module's tests.
 //!
-//! On the dense backend the fold zips the value/visit arenas directly
-//! when the row layouts line up (see [`QStore::fold_weighted`]) — no
-//! sorting, no key decoding, no per-key hashing. Keys beyond a table's
-//! declared state space move the accumulator onto the dense store's
-//! hashed row index, so tables from different encoders still merge.
+//! A fold walks the input's rows once and adds `q·n` and `n` per cell
+//! into the accumulator's row of the same key — one index probe per
+//! row, no sorting, no key decoding. Campaign devices fold as overlays
+//! ([`MergeAccumulator::fold_overlay`]): only the rows a device touched
+//! are walked, and the shared base is added in closed form.
 
 // qlint::allow(ND03, reason = "touched-row counters; iterated only in the finish fold where each key contributes independently")
 use std::collections::HashMap;
@@ -147,7 +147,9 @@ impl<S: QStore> MergeAccumulator<S> {
         self.folded
     }
 
-    /// Folds one device table into the accumulator.
+    /// Folds one device table into the accumulator: every row of
+    /// `table` is added once, as visit-weighted sums, into the
+    /// accumulator's row of the same key.
     ///
     /// # Errors
     ///
@@ -165,7 +167,10 @@ impl<S: QStore> MergeAccumulator<S> {
                 got: table.n_actions(),
             });
         }
-        self.store.fold_weighted(table.store());
+        let store = &mut self.store;
+        table
+            .store()
+            .for_each_row(&mut |k, values, visits| add_weighted(store, k, values, visits));
         self.folded += 1;
         Ok(())
     }
@@ -304,15 +309,22 @@ impl MergeAccumulator<DenseStore> {
         let fold = self.overlay.as_mut().expect("overlay fold ensured above");
         let store = &mut self.store;
         table.store().for_each_touched(&mut |k, values, visits| {
-            let (v, n) = store.row_mut(k, 0.0);
-            for a in 0..values.len() {
-                v[a] += values[a] * visits[a] as f64;
-                n[a] += visits[a];
-            }
+            add_weighted(store, k, values, visits);
             *fold.touched.entry(k).or_insert(0) += 1;
         });
         self.folded += 1;
         Ok(())
+    }
+}
+
+/// Adds one input row into the accumulator's row of the same key as
+/// visit-weighted sums: `Σ(q·n) += q·n` and `Σn += n` per action (a row
+/// the accumulator lacks starts at zero).
+fn add_weighted<S: QStore>(store: &mut S, k: StateKey, values: &[f64], visits: &[u64]) {
+    let (v, n) = store.row_mut(k, 0.0);
+    for a in 0..values.len() {
+        v[a] += values[a] * visits[a] as f64;
+        n[a] += visits[a];
     }
 }
 
@@ -322,8 +334,8 @@ impl MergeAccumulator<DenseStore> {
 /// and the merged visit count is the sum. Pairs no device visited read
 /// the first table's default.
 ///
-/// Streams through [`MergeAccumulator`] — bounded memory, dense arena
-/// fast path — and returns a typed error instead of panicking. Use
+/// Streams through [`MergeAccumulator`] — bounded memory, one pass per
+/// table — and returns a typed error instead of panicking. Use
 /// [`merge`] when the inputs are known-good.
 ///
 /// # Errors
@@ -587,10 +599,9 @@ mod tests {
 
     #[test]
     fn dense_fast_path_handles_divergent_layouts_and_spaces() {
-        // Table A: direct-indexed space of 10 states; table B visits a
-        // key far beyond it in a different row order. The accumulator
-        // must union them without panicking on index capacity.
-        let mut a = DenseQTable::dense_for_space(3, 0.0, 10);
+        // Table B visits a key far beyond table A's keys, in a different
+        // row order; the accumulator must union the two.
+        let mut a = QTable::new(3);
         a.set(4, 1, 2.0);
         a.set(2, 0, 1.0);
         let mut b = QTable::new(3);
@@ -611,11 +622,11 @@ mod tests {
 
     #[test]
     fn dense_identical_layout_zips_arenas() {
-        // Two tables built by the same population walk share row order,
-        // so folds after the first take the arena-zip path; the result
-        // must still match the eager reference bit for bit.
+        // Three tables built by the same population walk share row
+        // order; the streaming merge must match the eager reference bit
+        // for bit.
         let build = |scale: f64| {
-            let mut t = DenseQTable::dense_for_space(4, 0.0, 64);
+            let mut t = QTable::new(4);
             for s in 0..64u64 {
                 for a in 0..4 {
                     t.set(s, a, scale * (s as f64 - a as f64));
@@ -646,7 +657,7 @@ mod tests {
         // so the overlay fast path and the materialised-copy fold are
         // comparable bit for bit despite their differing addition
         // order.
-        let mut t = DenseQTable::dense_for_space(3, 0.25, 32);
+        let mut t = DenseQTable::with_default_q(3, 0.25);
         for s in 0..32u64 {
             for a in 0..3 {
                 for _ in 0..=(s as usize % 3) {
@@ -665,7 +676,7 @@ mod tests {
                 // devices overlap on row 5.
                 t.set(5, (d % 3) as usize, d as f64 * 0.5 - 1.0);
                 t.set(10 + d, 1, 2.0 - d as f64 * 0.25);
-                t.set(100 + d, 2, 0.75); // beyond the base's 32-state space
+                t.set(100 + d, 2, 0.75); // beyond the base's 32 rows
                 t
             })
             .collect()

@@ -13,8 +13,10 @@
 //! * [`qtable`] — the Q-table with visit counting, generic over its
 //!   storage backend,
 //! * [`backend`] — the [`QStore`] storage abstraction and the
-//!   dense-indexed arena ([`DenseStore`]) whose contiguous rows make
-//!   the per-control-period argmax+update loop cache-friendly,
+//!   dense-indexed arena ([`DenseStore`]): contiguous rows behind one
+//!   fast-hashed row index, which keep the per-control-period
+//!   argmax+update loop cache-friendly and cost memory per visited
+//!   state only,
 //! * [`overlay`] — [`OverlayStore`], the campaign's per-device
 //!   backend: a copy-on-write view of an `Arc`-shared dense base, with
 //!   O(1) warm start, O(touched) resident memory and delta extraction,
@@ -23,8 +25,9 @@
 //! * [`discretize`] — uniform quantisers, including the FPS quantiser
 //!   whose bin count the paper sweeps in Fig. 6 (30 bins works best),
 //! * [`federated`] — streaming visit-weighted federated averaging of
-//!   device tables ([`MergeAccumulator`]: bounded memory, dense arena
-//!   fast path) plus the cloud-training time model of §IV-C,
+//!   device tables ([`MergeAccumulator`]: bounded memory, one pass per
+//!   table, an O(touched) path for overlays) plus the cloud-training
+//!   time model of §IV-C,
 //! * [`codec`] — the compact `NXQT` binary table/delta codec, the one
 //!   format tables persist in: the per-app table store, campaign
 //!   checkpoints, the delta-bytes uplink cost model and the CLI's

@@ -276,9 +276,10 @@ mod tests {
     use super::*;
     use crate::backend::DenseStore;
     use crate::codec::{apply_delta, delta_between};
+    use crate::federated::MergeAccumulator;
 
     fn trained_base() -> Arc<DenseQTable> {
-        let mut t = DenseQTable::dense_for_space(4, 25.0, 1_000);
+        let mut t = DenseQTable::with_default_q(4, 25.0);
         for s in [0u64, 7, 42, 999] {
             for a in 0..4usize {
                 if !(s as usize + a).is_multiple_of(3) {
@@ -398,11 +399,12 @@ mod tests {
         assert_eq!(store.row(7).expect("row").0[1], base.q(7, 1) + 1.0);
         let base_row = base.entry_raw(7).expect("base row");
         assert_eq!(base_row.0[1], base.q(7, 1));
-        // fold_weighted rides on row_mut, so the default trait impl
-        // works unchanged over an overlay.
-        let mut acc = OverlayStore::with_actions(4);
-        acc.fold_weighted(&store);
-        assert_eq!(acc.len(), store.len());
+        // The merge fold rides on for_each_row and row_mut, so it works
+        // unchanged over an overlay.
+        let mut acc: MergeAccumulator<OverlayStore> = MergeAccumulator::new(4, 25.0);
+        acc.fold(&QTable::from_store(25.0, store.clone()))
+            .expect("same action count");
+        assert_eq!(acc.finish().expect("one table folded").len(), store.len());
     }
 
     #[test]
@@ -422,7 +424,11 @@ mod tests {
 
     #[test]
     fn resident_bytes_counts_touched_rows_only() {
-        let base = trained_base();
+        let mut trained = DenseQTable::with_default_q(4, 25.0);
+        for s in 0..64u64 {
+            trained.set(s, (s % 4) as usize, s as f64 * 0.5);
+        }
+        let base = Arc::new(trained);
         let mut overlay = QTable::overlay(Arc::clone(&base));
         let empty = overlay.resident_bytes();
         overlay.set(7, 1, -9.0);
@@ -443,7 +449,7 @@ mod tests {
         // smaller base's states. What the overlay owns and emits must
         // be identical over both: its cost is a function of the writes.
         fn full_base(states: u64) -> Arc<DenseQTable> {
-            let mut table = DenseQTable::dense_for_space(9, 0.0, states);
+            let mut table = DenseQTable::new(9);
             for s in 0..states {
                 let values: Vec<f64> = (0..9u64)
                     .map(|a| ((s * 31 + a * 7) % 1_000) as f64 * 0.01 - 5.0)

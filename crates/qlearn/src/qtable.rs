@@ -2,12 +2,15 @@
 //!
 //! States are pre-encoded by the caller into a [`StateKey`] (the Next
 //! agent packs its discretised observation tuple into the key), so the
-//! table itself is domain-agnostic. Storage goes through [`QStore`]:
-//! [`DenseStore`] for the cache-friendly learn/act hot path, or the
-//! copy-on-write [`crate::overlay::OverlayStore`] over a shared dense
-//! base — see [`crate::backend`]. Tables persist through the `NXQT`
-//! codec ([`crate::codec`]), which encodes both backends to the same
-//! bytes.
+//! table itself is domain-agnostic. Any `u64` key is accepted and no
+//! state space is declared up front, so a table learned under one
+//! encoding (say, coarser FPS bins) keeps learning under another.
+//! Storage goes through [`QStore`]: [`DenseStore`] for the
+//! cache-friendly learn/act hot path, or the copy-on-write
+//! [`crate::overlay::OverlayStore`] over a shared dense base — see
+//! [`crate::backend`]. Tables persist through the `NXQT` codec
+//! ([`crate::codec`]), which writes rows in sorted key order and so
+//! encodes both backends to the same bytes.
 
 use crate::backend::{DenseStore, QStore};
 
@@ -54,19 +57,6 @@ impl QTable<DenseStore> {
     pub fn with_default_q(n_actions: usize, default_q: f64) -> Self {
         QTable::empty(n_actions, default_q)
     }
-
-    /// Dense table for a **bounded** key space of `n_states` states
-    /// (every key must stay below `n_states`, as a `StateSpace`
-    /// encoding guarantees). Small spaces get the direct slot-table
-    /// index — one array load per probe instead of a hash.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_actions` is zero or `default_q` is not finite.
-    #[must_use]
-    pub fn dense_for_space(n_actions: usize, default_q: f64, n_states: u64) -> Self {
-        QTable::empty_for_space(n_actions, default_q, n_states)
-    }
 }
 
 impl<S: QStore> QTable<S> {
@@ -82,46 +72,6 @@ impl<S: QStore> QTable<S> {
             default_q,
             store: S::with_actions(n_actions),
         }
-    }
-
-    /// Creates an empty table laid out for a **bounded** key space of
-    /// `n_states` states (every key must stay below `n_states`, as a
-    /// `StateSpace` encoding guarantees). Space-aware backends use the
-    /// hint — the dense backend gets its direct slot-table index — and
-    /// the others ignore it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_actions` is zero or `default_q` is not finite.
-    #[must_use]
-    pub fn empty_for_space(n_actions: usize, default_q: f64, n_states: u64) -> Self {
-        assert!(default_q.is_finite(), "default q must be finite");
-        QTable {
-            default_q,
-            store: S::with_space(n_actions, n_states),
-        }
-    }
-
-    /// Returns a table guaranteed to accept every key of a space of
-    /// `n_states` states: `self` unchanged when its index already
-    /// covers the space (hashed indexes always do), otherwise the rows
-    /// re-homed into a store sized for the space. Use when warm-starting
-    /// from a table whose declared space may have been smaller (e.g. a
-    /// table trained at coarser FPS bins).
-    #[must_use]
-    pub fn resized_for_space(self, n_states: u64) -> Self {
-        if self.store.covers_space(n_states) {
-            return self;
-        }
-        let mut out: QTable<S> =
-            QTable::empty_for_space(self.n_actions(), self.default_q, n_states);
-        let default_q = self.default_q;
-        self.store.for_each_row(&mut |state, values, visits| {
-            let (v, n) = out.store.row_mut(state, default_q);
-            v.copy_from_slice(values);
-            n.copy_from_slice(visits);
-        });
-        out
     }
 
     /// Resident heap bytes attributable to this table's own rows (see
@@ -411,23 +361,6 @@ mod tests {
         assert_eq!(o.default_q(), 9.0);
         let d2: DenseQTable = o.to_backend();
         assert_eq!(d2, d);
-    }
-
-    #[test]
-    fn resized_for_space_grows_a_direct_index() {
-        let mut small = DenseQTable::dense_for_space(3, 1.5, 100);
-        small.set(42, 1, 2.0);
-        let grown = small.clone().resized_for_space(1_000);
-        // The grown table accepts keys the small one would reject…
-        let mut grown = grown;
-        grown.set(999, 0, -1.0);
-        // …and kept every row and the default.
-        assert_eq!(grown.q(42, 1), 2.0);
-        assert_eq!(grown.q(42, 0), 1.5, "unvisited cells keep the default");
-        assert_eq!(grown.visits(42, 1), 1);
-        // A covering index is returned unchanged (no re-homing).
-        let same = small.clone().resized_for_space(50);
-        assert_eq!(same, small);
     }
 
     #[test]

@@ -75,11 +75,21 @@ impl QStore for RefStore {
     }
 }
 
+/// Lowest key of each 400-key band states are drawn from: the bottom
+/// of every space, the top of the 30-bin Exynos 9810 and 9820 state
+/// spaces (139,968,000 and 2,015,539,200 states), and the top of `u64`.
+const KEY_BANDS: [u64; 4] = [0, 139_967_600, 2_015_538_800, u64::MAX - 399];
+
+/// A state key from one of the [`KEY_BANDS`].
+fn arb_key() -> impl Strategy<Value = u64> {
+    (0..KEY_BANDS.len(), 0u64..400).prop_map(|(band, offset)| KEY_BANDS[band] + offset)
+}
+
 /// An arbitrary update sequence over a 9-action table: `(state, action,
-/// value)` triples, with states drawn from a smallish range so
-/// collisions (re-updates of the same pair) are common.
+/// value)` triples, with states drawn from narrow bands so collisions
+/// (re-updates of the same pair) are common.
 fn arb_updates() -> impl Strategy<Value = Vec<(u64, usize, f64)>> {
-    proptest::collection::vec((0u64..400, 0usize..9, -50.0..50.0f64), 0..120)
+    proptest::collection::vec((arb_key(), 0usize..9, -50.0..50.0f64), 0..120)
 }
 
 /// Applies the same update sequence to the reference and the dense
@@ -102,7 +112,7 @@ proptest! {
     fn backends_observationally_identical(
         updates in arb_updates(),
         default_q in -10.0..10.0f64,
-        probe_state in 0u64..500,
+        probe_state in arb_key(),
     ) {
         let (reference, dense) = build_pair(default_q, &updates);
         prop_assert_eq!(reference.len(), dense.len());
@@ -201,7 +211,7 @@ proptest! {
         seed_updates in arb_updates(),
         updates in arb_updates(),
         default_q in -10.0..10.0f64,
-        probe_state in 0u64..500,
+        probe_state in arb_key(),
     ) {
         let mut base = DenseQTable::with_default_q(9, default_q);
         for &(s, a, v) in &seed_updates {
@@ -248,25 +258,5 @@ proptest! {
         prop_assert_eq!(overlay.delta_bytes(), reference.clone());
         let rebuilt = apply_delta(&*base, &overlay.into_delta()).expect("own delta applies");
         prop_assert_eq!(encode_table(&rebuilt), encode_table(&dense));
-    }
-
-    /// The direct slot-table index (bounded key space) behaves exactly
-    /// like the hashed index.
-    #[test]
-    fn direct_index_matches_hashed_index(
-        updates in proptest::collection::vec((0u64..400, 0usize..9, -50.0..50.0f64), 0..120),
-        default_q in -10.0..10.0f64,
-    ) {
-        let mut mapped = DenseQTable::with_default_q(9, default_q);
-        let mut direct = DenseQTable::dense_for_space(9, default_q, 400);
-        for &(s, a, v) in &updates {
-            mapped.set(s, a, v);
-            direct.set(s, a, v);
-        }
-        prop_assert_eq!(&mapped, &direct);
-        prop_assert_eq!(encode_table(&mapped), encode_table(&direct));
-        for s in 0..400 {
-            prop_assert_eq!(mapped.best_action(s), direct.best_action(s));
-        }
     }
 }

@@ -30,7 +30,7 @@
 //!
 //! Everything in a [`DayReport`] is a pure function of the
 //! [`DaySpec`] plus the store's initial contents — [`run_days`] fans
-//! plans × governors out on the work-stealing
+//! plans × governors out on the shared-cursor
 //! [`crate::sweep::parallel_map`] and is byte-identical for any worker
 //! count, the same 1-vs-N guarantee the sweep and campaign engines give.
 //!
@@ -691,7 +691,8 @@ pub fn run_day_lanes_traced<B: QStore, S: TraceSink>(
     lanes.into_iter().map(DayLane::finish).collect()
 }
 
-/// Fans `plans × governors` out on the work-stealing parallel runner:
+/// Fans `plans × governors` out on the parallel runner
+/// ([`crate::sweep::parallel_map`]):
 /// one day cell per (plan, governor), every cell replaying the
 /// identical plan so governors are compared on the same day.
 ///

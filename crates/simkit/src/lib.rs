@@ -29,7 +29,7 @@
 //!   Q-table deltas pricing the uplink, and an atomically-written
 //!   `NXCP` checkpoint that resumes byte-identically,
 //! * [`report`] — plain-text tables and series for the bench harness,
-//! * [`sweep`] — the work-stealing parallel runner for governor×app×seed
+//! * [`sweep`] — the shared-cursor parallel runner for governor×app×seed
 //!   grids, with deterministic row merging,
 //! * [`trace`] — the compact per-tick binary trace format plus the
 //!   zero-cost [`trace::TraceSink`] hook, the recorder behind

@@ -3,14 +3,14 @@
 //! The paper's §V evaluation protocol measures every governor on every
 //! application over seeded sessions — an embarrassingly parallel grid of
 //! fully independent simulations. This module runs that grid across
-//! threads with a small work-stealing scheduler built on scoped
-//! `std::thread` (no external dependencies) and merges the per-cell
+//! scoped `std::thread` workers that claim cells from one shared atomic
+//! cursor (no external dependencies) and merges the per-cell
 //! [`Summary`] rows **deterministically**: the output is a pure function
 //! of the cell list, identical for any worker count.
 //!
 //! Three layers, each usable on its own:
 //!
-//! * [`parallel_map`] — generic ordered work-stealing map over a slice,
+//! * [`parallel_map`] — generic ordered parallel map over a slice,
 //! * [`grid`] / [`run_cells`] — sweep cells and their parallel execution
 //!   with a caller-supplied evaluator,
 //! * [`StandardEvaluator`] — the stock evaluator covering every governor
@@ -26,8 +26,8 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::Mutex;
-use std::thread;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::{panic, thread};
 
 use governors::Governor;
 use next_core::NextAgent;
@@ -91,51 +91,6 @@ pub fn grid(
     cells
 }
 
-/// Per-worker index stripes with round-robin stealing: a worker that
-/// drains its own stripe takes items from the back of the next
-/// non-empty neighbour.
-struct StripeQueue {
-    stripes: Vec<Mutex<(usize, usize)>>,
-}
-
-impl StripeQueue {
-    /// Splits `0..n` into one contiguous stripe per worker.
-    fn new(n: usize, workers: usize) -> Self {
-        let per = n.div_ceil(workers);
-        let stripes = (0..workers)
-            .map(|w| Mutex::new(((w * per).min(n), ((w + 1) * per).min(n))))
-            .collect();
-        StripeQueue { stripes }
-    }
-
-    /// Next index for worker `w`: front of its own stripe, else one
-    /// stolen from the back of another worker's stripe. `None` only
-    /// after a full scan found every stripe empty — since stripes never
-    /// grow, that state is permanent and the worker can retire.
-    fn next(&self, w: usize) -> Option<usize> {
-        {
-            // qlint::allow(PN01, reason = "a poisoned stripe lock means a worker already panicked; propagating is correct")
-            let mut own = self.stripes[w].lock().expect("queue lock");
-            if own.0 < own.1 {
-                let i = own.0;
-                own.0 += 1;
-                return Some(i);
-            }
-        }
-        let n = self.stripes.len();
-        for off in 1..n {
-            let victim = (w + off) % n;
-            // qlint::allow(PN01, reason = "a poisoned stripe lock means a worker already panicked; propagating is correct")
-            let mut g = self.stripes[victim].lock().expect("queue lock");
-            if g.0 < g.1 {
-                g.1 -= 1;
-                return Some(g.1);
-            }
-        }
-        None
-    }
-}
-
 /// Default worker count for a sweep: every available core.
 #[must_use]
 pub fn default_workers() -> usize {
@@ -145,14 +100,15 @@ pub fn default_workers() -> usize {
 /// Applies `f` to every item on `workers` threads and returns the
 /// results **in item order**, whatever order the threads ran in.
 ///
-/// Work is distributed by stealing: each worker drains its own stripe of
-/// the index space and then takes cells from the back of the next
-/// non-empty neighbour's stripe, so a stripe of slow cells (e.g. the
-/// 5-minute game sessions) cannot serialise the sweep.
+/// Every worker claims the next unclaimed index from one shared atomic
+/// cursor, so a run of slow cells (e.g. the 5-minute game sessions)
+/// cannot serialise the sweep behind one worker.
 ///
 /// # Panics
 ///
-/// Propagates a panic from any worker thread.
+/// Re-raises the first worker panic (in worker order) with its own
+/// payload, so the caller sees the message the failing item panicked
+/// with.
 pub fn parallel_map<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -168,37 +124,36 @@ where
         return items.iter().map(f).collect();
     }
 
-    let queue = StripeQueue::new(n, workers);
-    let collected: Vec<Vec<(usize, R)>> = thread::scope(|scope| {
+    // `Relaxed` suffices: the cursor publishes no data. The atomic add
+    // alone hands each index to exactly one worker, and results reach
+    // this thread through `join`.
+    let cursor = AtomicUsize::new(0);
+    let mut pairs: Vec<(usize, R)> = thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let queue = &queue;
-                let f = &f;
-                scope.spawn(move || {
+            .map(|_| {
+                scope.spawn(|| {
                     let mut out = Vec::new();
-                    while let Some(i) = queue.next(w) {
-                        out.push((i, f(&items[i])));
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else {
+                            return out;
+                        };
+                        out.push((i, f(item)));
                     }
-                    out
                 })
             })
             .collect();
-        handles
-            .into_iter()
-            // qlint::allow(PN01, reason = "re-raising a worker panic on the caller's thread, not swallowing it")
-            .map(|h| h.join().expect("sweep worker panicked"))
-            .collect()
+        let mut pairs = Vec::with_capacity(n);
+        for handle in handles {
+            match handle.join() {
+                Ok(out) => pairs.extend(out),
+                Err(payload) => panic::resume_unwind(payload),
+            }
+        }
+        pairs
     });
-
-    let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    for (i, r) in collected.into_iter().flatten() {
-        results[i] = Some(r);
-    }
-    results
-        .into_iter()
-        // qlint::allow(PN01, reason = "the stripe queue hands out each index exactly once")
-        .map(|r| r.expect("every cell ran exactly once"))
-        .collect()
+    pairs.sort_unstable_by_key(|&(i, _)| i);
+    pairs.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Runs `cells` on `workers` threads with a caller-supplied evaluator
@@ -521,9 +476,9 @@ mod tests {
 
     #[test]
     fn parallel_map_balances_skewed_work() {
-        // Front-loaded stripe: worker 0 would own all the heavy items
-        // under static partitioning; stealing must still complete and
-        // preserve order.
+        // Front-loaded work: worker 0 would own all the heavy items
+        // under static partitioning; the shared cursor must still
+        // complete and preserve order.
         let items: Vec<u64> = (0..64)
             .map(|i| if i < 8 { 2_000_000 } else { 10 })
             .collect();
@@ -541,11 +496,13 @@ mod tests {
     }
 
     #[test]
-    fn stripe_queue_hands_out_every_index_once() {
-        let q = StripeQueue::new(10, 3);
-        let mut seen: Vec<usize> = std::iter::from_fn(|| q.next(1)).collect();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..10).collect::<Vec<_>>());
+    #[should_panic(expected = "cell 3 failed")]
+    fn parallel_map_reraises_the_worker_panic_message() {
+        let items: Vec<u32> = (0..8).collect();
+        let _ = parallel_map(&items, 3, |&i| {
+            assert!(i != 3, "cell {i} failed");
+            i
+        });
     }
 
     #[test]
