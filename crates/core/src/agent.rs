@@ -45,8 +45,6 @@ pub struct NextConfig {
     /// The window takes one sample per engine tick, through
     /// [`Governor::observe`].
     pub window_samples: usize,
-    /// Control period, seconds (paper: Next is invoked every 100 ms).
-    pub control_period_s: f64,
     /// How often the target FPS is refreshed from the window mode,
     /// seconds (paper: once per 4 s frame window).
     pub target_refresh_s: f64,
@@ -72,10 +70,9 @@ pub struct NextConfig {
     pub bounds: PpdwBounds,
     /// Ambient temperature used in PPDW, °C.
     pub ambient_c: f64,
-    /// Weight of the PPDW term in the reward.
-    pub ppdw_weight: f64,
-    /// Weight of the target-FPS attainment term in the reward
-    /// (0 reduces the reward to pure PPDW — the ablation case).
+    /// Weight of the target-FPS attainment term in the reward, next to
+    /// the PPDW term's weight of 1 (0 reduces the reward to pure PPDW —
+    /// the ablation case).
     pub fps_weight: f64,
     /// Weight of the cap-headroom shaping term: a small penalty on the
     /// summed `maxfreq` cap levels. Without it the reward is flat while
@@ -83,36 +80,21 @@ pub struct NextConfig {
     /// the learner has no gradient towards tighter caps until a cap
     /// happens to bind. Set 0 to disable (ablation).
     pub headroom_weight: f64,
-    /// Initial Q-value for unvisited state-action pairs. The agent
-    /// already explores untried actions first (directed exploration),
-    /// so the default is neutral 0; a large value would additionally
-    /// propagate optimism through the γ-bootstrap (slower but more
-    /// systematic — exposed for experiments).
-    pub optimistic_q: f64,
     /// Use double Q-learning (van Hasselt 2010): two tables, each
     /// bootstrapping through the other's estimate, which removes the
     /// max-operator's systematic over-estimation under reward noise.
     /// Control uses the combined estimate. Ablated in the bench
     /// harness.
     pub double_q: bool,
-    /// QoS guard: when the delivered FPS stays below
-    /// `qos_guard_ratio · target` for `qos_guard_s` seconds (and the
-    /// target is a real QoS demand, ≥ 15 FPS), every `maxfreq` cap is
-    /// re-opened and learning resumes from full service. This is the
-    /// watchdog that breaks the coordinated-caps local optimum: from a
-    /// deep cap configuration, restoring QoS needs several *joint* up
-    /// moves through a reward-flat region that a myopic learner cannot
-    /// cross on its own. Set `qos_guard_s` to infinity to disable
-    /// (ablation).
+    /// QoS guard: when the delivered FPS stays below `0.7 · target` for
+    /// `qos_guard_s` seconds (and the target is a real QoS demand,
+    /// ≥ 15 FPS), every `maxfreq` cap is re-opened and learning resumes
+    /// from full service. This is the watchdog that breaks the
+    /// coordinated-caps local optimum: from a deep cap configuration,
+    /// restoring QoS needs several *joint* up moves through a
+    /// reward-flat region that a myopic learner cannot cross on its
+    /// own. Set `qos_guard_s` to infinity to disable (ablation).
     pub qos_guard_s: f64,
-    /// Undershoot ratio that arms the QoS guard (default 0.7).
-    pub qos_guard_ratio: f64,
-    /// Convergence: TD-error EMA threshold (relative).
-    pub td_tolerance: f64,
-    /// Convergence: consecutive below-threshold updates required.
-    pub convergence_updates: u32,
-    /// Minimum updates before convergence may be declared.
-    pub min_updates: u32,
     /// RNG seed for exploration.
     pub seed: u64,
 }
@@ -126,7 +108,6 @@ impl NextConfig {
             platform: Platform::exynos9810(),
             fps_bins: 30,
             window_samples: 160,
-            control_period_s: 0.1,
             target_refresh_s: 4.0,
             target_decay: 0.7,
             alpha: 0.25,
@@ -136,16 +117,10 @@ impl NextConfig {
             epsilon_min: 0.05,
             bounds: PpdwBounds::exynos9810(),
             ambient_c: mpsoc::DEFAULT_AMBIENT_C,
-            ppdw_weight: 1.0,
             fps_weight: 2.0,
             headroom_weight: 0.4,
-            optimistic_q: 0.0,
             double_q: false,
             qos_guard_s: 3.0,
-            qos_guard_ratio: 0.7,
-            td_tolerance: 0.10,
-            convergence_updates: 100,
-            min_updates: 400,
             seed: 0x5eed,
         }
     }
@@ -253,11 +228,10 @@ pub struct NextAgent<S: QStore = DenseStore> {
 
 impl NextAgent {
     /// Creates an untrained agent (training mode on, empty table with
-    /// optimistic initialisation) on the default dense backend.
+    /// neutral initial Q-values) on the default dense backend.
     #[must_use]
     pub fn new(config: NextConfig) -> Self {
-        let table =
-            DenseQTable::with_default_q(config.platform.action_count(), config.optimistic_q);
+        let table = DenseQTable::with_default_q(config.platform.action_count(), Self::OPTIMISTIC_Q);
         NextAgent::with_table(config, table, true)
     }
 }
@@ -271,13 +245,14 @@ impl<S: QStore> NextAgent<S> {
     ///
     /// # Panics
     ///
-    /// Panics if the table's action count does not match the platform or
-    /// the configuration is invalid.
+    /// Panics if the table's action count does not match the platform,
+    /// or with the encoder's error, as "invalid NextConfig: …", if the
+    /// configuration yields no state encoding (`fps_bins` is 0).
     #[must_use]
     pub fn with_table(config: NextConfig, table: QTable<S>, training: bool) -> Self {
         let encoder = StateEncoder::for_platform(&config.platform, config.fps_bins)
-            // qlint::allow(PN01, reason = "platforms come only from the presets, whose ladders the simkit preset test checks, so the encoding cannot fail; documented under # Panics")
-            .expect("platform yields a valid state encoding");
+            // qlint::allow(PN01, reason = "a zero fps_bins is the one encoder error a preset platform leaves; the panic names it and is documented under # Panics")
+            .unwrap_or_else(|e| panic!("invalid NextConfig: {e}"));
         NextAgent::from_parts(config, encoder, table, training)
     }
 
@@ -285,6 +260,24 @@ impl<S: QStore> NextAgent<S> {
     /// fleet table already encodes the fleet's experience, so local
     /// rounds refine it instead of re-exploring from scratch.
     pub const WARM_START_EPSILON_SCALE: f64 = 0.3;
+
+    /// Control period, seconds (paper: Next is invoked every 100 ms).
+    const CONTROL_PERIOD_S: f64 = 0.1;
+    /// Weight of the PPDW term in the reward.
+    const PPDW_WEIGHT: f64 = 1.0;
+    /// Initial Q-value for unvisited state-action pairs: neutral, since
+    /// the agent already explores untried actions first (directed
+    /// exploration).
+    const OPTIMISTIC_Q: f64 = 0.0;
+    /// Undershoot ratio that arms the QoS guard (see
+    /// [`NextConfig::qos_guard_s`]).
+    const QOS_GUARD_RATIO: f64 = 0.7;
+    /// Convergence: TD-error EMA threshold (relative).
+    const TD_TOLERANCE: f64 = 0.10;
+    /// Convergence: consecutive below-threshold updates required.
+    const CONVERGENCE_UPDATES: u32 = 100;
+    /// Minimum updates before convergence may be declared.
+    const MIN_UPDATES: u64 = 400;
 
     /// Creates a **training** agent warm-started from a previously
     /// learned table — the §IV-C device-side hook: the cloud pushes the
@@ -320,11 +313,6 @@ impl<S: QStore> NextAgent<S> {
     ) -> Self {
         let n_actions = config.platform.action_count();
         assert_eq!(table.n_actions(), n_actions, "table action count mismatch");
-        assert!(config.fps_bins > 0, "fps_bins must be positive");
-        assert!(
-            config.control_period_s > 0.0,
-            "control period must be positive"
-        );
         let policy = if training {
             EpsilonGreedy::new(config.epsilon0, config.epsilon_decay, config.epsilon_min)
         } else {
@@ -332,7 +320,7 @@ impl<S: QStore> NextAgent<S> {
         };
         let table_b = config
             .double_q
-            .then(|| QTable::empty(n_actions, config.optimistic_q));
+            .then(|| QTable::empty(n_actions, Self::OPTIMISTIC_Q));
         // A platform of single-level ladders has zero steppable cap
         // range; floor at 1 so the (always-zero) headroom term divides
         // cleanly instead of poisoning the reward with NaN.
@@ -484,12 +472,12 @@ impl<S: QStore> NextAgent<S> {
         // (17 + 9 + 5 = 31 on the Exynos 9810).
         let cap_sum: usize = state.max_cap_level.iter().sum();
         let headroom_term = cap_sum as f64 / self.headroom_norm;
-        self.config.ppdw_weight * ppdw_term + self.config.fps_weight * fps_term
+        Self::PPDW_WEIGHT * ppdw_term + self.config.fps_weight * fps_term
             - self.config.headroom_weight * headroom_term
     }
 
     fn refresh_target(&mut self) {
-        self.since_target_refresh_s += self.config.control_period_s;
+        self.since_target_refresh_s += Self::CONTROL_PERIOD_S;
         if self.since_target_refresh_s >= self.config.target_refresh_s {
             if let Some(mode) = self.window.mode() {
                 let mode = f64::from(mode);
@@ -579,14 +567,14 @@ impl<S: QStore> NextAgent<S> {
         // arms the guard.
         if self.target_fps >= 15.0
             && state.fps >= 1.0
-            && state.fps < self.config.qos_guard_ratio * self.target_fps
+            && state.fps < Self::QOS_GUARD_RATIO * self.target_fps
         {
             self.guard_steps += 1;
         } else {
             self.guard_steps = 0;
         }
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let guard_limit = (self.config.qos_guard_s / self.config.control_period_s)
+        let guard_limit = (self.config.qos_guard_s / Self::CONTROL_PERIOD_S)
             .round()
             .max(1.0) as u32;
         if self.guard_steps >= guard_limit {
@@ -597,7 +585,7 @@ impl<S: QStore> NextAgent<S> {
             // action (the observed state no longer matches the caps).
             self.prev = None;
             self.last_decision = None;
-            self.stats.sim_time_s += self.config.control_period_s;
+            self.stats.sim_time_s += Self::CONTROL_PERIOD_S;
             return;
         }
 
@@ -650,7 +638,7 @@ impl<S: QStore> NextAgent<S> {
                 reward,
             });
         }
-        self.stats.sim_time_s += self.config.control_period_s;
+        self.stats.sim_time_s += Self::CONTROL_PERIOD_S;
     }
 
     /// ε-greedy action choice over the active estimate (single table,
@@ -711,12 +699,12 @@ impl<S: QStore> NextAgent<S> {
         let rel = td.abs() / (q_before.abs() + 1.0);
         let beta = 0.01;
         self.stats.td_ema = (1.0 - beta) * self.stats.td_ema + beta * rel;
-        if self.stats.updates >= u64::from(self.config.min_updates)
-            && self.stats.td_ema < self.config.td_tolerance
+        if self.stats.updates >= Self::MIN_UPDATES
+            && self.stats.td_ema < Self::TD_TOLERANCE
             && self.explore_ema < 0.05
         {
             self.below_tol_streak += 1;
-            if self.below_tol_streak >= self.config.convergence_updates
+            if self.below_tol_streak >= Self::CONVERGENCE_UPDATES
                 && self.stats.converged_at_s.is_none()
             {
                 self.stats.converged_at_s = Some(self.stats.sim_time_s);
@@ -746,7 +734,7 @@ impl<S: QStore> Governor for NextAgent<S> {
     }
 
     fn period_s(&self) -> f64 {
-        self.config.control_period_s
+        Self::CONTROL_PERIOD_S
     }
 
     fn control(&mut self, state: &SocState, dvfs: &mut DvfsController) {
@@ -1054,6 +1042,12 @@ mod tests {
     #[should_panic(expected = "action count mismatch")]
     fn wrong_table_arity_panics() {
         let _ = NextAgent::with_table(NextConfig::paper(), DenseQTable::new(4), true);
+    }
+
+    #[test]
+    #[should_panic(expected = "FPS quantiser needs at least one bin")]
+    fn zero_fps_bins_panics_with_the_encoder_error() {
+        let _ = NextAgent::new(NextConfig::paper().with_fps_bins(0));
     }
 
     #[test]

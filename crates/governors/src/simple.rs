@@ -131,7 +131,7 @@ mod tests {
     #[test]
     fn performance_pins_top() {
         let demand = FrameDemand::new(5.0e6, 2.0e6, 6.0e6);
-        let (mut soc, _) = run(&mut Performance::new(), &demand, 1.0);
+        let (soc, _) = run(&mut Performance::new(), &demand, 1.0);
         assert_eq!(soc.dvfs().current_khz(big()), 2_704_000);
         assert_eq!(soc.dvfs().current_khz(gpu()), 572_000);
     }
@@ -139,7 +139,7 @@ mod tests {
     #[test]
     fn powersave_pins_bottom() {
         let demand = FrameDemand::new(25.0e6, 6.0e6, 30.0e6);
-        let (mut soc, _) = run(&mut Powersave::new(), &demand, 1.0);
+        let (soc, _) = run(&mut Powersave::new(), &demand, 1.0);
         assert_eq!(soc.dvfs().current_khz(big()), 650_000);
         assert_eq!(soc.dvfs().current_khz(gpu()), 260_000);
     }
@@ -159,13 +159,13 @@ mod tests {
     fn ondemand_jumps_under_load_and_decays_when_idle() {
         let mut gov = Ondemand::new();
         let heavy = FrameDemand::new(25.0e6, 8.0e6, 30.0e6).with_background(0.8e9, 0.4e9, 0.1e9);
-        let (mut soc, _) = run(&mut gov, &heavy, 5.0);
+        let (soc, _) = run(&mut gov, &heavy, 5.0);
         assert!(
             soc.dvfs().current_khz(big()) >= 2_000_000,
             "ondemand should be near top under load"
         );
         let idle = FrameDemand::default();
-        let (mut soc, _) = run(&mut gov, &idle, 10.0);
+        let (soc, _) = run(&mut gov, &idle, 10.0);
         assert_eq!(soc.dvfs().current_khz(big()), 650_000);
     }
 

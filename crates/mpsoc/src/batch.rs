@@ -3,13 +3,17 @@
 //! [`SocBatch`] simulates `width` devices that share one platform
 //! *structure* (domains, OPP ladders, thermal network topology, power
 //! models, throttle trips) while every per-device *state* — node
-//! temperatures, frequencies, throttle clamps, utilisations —
-//! lives in contiguous arrays keyed `domain × lane` or `node × lane`.
-//! The physics hot loops (power model, throttle transitions) run as
-//! tight lane-inner loops over those arrays with no per-lane heap
-//! allocation and no `dyn` dispatch, so the compiler can vectorise
-//! across devices; the thermal RC update walks each lane's network in
-//! turn, which is cheaper at the widths the simulator runs.
+//! temperatures, throttle clamps, utilisations — lives in contiguous
+//! arrays keyed `domain × lane`, `node × lane` or `lane × domain`.
+//! The throttle transitions and the node power injection run as tight
+//! lane-inner loops over those arrays with no per-lane heap allocation
+//! and no `dyn` dispatch; the thermal RC update walks each lane's
+//! network in turn, which is cheaper at the widths the simulator runs.
+//!
+//! Each lane's DVFS state — its policy caps and current levels — lives
+//! in one place, the lane's [`DvfsController`], as one cpufreq policy
+//! per cluster does on the phone: governors write its caps between
+//! ticks, and the tick selects, clamps and reads its levels in place.
 //!
 //! # Arena layout
 //!
@@ -18,15 +22,16 @@
 //! node_power   [node0: l0 l1 … lW | node1: l0 l1 … lW | …]   (f64)
 //! domain_w     [dom0:  l0 l1 … lW | dom1:  l0 l1 … lW | …]   (f64)
 //! clamp_level  [dom0:  l0 l1 … lW | dom1:  l0 l1 … lW | …]   (usize)
-//! lvl_cur      [dom0:  l0 l1 … lW | dom1:  l0 l1 … lW | …]   (usize)
+//! last_utils   [l0: dom0 dom1 … | l1: dom0 dom1 … | …]        (f64)
 //! ambient_c    [l0 l1 … lW]                                   (f64)
 //! base_w       [l0 l1 … lW]                                   (f64)
 //! ```
 //!
-//! Each lane owns a disjoint column, so the inner loops are free of
-//! cross-lane dependencies; structure-level constants (trip points,
-//! capacitances, conductances, Hz ladders) are hoisted out of the lane
-//! loops and shared by every device.
+//! Each lane owns a disjoint column (or, in `last_utils`, a disjoint
+//! row: the utilisations one lane's selection reads), so the loops are
+//! free of cross-lane dependencies; structure-level constants (trip
+//! points, capacitances, conductances, the per-domain Hz ladder) are
+//! built once and shared by every device.
 //!
 //! # Observable state
 //!
@@ -76,8 +81,7 @@
 
 use std::collections::VecDeque;
 
-use crate::dvfs::DvfsController;
-use crate::freq::Opp;
+use crate::dvfs::{hz_ladders, DvfsController};
 use crate::perf::{self, FrameDemand};
 use crate::platform::{DomainId, PerDomain, Platform};
 use crate::power::DomainPowerModel;
@@ -100,49 +104,16 @@ pub struct SocBatch {
     width: usize,
     refresh_hz: f64,
     util_selection: bool,
-    /// DVFS controller per lane: the governor actuation surface, exactly
-    /// the object a [`crate::Soc`] exposes (policy caps and current
-    /// levels are per-device state).
+    /// DVFS controller per lane: the lane's one DVFS state (policy caps
+    /// and current levels), exactly the object a [`crate::Soc`] exposes.
     dvfs: Vec<DvfsController>,
     /// VSync/triple-buffer pipeline per lane (render phase is
     /// per-device state).
     vsync: Vec<VsyncPipeline>,
-    /// Frequency of every OPP in Hz, per domain — the shared ladder the
-    /// lane-wise utilisation-tracking selection scans (precomputed once
-    /// instead of converting kHz per probe, per lane, per tick).
+    /// Frequency of every OPP in Hz, per domain — the ladder every
+    /// lane's utilisation-tracking selection scans, built once instead
+    /// of converting kHz per probe, per lane, per tick.
     hz_ladder: Vec<Vec<f64>>,
-    /// Full OPP descriptor of every level, per domain — shared across
-    /// lanes (construction enforces structural equality with each
-    /// lane's controller table); the state reads its kHz.
-    opp_ladder: Vec<Vec<Opp>>,
-    // --- DVFS level mirror (SoA) ---
-    /// Current frequency level per `domain × lane`: a write-through
-    /// mirror of the per-lane controllers, so the per-tick selection,
-    /// clamp enforcement and OPP materialisation read contiguous
-    /// arrays and only touch a controller when a level actually
-    /// changes.
-    lvl_cur: Vec<usize>,
-    /// Lower policy cap level per `domain × lane` (mirror).
-    lvl_min: Vec<usize>,
-    /// Upper policy cap level per `domain × lane` (mirror).
-    lvl_max: Vec<usize>,
-    /// Per-lane mirror of the controller's util-margin and boost
-    /// threshold (refreshed together with the level mirror), so
-    /// steady-state selection reads contiguous arrays instead of
-    /// chasing into each lane's controller.
-    margin_mirror: Vec<f64>,
-    boost_mirror: Vec<f64>,
-    /// Lanes whose controller was handed out via
-    /// [`SocBatch::dvfs_mut`] since the last tick; their mirror
-    /// columns are re-read from the controller when the next tick
-    /// starts.
-    dvfs_dirty: Vec<bool>,
-    /// Lanes whose *controller* lags the mirror: the tick kernel
-    /// writes levels to the mirror only (write-behind), and the
-    /// controller is brought up to date when it is next handed out.
-    /// Mutually exclusive with `dvfs_dirty` — a handout flushes before
-    /// marking dirty.
-    ctl_stale: Vec<bool>,
     // --- throttle (SoA) ---
     throttle_enabled: bool,
     hysteresis_c: f64,
@@ -174,16 +145,17 @@ pub struct SocBatch {
     domain_w: Vec<f64>,
     die_nodes: PerDomain<NodeId>,
     // --- per-lane rolling state ---
-    /// Previous-tick utilisation per `domain × lane` (what the next
-    /// tick's in-kernel selection tracks).
+    /// Previous-tick utilisation per `lane × domain` (what the next
+    /// tick's in-kernel selection tracks; each lane reads its own row).
     last_utils: Vec<f64>,
-    time_s: Vec<f64>,
+    /// Simulated time, seconds: one clock, since every lane ticks by the
+    /// same `dt_s`.
+    time_s: f64,
     /// Per-lane output of the most recent tick.
     last_tick: Vec<TickOutput>,
     /// Per-lane observable state as of the end of the most recent tick,
-    /// refreshed in place by the tick's last stage. The DVFS fields are
-    /// read from the level mirror, which actuation between ticks leaves
-    /// alone (dirty lanes are re-read when the next tick starts).
+    /// refreshed in place by the tick's last stage, so actuation between
+    /// ticks leaves it alone.
     states: Vec<SocState>,
     // --- shared FPS window ---
     /// Tick lengths of the rolling window — one entry per tick, shared
@@ -294,16 +266,7 @@ impl SocBatch {
         let n = platform.n_domains();
         let n_nodes = first.thermal.nodes.len();
         let sizes = platform.freq_levels();
-        let hz_ladder: Vec<Vec<f64>> = platform
-            .domains()
-            .iter()
-            .map(|d| d.table.iter().map(crate::freq::Opp::freq_hz).collect())
-            .collect();
-        let opp_ladder: Vec<Vec<Opp>> = platform
-            .domains()
-            .iter()
-            .map(|d| d.table.iter().copied().collect())
-            .collect();
+        let hz_ladder = hz_ladders(&platform);
         let top_level = PerDomain::from_fn(n, |i| sizes[i].saturating_sub(1));
         let trip_c = PerDomain::from_fn(n, |i| first.throttle.trip_of(i));
         let die_nodes = PerDomain::from_fn(n, |i| platform.domains()[i].thermal_node);
@@ -338,14 +301,6 @@ impl SocBatch {
             dvfs,
             vsync: vec![VsyncPipeline::new(first.refresh_hz); width],
             hz_ladder,
-            opp_ladder,
-            lvl_cur: vec![0; n * width],
-            lvl_min: vec![0; n * width],
-            lvl_max: vec![0; n * width],
-            margin_mirror: vec![0.0; width],
-            boost_mirror: vec![0.0; width],
-            dvfs_dirty: vec![false; width],
-            ctl_stale: vec![false; width],
             throttle_enabled: first.throttle.enabled,
             hysteresis_c: first.throttle.hysteresis_c,
             trip_c,
@@ -361,8 +316,8 @@ impl SocBatch {
             base_w,
             domain_w: vec![0.0; n * width],
             die_nodes,
-            last_utils: vec![0.0; n * width],
-            time_s: vec![0.0; width],
+            last_utils: vec![0.0; width * n],
+            time_s: 0.0,
             last_tick: vec![TickOutput::default(); width],
             states: vec![blank_state; width],
             window_dt: VecDeque::new(),
@@ -377,9 +332,6 @@ impl SocBatch {
             for l in 0..width {
                 batch.clamp_level[d * width + l] = batch.top_level[d];
             }
-        }
-        for l in 0..width {
-            batch.resync_lane_dvfs(l);
         }
         batch.refresh_states();
         Ok(batch)
@@ -397,70 +349,23 @@ impl SocBatch {
         &self.platform
     }
 
-    /// DVFS controller of one lane (read access). Takes `&mut self`
-    /// because the tick kernel runs the controller write-behind (the
-    /// handed-out controller is brought up to date with the level
-    /// mirror first).
-    pub fn dvfs(&mut self, lane: usize) -> &DvfsController {
-        self.flush_lane_ctl(lane);
+    /// DVFS controller of one lane (read access).
+    #[must_use]
+    pub fn dvfs(&self, lane: usize) -> &DvfsController {
         &self.dvfs[lane]
     }
 
     /// DVFS controller of one lane — the governor's actuator, applied
-    /// between ticks. The controller is brought up to date with the
-    /// level mirror before it is handed out, and the lane is marked for
-    /// a mirror re-read when the next tick starts.
+    /// between ticks; the next tick selects within the caps it sets.
     pub fn dvfs_mut(&mut self, lane: usize) -> &mut DvfsController {
-        self.state_and_dvfs_mut(lane).1
+        &mut self.dvfs[lane]
     }
 
     /// One lane's state next to its DVFS controller: what a governor's
-    /// control step reads and actuates. The controller is handed out as
-    /// by [`SocBatch::dvfs_mut`]; the state is the end-of-tick snapshot
-    /// of [`SocBatch::state`].
+    /// control step reads and actuates, borrowed together. The state is
+    /// the end-of-tick snapshot of [`SocBatch::state`].
     pub fn state_and_dvfs_mut(&mut self, lane: usize) -> (&SocState, &mut DvfsController) {
-        self.flush_lane_ctl(lane);
-        self.dvfs_dirty[lane] = true;
         (&self.states[lane], &mut self.dvfs[lane])
-    }
-
-    /// Write-behind flush: pushes the lane's mirror levels into its
-    /// controller if the tick kernel advanced them since the last
-    /// handout. Mirror levels are post-clamp values, so `force_level`
-    /// reproduces the state the controller would hold had every tick
-    /// written it.
-    fn flush_lane_ctl(&mut self, lane: usize) {
-        if !self.ctl_stale[lane] {
-            return;
-        }
-        self.ctl_stale[lane] = false;
-        let w = self.width;
-        for d in 0..self.platform.n_domains() {
-            let level = self.lvl_cur[d * w + lane];
-            self.dvfs[lane]
-                .domain_mut(DomainId::new(d))
-                .force_level(level);
-        }
-    }
-
-    /// Re-reads one lane's controller into the SoA level/cap mirror
-    /// (at construction, and whenever the lane's controller was
-    /// actuated directly between ticks).
-    fn resync_lane_dvfs(&mut self, lane: usize) {
-        let w = self.width;
-        for d in 0..self.platform.n_domains() {
-            let dom = self.dvfs[lane].domain(DomainId::new(d));
-            let (cur, min, max) = (
-                dom.current_level(),
-                dom.min_cap_level(),
-                dom.max_cap_level(),
-            );
-            self.lvl_cur[d * w + lane] = cur;
-            self.lvl_min[d * w + lane] = min;
-            self.lvl_max[d * w + lane] = max;
-        }
-        self.margin_mirror[lane] = self.dvfs[lane].util_margin();
-        self.boost_mirror[lane] = self.dvfs[lane].boost_threshold();
     }
 
     /// Full output of the most recent tick for one lane.
@@ -486,19 +391,24 @@ impl SocBatch {
         let hot = self.platform.hot_domain().index();
         let skin_base = self.thermal_config.skin_node * w;
         let board_base = self.thermal_config.board_node * w;
-        for (l, s) in self.states.iter_mut().enumerate() {
-            s.time_s = self.time_s[l];
+        let lanes = self
+            .states
+            .iter_mut()
+            .zip(&self.dvfs)
+            .zip(self.last_utils.chunks_exact(n));
+        for (l, ((s, ctl), utils)) in lanes.enumerate() {
+            s.time_s = self.time_s;
             // Die temperatures fold into their maximum in platform
             // order, from `f64::MIN`.
             let mut die_max = f64::MIN;
-            for d in 0..n {
-                let level = self.lvl_cur[d * w + l];
+            for (d, &util) in utils.iter().enumerate() {
+                let dom = ctl.domain(DomainId::new(d));
                 let temp_c = self.temps_c[self.die_nodes[d] * w + l];
-                s.freq_level[d] = level;
-                s.max_cap_level[d] = self.lvl_max[d * w + l];
-                s.freq_khz[d] = self.opp_ladder[d][level].freq_khz;
+                s.freq_level[d] = dom.current_level();
+                s.max_cap_level[d] = dom.max_cap_level();
+                s.freq_khz[d] = dom.current().freq_khz;
                 s.temp_domain_c[d] = temp_c;
-                s.util[d] = self.last_utils[d * w + l];
+                s.util[d] = util;
                 die_max = f64::max(die_max, temp_c);
             }
             let board = self.temps_c[board_base + l];
@@ -546,33 +456,12 @@ impl SocBatch {
             "tick length must be finite and non-negative, got {dt_s}"
         );
 
-        // 0. Refresh the level mirror of any lane whose controller was
-        //    actuated directly since the last tick.
-        for l in 0..w {
-            if self.dvfs_dirty[l] {
-                self.dvfs_dirty[l] = false;
-                self.resync_lane_dvfs(l);
-            }
-        }
-
-        // 1. In-kernel utilisation-tracking selection, domain-outer
-        //    over the SoA mirrors (each `domain × lane` choice is
-        //    independent of the others). Writes land in the mirror
-        //    only; stale controllers are caught up on handout
-        //    (`flush_lane_ctl`).
+        // 1. In-kernel utilisation-tracking selection, within each
+        //    lane's caps, from the lane's previous-tick utilisations.
         if self.util_selection {
-            for (d, ladder) in self.hz_ladder.iter().enumerate() {
-                let base = d * w;
-                select_domain_lanes(
-                    ladder,
-                    &self.last_utils[base..base + w],
-                    &self.margin_mirror,
-                    &self.boost_mirror,
-                    &mut self.lvl_cur[base..base + w],
-                    &self.lvl_min[base..base + w],
-                    &self.lvl_max[base..base + w],
-                    &mut self.ctl_stale,
-                );
+            let lanes = self.dvfs.iter_mut().zip(self.last_utils.chunks_exact(n));
+            for (ctl, utils) in lanes {
+                ctl.select_by_util(utils, &self.hz_ladder);
             }
         }
 
@@ -596,55 +485,41 @@ impl SocBatch {
             }
         }
 
-        // 3.–4. Per-lane control surface: clamp enforcement against the
-        //    level mirror (write-behind, like selection), execution
-        //    planning from the shared OPP ladder, VSync.
-        for (l, demand) in demands.iter().enumerate() {
-            for d in 0..n {
-                let clamp = if self.throttle_enabled {
-                    self.clamp_level[d * w + l]
-                } else {
-                    self.top_level[d]
-                };
-                if self.lvl_cur[d * w + l] > clamp {
-                    self.lvl_cur[d * w + l] = clamp;
-                    self.ctl_stale[l] = true;
+        // 3.–5. Per lane: the throttle clamp lowers any level above it (a
+        //    hardware override, which may leave a level below the
+        //    governor's floor), then execution planning, VSync, and the
+        //    domain powers at the pre-step die temperatures, all at the
+        //    lane's operating points.
+        let lanes = demands.iter().zip(&mut self.dvfs);
+        for (l, (demand, ctl)) in lanes.enumerate() {
+            if self.throttle_enabled {
+                for d in 0..n {
+                    let clamp = self.clamp_level[d * w + l];
+                    let dom = ctl.domain_mut(DomainId::new(d));
+                    if dom.current_level() > clamp {
+                        dom.force_level(clamp);
+                    }
                 }
             }
-            let opps = PerDomain::from_fn(n, |d| self.opp_ladder[d][self.lvl_cur[d * w + l]]);
+            let opps = PerDomain::from_fn(n, |d| ctl.domain(DomainId::new(d)).current());
             let plan = perf::plan(demand, &opps, &self.platform);
             let vout = self.vsync[l].tick(dt_s, plan.frame_period_s);
             // The renderer runs at its natural rate until the display
             // caps it at the refresh rate; that achieved production
             // rate — not the presented FPS — is what loads the domains.
             let produced_rate = plan.render_rate_hz().min(self.refresh_hz);
-            for d in 0..n {
-                self.last_utils[d * w + l] = plan.utilization(DomainId::new(d), produced_rate);
+            let utils = &mut self.last_utils[l * n..(l + 1) * n];
+            for (d, util) in utils.iter_mut().enumerate() {
+                *util = plan.utilization(DomainId::new(d), produced_rate);
+                self.domain_w[d * w + l] = self.domain_models[d].total_w(
+                    opps[d],
+                    *util,
+                    self.temps_c[self.die_nodes[d] * w + l],
+                );
             }
             let out = &mut self.last_tick[l];
             out.fps = vout.fps(dt_s);
             out.vsync = vout;
-        }
-
-        // 5. Power at the pre-step die temperatures — SoA over
-        //    `domain × lane`, shared models, no dispatch. Operating
-        //    points and utilisations come straight from the arenas
-        //    (`lvl_cur` is final for this tick after the clamp stage,
-        //    and `last_utils` was just refreshed), so the loop reads
-        //    contiguous lanes instead of striding through the per-lane
-        //    tick outputs.
-        for d in 0..n {
-            let model = self.domain_models[d];
-            let ladder = &self.opp_ladder[d];
-            let tbase = self.die_nodes[d] * w;
-            let dbase = d * w;
-            for l in 0..w {
-                self.domain_w[dbase + l] = model.total_w(
-                    ladder[self.lvl_cur[dbase + l]],
-                    self.last_utils[dbase + l],
-                    self.temps_c[tbase + l],
-                );
-            }
         }
 
         // 6. Node power injection (domain heat onto die nodes, floor
@@ -681,8 +556,8 @@ impl SocBatch {
             }
             total_w += self.base_w[l];
             self.last_tick[l].power_w = total_w;
-            self.time_s[l] += dt_s;
         }
+        self.time_s += dt_s;
 
         // 8. Shared FPS window: one dt history for the whole batch
         //    (lockstep), per-lane presented counts per slot.
@@ -745,74 +620,6 @@ fn windowed_fps(frames: u32, window_s: f64, refresh_hz: f64) -> f64 {
     (f64::from(frames) / window_s).min(refresh_hz)
 }
 
-/// One domain's round of the in-kernel utilisation-tracking policy
-/// across all lanes. The policy operates *within* the caps:
-///
-/// * a lane whose utilisation reaches its boost threshold is slammed to
-///   the top of its allowed range (Android touch/iowait boosting — the
-///   over-provisioning the paper exploits),
-/// * otherwise the target is `margin · util · f_cur`; ramp-up picks the
-///   slowest OPP at or above the target, while ramp-down is rate
-///   limited to one OPP per invocation (the stock policy holds
-///   frequency after bursts),
-/// * everything is clamped to the policy caps `[lvl_min, lvl_max]`.
-///
-/// Utilisations are clamped to `[0, 1]`. `ladder` is the domain's OPP
-/// frequencies in Hz; current levels and caps are the batch's SoA
-/// mirror rows. A changed level lands in the mirror only: the lane is
-/// flagged stale and its controller caught up lazily on handout
-/// ([`SocBatch::flush_lane_ctl`]).
-#[allow(clippy::too_many_arguments)]
-fn select_domain_lanes(
-    ladder: &[f64],
-    last_utils: &[f64],
-    margin: &[f64],
-    boost_threshold: &[f64],
-    lvl_cur: &mut [usize],
-    lvl_min: &[usize],
-    lvl_max: &[usize],
-    ctl_stale: &mut [bool],
-) {
-    let top = ladder.len() - 1;
-    // Zipped iteration over the six lane rows: one length check per
-    // row up front instead of a bounds check per lane access.
-    let lanes = lvl_cur
-        .iter_mut()
-        .zip(last_utils)
-        .zip(margin)
-        .zip(boost_threshold)
-        .zip(lvl_min)
-        .zip(lvl_max)
-        .zip(ctl_stale);
-    for ((((((cur, &raw_util), &margin), &boost), &lo), &hi), stale) in lanes {
-        let util = raw_util.clamp(0.0, 1.0);
-        let cur_level = *cur;
-        let level = if util >= boost {
-            top
-        } else {
-            let target_hz = margin * util * ladder[cur_level];
-            // First ladder index at or above the target. The ladder is
-            // strictly ascending, so that index equals the number of
-            // entries below the target — counted branchlessly, which
-            // vectorises, instead of an early-exit scan (when no entry
-            // qualifies the count is the length, and the `min` falls
-            // back to the top level).
-            let below = ladder.iter().map(|&h| usize::from(h < target_hz)).sum();
-            let want = usize::min(below, top);
-            if want < cur_level {
-                cur_level - 1
-            } else {
-                want
-            }
-        };
-        let chosen = level.clamp(lo, hi);
-        if chosen != cur_level {
-            *cur = chosen;
-            *stale = true;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use proptest::prelude::*;
@@ -827,16 +634,19 @@ mod tests {
         fn materialise_state(&self, lane: usize) -> SocState {
             let n = self.platform.n_domains();
             let w = self.width;
-            let freq_level = PerDomain::from_fn(n, |d| self.lvl_cur[d * w + lane]);
-            let max_cap_level = PerDomain::from_fn(n, |d| self.lvl_max[d * w + lane]);
-            let freq_khz = PerDomain::from_fn(n, |d| self.opp_ladder[d][freq_level[d]].freq_khz);
+            let ctl = &self.dvfs[lane];
+            let freq_level =
+                PerDomain::from_fn(n, |d| ctl.domain(DomainId::new(d)).current_level());
+            let max_cap_level =
+                PerDomain::from_fn(n, |d| ctl.domain(DomainId::new(d)).max_cap_level());
+            let freq_khz = PerDomain::from_fn(n, |d| ctl.current_khz(DomainId::new(d)));
             let temp_domain_c =
                 PerDomain::from_fn(n, |d| self.temps_c[self.die_nodes[d] * w + lane]);
             let skin = self.temps_c[self.thermal_config.skin_node * w + lane];
             let board = self.temps_c[self.thermal_config.board_node * w + lane];
             let die_max = temp_domain_c.iter().copied().fold(f64::MIN, f64::max);
             SocState {
-                time_s: self.time_s[lane],
+                time_s: self.time_s,
                 freq_khz,
                 freq_level,
                 max_cap_level,
@@ -850,7 +660,7 @@ mod tests {
                 temp_hot_c: temp_domain_c[self.platform.hot_domain().index()],
                 temp_device_c: thermal::virtual_sensor_c(skin, board, die_max),
                 temp_battery_c: board,
-                util: PerDomain::from_fn(n, |d| self.last_utils[d * w + lane]),
+                util: PerDomain::from_slice(&self.last_utils[lane * n..(lane + 1) * n]),
             }
         }
 
@@ -1171,82 +981,6 @@ mod tests {
                     let want = windowed_fps(slots.iter().map(|s| s.1).sum(), total, 60.0);
                     prop_assert_eq!(soc.state().fps.to_bits(), want.to_bits(), "dt {}", dt);
                 }
-            }
-        }
-
-        /// The lane-wise selection picks, on every lane, the level the
-        /// scalar statement of the policy picks for that lane's
-        /// controller alone — for any utilisation, cap range, current
-        /// level (throttle clamps may leave it below the lower cap),
-        /// margin and boost threshold.
-        #[test]
-        fn lane_selection_matches_the_scalar_policy(
-            preset in 0usize..2,
-            lanes in proptest::collection::vec(
-                (
-                    proptest::collection::vec(-0.25f64..1.25, 4..5),
-                    proptest::collection::vec((0usize..64, 0usize..64, 0usize..64), 4..5),
-                    0.5f64..3.0,
-                    0.0f64..1.5,
-                ),
-                1..7,
-            ),
-        ) {
-            let platform = if preset == 0 {
-                Platform::exynos9810()
-            } else {
-                Platform::exynos9820()
-            };
-            let n = platform.n_domains();
-            let w = lanes.len();
-            // One controller per lane, set up through its public API.
-            let mut ctls: Vec<DvfsController> = lanes
-                .iter()
-                .map(|(_, levels, margin, boost)| {
-                    let mut ctl = DvfsController::for_platform(&platform);
-                    ctl.set_util_margin(*margin);
-                    ctl.set_boost_threshold(*boost);
-                    for (d, &(cur, a, b)) in levels.iter().take(n).enumerate() {
-                        let dom = ctl.domain_mut(DomainId::new(d));
-                        let len = dom.table().len();
-                        let (lo, hi) = ((a % len).min(b % len), (a % len).max(b % len));
-                        dom.set_max_level(hi);
-                        dom.set_min_level(lo);
-                        dom.force_level(cur % len);
-                    }
-                    ctl
-                })
-                .collect();
-            // The same inputs as the kernel's SoA rows.
-            let margin: Vec<f64> = ctls.iter().map(DvfsController::util_margin).collect();
-            let boost: Vec<f64> = ctls.iter().map(DvfsController::boost_threshold).collect();
-            let mut stale = vec![false; w];
-            let mut chosen = vec![vec![0usize; w]; n];
-            for (d, row) in chosen.iter_mut().enumerate() {
-                let id = DomainId::new(d);
-                let ladder: Vec<f64> =
-                    platform.domains()[d].table.iter().map(Opp::freq_hz).collect();
-                let utils: Vec<f64> = lanes.iter().map(|lane| lane.0[d]).collect();
-                let lo: Vec<usize> = ctls.iter().map(|c| c.domain(id).min_cap_level()).collect();
-                let hi: Vec<usize> = ctls.iter().map(|c| c.domain(id).max_cap_level()).collect();
-                for (l, slot) in row.iter_mut().enumerate() {
-                    *slot = ctls[l].domain(id).current_level();
-                }
-                select_domain_lanes(&ladder, &utils, &margin, &boost, row, &lo, &hi, &mut stale);
-            }
-            for (l, ctl) in ctls.iter_mut().enumerate() {
-                let before: Vec<usize> =
-                    ctl.ids().map(|id| ctl.domain(id).current_level()).collect();
-                ctl.select_by_util(&lanes[l].0[..n]);
-                for (d, row) in chosen.iter().enumerate() {
-                    let level = ctl.domain(DomainId::new(d)).current_level();
-                    prop_assert_eq!(row[l], level, "lane {} domain {}", l, d);
-                }
-                let changed = before
-                    .iter()
-                    .enumerate()
-                    .any(|(d, &old)| chosen[d][l] != old);
-                prop_assert_eq!(stale[l], changed, "lane {} stale flag", l);
             }
         }
     }

@@ -10,16 +10,21 @@
 //!    schedutil policy) that picks the operating point *within* those
 //!    caps each scheduling period.
 //!
+//! A controller is a device's one DVFS state, like one cpufreq policy
+//! per cluster: governors write its caps between ticks, and the tick
+//! kernel ([`crate::SocBatch`]) selects, throttles and reads its levels
+//! in place.
+//!
 //! Governors actuate through [`DvfsController::domain_mut`] and name
 //! every frequency by its ladder level: they borrow a domain's
 //! [`crate::freq::OppTable`], pick levels, then set caps or pin a level
 //! on the [`FreqDomain`]. The setters saturate and clamp, so actuation
 //! cannot fail.
 
-use crate::freq::{FreqDomain, KiloHertz, OppTable};
+use crate::freq::{FreqDomain, KiloHertz, Opp, OppTable};
 use crate::platform::{DomainId, Platform, MAX_DOMAINS};
 
-/// Default schedutil-style headroom: the kernel targets
+/// Schedutil-style headroom: the kernel targets
 /// `next_f = 1.25 · f_cur · util`.
 pub const DEFAULT_UTIL_MARGIN: f64 = 1.25;
 
@@ -38,7 +43,6 @@ pub const DEFAULT_BOOST_THRESHOLD: f64 = 0.72;
 #[derive(Debug, Clone, PartialEq)]
 pub struct DvfsController {
     domains: Vec<FreqDomain>,
-    util_margin: f64,
     boost_threshold: f64,
 }
 
@@ -59,7 +63,6 @@ impl DvfsController {
         );
         DvfsController {
             domains: tables.into_iter().map(FreqDomain::new).collect(),
-            util_margin: DEFAULT_UTIL_MARGIN,
             boost_threshold: DEFAULT_BOOST_THRESHOLD,
         }
     }
@@ -105,18 +108,6 @@ impl DvfsController {
         }
     }
 
-    /// The schedutil headroom multiplier of the in-kernel
-    /// utilisation-tracking selection.
-    #[must_use]
-    pub fn util_margin(&self) -> f64 {
-        self.util_margin
-    }
-
-    /// Overrides the schedutil headroom multiplier.
-    pub fn set_util_margin(&mut self, margin: f64) {
-        self.util_margin = margin.max(1.0);
-    }
-
     /// Boost threshold of the stock policy (see
     /// [`DEFAULT_BOOST_THRESHOLD`]). Values ≥ 1 disable boosting.
     #[must_use]
@@ -128,40 +119,42 @@ impl DvfsController {
     pub fn set_boost_threshold(&mut self, threshold: f64) {
         self.boost_threshold = threshold.max(0.0);
     }
-}
 
-/// The scalar statement of the in-kernel utilisation-tracking policy,
-/// kept as the reference the batched kernel's lane-wise selection is
-/// tested against.
-#[cfg(test)]
-impl DvfsController {
     /// Runs one round of utilisation-tracking frequency selection, the
     /// in-kernel policy that operates *within* the caps:
     ///
-    /// * a domain whose utilisation reaches the boost threshold is
-    ///   slammed to the top of its allowed range (Android touch/iowait
-    ///   boosting — the over-provisioning the paper exploits),
-    /// * otherwise the target is `margin · util · f_cur`; ramp-up picks
-    ///   the slowest OPP at or above the target, while ramp-down is rate
-    ///   limited to one OPP per invocation (the stock policy holds
-    ///   frequency after bursts),
-    /// * everything is clamped to the policy caps.
+    /// * a domain whose utilisation reaches the boost threshold goes to
+    ///   the top of its allowed range (Android touch/iowait boosting —
+    ///   the over-provisioning the paper exploits),
+    /// * otherwise the target is [`DEFAULT_UTIL_MARGIN`]` · util · f_cur`;
+    ///   ramp-up picks the slowest OPP at or above the target, while
+    ///   ramp-down is rate limited to one OPP per invocation (the stock
+    ///   policy holds frequency after bursts),
+    /// * [`FreqDomain::set_level`] clamps the choice into the policy
+    ///   caps.
     ///
     /// `utils` is in platform order and clamped to `[0, 1]`; missing
-    /// entries read 0.
-    pub(crate) fn select_by_util(&mut self, utils: &[f64]) {
-        let margin = self.util_margin;
+    /// entries read 0. `hz` is every domain's OPP ladder in Hz
+    /// ([`hz_ladders`]), which a batch builds once and shares among its
+    /// lanes.
+    pub(crate) fn select_by_util(&mut self, utils: &[f64], hz: &[Vec<f64>]) {
         let boost_threshold = self.boost_threshold;
-        for (i, dom) in self.domains.iter_mut().enumerate() {
+        for ((i, dom), ladder) in self.domains.iter_mut().enumerate().zip(hz) {
             let util = utils.get(i).copied().unwrap_or(0.0).clamp(0.0, 1.0);
-            let boost = util >= boost_threshold;
+            let top = ladder.len() - 1;
             let cur_level = dom.current_level();
-            let level = if boost {
-                dom.table().len() - 1
+            let level = if util >= boost_threshold {
+                top
             } else {
-                let cur_hz = dom.current().freq_hz();
-                let target_hz = margin * util * cur_hz;
-                let want = ceil_level_hz(dom.table(), target_hz);
+                let target_hz = DEFAULT_UTIL_MARGIN * util * ladder[cur_level];
+                // First ladder index at or above the target. The ladder
+                // is strictly ascending, so that index equals the number
+                // of entries below the target — counted branchlessly
+                // (when no entry qualifies the count is the length, and
+                // the `min` falls back to the top level; a NaN target
+                // counts none, so it wants level 0).
+                let below = ladder.iter().map(|&h| usize::from(h < target_hz)).sum();
+                let want = usize::min(below, top);
                 if want < cur_level {
                     cur_level - 1
                 } else {
@@ -173,22 +166,59 @@ impl DvfsController {
     }
 }
 
-/// Lowest level whose frequency is at least `target_hz`; the top level
-/// when every OPP is below the target.
-#[cfg(test)]
-fn ceil_level_hz(table: &OppTable, target_hz: f64) -> usize {
-    table
+/// Every domain's OPP frequencies in Hz, in platform order: the ladder
+/// [`DvfsController::select_by_util`] scans, built once per batch
+/// instead of converting kHz per probe.
+pub(crate) fn hz_ladders(platform: &Platform) -> Vec<Vec<f64>> {
+    platform
+        .domains()
         .iter()
-        .position(|o| o.freq_hz() >= target_hz)
-        .unwrap_or(table.len() - 1)
+        .map(|d| d.table.iter().map(Opp::freq_hz).collect())
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn exynos9810() -> DvfsController {
         DvfsController::for_platform(&Platform::exynos9810())
+    }
+
+    /// One selection round over the Exynos 9810's Hz ladders.
+    fn select(ctl: &mut DvfsController, utils: &[f64]) {
+        ctl.select_by_util(utils, &hz_ladders(&Platform::exynos9810()));
+    }
+
+    /// Lowest level whose frequency is at least `target_hz`; the top
+    /// level when every OPP is below the target.
+    fn ceil_level_hz(table: &OppTable, target_hz: f64) -> usize {
+        table
+            .iter()
+            .position(|o| o.freq_hz() >= target_hz)
+            .unwrap_or(table.len() - 1)
+    }
+
+    /// A second, scalar statement of the selection policy for one
+    /// domain: the OPP table's own frequencies, searched with
+    /// [`ceil_level_hz`], clamped into the caps by hand.
+    fn oracle_level(dom: &FreqDomain, util: f64, boost_threshold: f64) -> usize {
+        let util = util.clamp(0.0, 1.0);
+        let cur_level = dom.current_level();
+        let level = if util >= boost_threshold {
+            dom.table().len() - 1
+        } else {
+            let target_hz = DEFAULT_UTIL_MARGIN * util * dom.current().freq_hz();
+            let want = ceil_level_hz(dom.table(), target_hz);
+            if want < cur_level {
+                cur_level - 1
+            } else {
+                want
+            }
+        };
+        level.clamp(dom.min_cap_level(), dom.max_cap_level())
     }
 
     fn big() -> DomainId {
@@ -224,7 +254,7 @@ mod tests {
         // Saturated big cluster: repeated selection climbs the ladder to
         // the top.
         for _ in 0..40 {
-            ctl.select_by_util(&[1.0, 0.0, 0.0]);
+            select(&mut ctl, &[1.0, 0.0, 0.0]);
         }
         assert_eq!(ctl.current_khz(big()), 2_704_000);
         assert_eq!(
@@ -238,10 +268,10 @@ mod tests {
     fn util_selection_ramps_down_when_idle() {
         let mut ctl = exynos9810();
         for _ in 0..40 {
-            ctl.select_by_util(&[1.0, 1.0, 1.0]);
+            select(&mut ctl, &[1.0, 1.0, 1.0]);
         }
         for _ in 0..60 {
-            ctl.select_by_util(&[0.05, 0.05, 0.05]);
+            select(&mut ctl, &[0.05, 0.05, 0.05]);
         }
         assert_eq!(ctl.current_khz(big()), 650_000);
         assert_eq!(ctl.current_khz(gpu()), 260_000);
@@ -252,7 +282,7 @@ mod tests {
         let mut ctl = exynos9810();
         ctl.domain_mut(big()).set_max_level(5);
         for _ in 0..40 {
-            ctl.select_by_util(&[1.0, 1.0, 1.0]);
+            select(&mut ctl, &[1.0, 1.0, 1.0]);
         }
         assert_eq!(ctl.current_khz(big()), 1_170_000);
     }
@@ -262,7 +292,7 @@ mod tests {
         let mut ctl = exynos9810();
         ctl.domain_mut(gpu()).set_min_level(3);
         for _ in 0..40 {
-            ctl.select_by_util(&[0.0, 0.0, 0.0]);
+            select(&mut ctl, &[0.0, 0.0, 0.0]);
         }
         assert_eq!(ctl.current_khz(gpu()), 455_000);
     }
@@ -276,7 +306,7 @@ mod tests {
         ctl.domain_mut(big()).pin_level(2);
         assert_eq!(ctl.current_khz(big()), 858_000);
         for _ in 0..10 {
-            ctl.select_by_util(&[1.0, 1.0, 1.0]);
+            select(&mut ctl, &[1.0, 1.0, 1.0]);
         }
         assert_eq!(
             ctl.current_khz(big()),
@@ -291,23 +321,16 @@ mod tests {
         ctl.domain_mut(big()).pin_level(2);
         ctl.reset_caps();
         for _ in 0..40 {
-            ctl.select_by_util(&[1.0, 0.0, 0.0]);
+            select(&mut ctl, &[1.0, 0.0, 0.0]);
         }
         assert_eq!(ctl.current_khz(big()), 2_704_000);
-    }
-
-    #[test]
-    fn margin_floor_is_one() {
-        let mut ctl = exynos9810();
-        ctl.set_util_margin(0.2);
-        assert_eq!(ctl.util_margin(), 1.0);
     }
 
     #[test]
     fn short_util_slice_reads_zero_for_missing_domains() {
         let mut ctl = exynos9810();
         for _ in 0..40 {
-            ctl.select_by_util(&[1.0]);
+            select(&mut ctl, &[1.0]);
         }
         assert_eq!(ctl.current_khz(big()), 2_704_000);
         assert_eq!(ctl.current_khz(gpu()), 260_000);
@@ -320,5 +343,59 @@ mod tests {
         assert_eq!(ceil_level_hz(&table, 260.0e6), 0);
         assert_eq!(ceil_level_hz(&table, 260.1e6), 1);
         assert_eq!(ceil_level_hz(&table, 1e12), table.len() - 1);
+    }
+
+    proptest! {
+        /// On either preset, the selection picks on every domain the
+        /// level the scalar statement of the policy picks, and never
+        /// leaves the caps — for any utilisation, cap range (its ends
+        /// drawn in either order), current level (the throttle's
+        /// `force_level` may leave it below the floor) and boost
+        /// threshold. Half the draws sit on an edge of the policy: a
+        /// utilisation of 0.8 puts the target exactly on the current
+        /// OPP (`1.25 · 0.8` rounds to 1) and, against a threshold of
+        /// 0.8, exactly on the boost edge; an over-full 1.25 must track
+        /// as 1, also against a threshold of 1.25.
+        #[test]
+        fn selection_matches_the_scalar_policy(
+            preset in 0usize..2,
+            utils in proptest::collection::vec(
+                (0usize..4, -0.25f64..1.25).prop_map(|(k, u)| [0.8, 1.25, u, u][k]),
+                4..5,
+            ),
+            levels in proptest::collection::vec((0usize..64, 0usize..64, 0usize..64), 4..5),
+            boost in (0usize..4, 0.0f64..1.5).prop_map(|(k, b)| [0.8, 1.25, b, b][k]),
+        ) {
+            let platform = if preset == 0 {
+                Platform::exynos9810()
+            } else {
+                Platform::exynos9820()
+            };
+            let n = platform.n_domains();
+            let mut ctl = DvfsController::for_platform(&platform);
+            ctl.set_boost_threshold(boost);
+            for (d, &(cur, a, b)) in levels.iter().take(n).enumerate() {
+                let dom = ctl.domain_mut(DomainId::new(d));
+                let len = dom.table().len();
+                let (lo, hi) = ((a % len).min(b % len), (a % len).max(b % len));
+                dom.set_max_level(hi);
+                dom.set_min_level(lo);
+                dom.force_level(cur % len);
+            }
+            let want: Vec<usize> = ctl
+                .ids()
+                .map(|id| oracle_level(ctl.domain(id), utils[id.index()], ctl.boost_threshold()))
+                .collect();
+            ctl.select_by_util(&utils[..n], &hz_ladders(&platform));
+            for (d, &want) in want.iter().enumerate() {
+                let dom = ctl.domain(DomainId::new(d));
+                let level = dom.current_level();
+                prop_assert_eq!(level, want, "domain {}", d);
+                prop_assert!(
+                    (dom.min_cap_level()..=dom.max_cap_level()).contains(&level),
+                    "domain {} left its caps", d
+                );
+            }
+        }
     }
 }

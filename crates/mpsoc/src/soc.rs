@@ -194,10 +194,9 @@ impl Soc {
         self.batch.platform()
     }
 
-    /// DVFS controller (read access). Takes `&mut self` because the
-    /// tick kernel updates the controller lazily; see
-    /// [`SocBatch::dvfs`].
-    pub fn dvfs(&mut self) -> &DvfsController {
+    /// DVFS controller (read access).
+    #[must_use]
+    pub fn dvfs(&self) -> &DvfsController {
         self.batch.dvfs(0)
     }
 
