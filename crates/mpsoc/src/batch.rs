@@ -33,6 +33,24 @@
 //! points, capacitances, conductances, the per-domain Hz ladder) are
 //! built once and shared by every device.
 //!
+//! # A tick, stage by stage
+//!
+//! - Utilisation-tracking selection within each lane's caps
+//!   (`DvfsController::select_by_util`), from the lane's previous-tick
+//!   utilisations.
+//! - Throttle transitions on the pre-step die temperatures, over
+//!   `domain × lane`.
+//! - Per lane: the throttle clamp, execution planning ([`perf::plan`]),
+//!   VSync ([`VsyncPipeline::tick`]) and the domain powers at the
+//!   pre-step die temperatures.
+//! - Node power injection, then the thermal network's forward-Euler
+//!   step in sub-steps no longer than its stable step. The sub-step
+//!   count and length depend only on the tick length, so the batch
+//!   keeps them for the last tick length it saw: a run of session ticks
+//!   or of whole screen-off seconds computes them once.
+//! - Per-lane power accounting, the clock and the shared FPS window.
+//! - The refresh of every lane's [`SocState`] snapshot.
+//!
 //! # Observable state
 //!
 //! Every lane's [`SocState`] is kept inside the batch: the constructor
@@ -127,6 +145,10 @@ pub struct SocBatch {
     /// per-lane `ambient_c` array below is authoritative).
     thermal_config: ThermalConfig,
     max_stable_dt_s: f64,
+    /// `(tick length bits, (steps, h))`: the forward-Euler sub-steps of
+    /// the last tick length, reused while ticks keep that length (every
+    /// session tick, every whole gap second).
+    substep_memo: (u64, (usize, f64)),
     /// Ambient temperature per lane, °C.
     ambient_c: Vec<f64>,
     /// Node temperature per `node × lane`, °C.
@@ -201,10 +223,11 @@ impl SocBatch {
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`] on an empty cohort, a
-    /// non-positive refresh rate, an invalid thermal network or a
-    /// non-finite ambient temperature on any lane (the error names the
-    /// lane), a domain referencing a thermal node outside the network,
-    /// or when the lanes diverge structurally.
+    /// non-positive refresh rate, an invalid thermal network, a
+    /// non-finite ambient temperature or a negative or non-finite
+    /// platform base power on any lane (the error names the lane), a
+    /// domain referencing a thermal node outside the network, or when
+    /// the lanes diverge structurally.
     #[allow(clippy::too_many_lines)]
     pub fn try_from_configs(configs: &[SocConfig]) -> Result<Self> {
         let first = configs
@@ -224,6 +247,12 @@ impl SocBatch {
                 .map_err(|Error::InvalidConfig(msg)| {
                     Error::InvalidConfig(format!("lane {lane}: {msg}"))
                 })?;
+            let base_w = cfg.platform.base_power_w();
+            if !(base_w >= 0.0 && base_w.is_finite()) {
+                return Err(Error::InvalidConfig(format!(
+                    "lane {lane}: platform base power must be finite and non-negative, got {base_w}"
+                )));
+            }
             for d in cfg.platform.domains() {
                 if d.thermal_node >= cfg.thermal.nodes.len() {
                     return Err(Error::InvalidConfig(format!(
@@ -277,6 +306,7 @@ impl SocBatch {
             .collect();
         let ambient_c: Vec<f64> = configs.iter().map(|c| c.thermal.ambient_c).collect();
         let base_w: Vec<f64> = configs.iter().map(|c| c.platform.base_power_w()).collect();
+        let max_stable_dt_s = thermal::max_stable_dt(&first.thermal);
         let mut temps_c = vec![0.0; n_nodes * width];
         for node in 0..n_nodes {
             temps_c[node * width..(node + 1) * width].copy_from_slice(&ambient_c);
@@ -306,7 +336,8 @@ impl SocBatch {
             trip_c,
             top_level,
             clamp_level: vec![0; n * width],
-            max_stable_dt_s: thermal::max_stable_dt(&first.thermal),
+            max_stable_dt_s,
+            substep_memo: (0.0f64.to_bits(), thermal::substeps(max_stable_dt_s, 0.0)),
             thermal_config: first.thermal.clone(),
             ambient_c,
             temps_c,
@@ -385,18 +416,15 @@ impl SocBatch {
 
     /// Refreshes every lane's state snapshot from the arenas (the
     /// tick's last stage, and construction).
+    #[inline]
     fn refresh_states(&mut self) {
         let n = self.platform.n_domains();
         let w = self.width;
         let hot = self.platform.hot_domain().index();
         let skin_base = self.thermal_config.skin_node * w;
         let board_base = self.thermal_config.board_node * w;
-        let lanes = self
-            .states
-            .iter_mut()
-            .zip(&self.dvfs)
-            .zip(self.last_utils.chunks_exact(n));
-        for (l, ((s, ctl), utils)) in lanes.enumerate() {
+        for (l, (s, ctl)) in self.states.iter_mut().zip(&self.dvfs).enumerate() {
+            let utils = &self.last_utils[l * n..(l + 1) * n];
             s.time_s = self.time_s;
             // Die temperatures fold into their maximum in platform
             // order, from `f64::MIN`.
@@ -459,9 +487,8 @@ impl SocBatch {
         // 1. In-kernel utilisation-tracking selection, within each
         //    lane's caps, from the lane's previous-tick utilisations.
         if self.util_selection {
-            let lanes = self.dvfs.iter_mut().zip(self.last_utils.chunks_exact(n));
-            for (ctl, utils) in lanes {
-                ctl.select_by_util(utils, &self.hz_ladder);
+            for (l, ctl) in self.dvfs.iter_mut().enumerate() {
+                ctl.select_by_util(&self.last_utils[l * n..(l + 1) * n], &self.hz_ladder);
             }
         }
 
@@ -536,15 +563,18 @@ impl SocBatch {
         for l in 0..w {
             self.node_power[bbase + l] += self.base_w[l];
         }
+        let dt_bits = dt_s.to_bits();
+        if self.substep_memo.0 != dt_bits {
+            self.substep_memo = (dt_bits, thermal::substeps(self.max_stable_dt_s, dt_s));
+        }
         thermal::step_lanes(
             &self.thermal_config,
-            self.max_stable_dt_s,
             w,
             &mut self.temps_c,
             &self.node_power,
             &self.ambient_c,
             &mut self.flux,
-            dt_s,
+            self.substep_memo.1,
         );
 
         // 7. Per-lane accounting: domain powers in platform order, then
@@ -681,22 +711,31 @@ mod tests {
         }
     }
 
-    /// Runs `ticks` steps of one batch over `configs` next to one
+    /// Runs `ticks` 25 ms steps of one batch over `configs` next to one
     /// one-lane device per lane, and asserts every step that lane `l`
     /// of the batch is bit-identical to the one-lane device on lane
     /// `l`'s inputs.
     fn assert_lanes_independent(configs: &[SocConfig], ticks: usize) {
-        let mut singles: Vec<Soc> = configs.iter().map(|c| Soc::new(c.clone())).collect();
-        let mut batch = SocBatch::try_from_configs(configs).expect("valid batch");
-        assert_eq!(batch.width(), configs.len());
-        let mut demands = vec![FrameDemand::default(); configs.len()];
-        for t in 0..ticks {
-            for (l, d) in demands.iter_mut().enumerate() {
-                *d = demand_at(t, l);
-            }
-            batch.tick(0.025, &demands);
+        let singles: Vec<Soc> = configs.iter().map(|c| Soc::new(c.clone())).collect();
+        let batch = SocBatch::try_from_configs(configs).expect("valid batch");
+        let steps =
+            (0..ticks).map(|t| (0.025, (0..configs.len()).map(|l| demand_at(t, l)).collect()));
+        assert_lanes_match_singles(batch, singles, steps);
+    }
+
+    /// Steps `batch` and one one-lane device per lane through `steps`
+    /// of (tick length, per-lane demands), and asserts every step that
+    /// lane `l` of the batch is bit-identical to device `l`.
+    fn assert_lanes_match_singles(
+        mut batch: SocBatch,
+        mut singles: Vec<Soc>,
+        steps: impl IntoIterator<Item = (f64, Vec<FrameDemand>)>,
+    ) {
+        assert_eq!(batch.width(), singles.len());
+        for (t, (dt, demands)) in steps.into_iter().enumerate() {
+            batch.tick(dt, &demands);
             for (l, single) in singles.iter_mut().enumerate() {
-                let out = single.tick(0.025, &demands[l]);
+                let out = single.tick(dt, &demands[l]);
                 let bout = batch.tick_output(l);
                 assert_eq!(
                     out.fps.to_bits(),
@@ -717,6 +756,33 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A day's lockstep lanes between pickups: a game burst at 25 ms
+    /// session ticks, then screen-off seconds of idle demand, a gap
+    /// tail and the next session. Lane 1 stays pinned at its top OPPs
+    /// and lane 2 on raised floors, as `performance` and `intqos` leave
+    /// them, so the idle seconds present, repeat and cool differently
+    /// on each lane.
+    #[test]
+    fn idle_seconds_after_a_game_burst_match_scalars() {
+        let cfg = SocConfig::exynos9810();
+        let mut batch = SocBatch::replicate(&cfg, 3).unwrap();
+        let mut singles = vec![Soc::new(cfg.clone()); 3];
+        for id in cfg.platform.ids() {
+            let top = cfg.platform.domain(id).table.len() - 1;
+            batch.dvfs_mut(1).domain_mut(id).pin_level(top);
+            singles[1].dvfs_mut().domain_mut(id).pin_level(top);
+            batch.dvfs_mut(2).domain_mut(id).set_min_level(top / 2);
+            singles[2].dvfs_mut().domain_mut(id).set_min_level(top / 2);
+        }
+        let game = FrameDemand::new(22.0e6, 6.0e6, 30.0e6).with_background(0.3e9, 0.1e9, 0.0);
+        let idle = FrameDemand::default();
+        let mut steps = vec![(0.025, vec![game; 3]); 400];
+        steps.extend(vec![(1.0, vec![idle; 3]); 180]);
+        steps.push((0.3725, vec![idle; 3]));
+        steps.extend(vec![(0.025, vec![game; 3]); 40]);
+        assert_lanes_match_singles(batch, singles, steps);
     }
 
     #[test]
@@ -840,13 +906,14 @@ mod tests {
         assert!(SocBatch::try_from_configs(&[]).is_err());
     }
 
-    /// Non-finite thermal parameters fail at construction, for a lone
-    /// device and for any lane of a batch, instead of turning every
-    /// temperature NaN a second into the run.
+    /// Non-finite thermal parameters and a non-finite or negative base
+    /// power fail at construction, for a lone device and for any lane of
+    /// a batch, instead of turning every temperature NaN a second into
+    /// the run (or, for a NaN power scale, silently zeroing the floor).
     #[test]
     fn non_finite_thermal_configs_are_rejected() {
         type Mutate = fn(&mut SocConfig);
-        let cases: [(&str, Mutate); 6] = [
+        let cases: [(&str, Mutate); 10] = [
             ("NaN ambient", |c| c.thermal.ambient_c = f64::NAN),
             ("+inf ambient", |c| c.thermal.ambient_c = f64::INFINITY),
             ("-inf ambient", |c| c.thermal.ambient_c = f64::NEG_INFINITY),
@@ -859,6 +926,14 @@ mod tests {
             ("NaN ambient conductance", |c| {
                 c.thermal.nodes[4].to_ambient_w_per_k = f64::NAN;
             }),
+            ("+inf base power", |c| {
+                c.platform.scale_base_power(f64::INFINITY);
+            }),
+            ("NaN base power", |c| c.platform.scale_base_power(f64::NAN)),
+            ("-inf base power", |c| {
+                c.platform.scale_base_power(f64::NEG_INFINITY);
+            }),
+            ("negative base power", |c| c.platform.scale_base_power(-0.5)),
         ];
         for (what, mutate) in cases {
             let mut bad = SocConfig::exynos9810();

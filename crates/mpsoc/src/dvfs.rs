@@ -137,6 +137,7 @@ impl DvfsController {
     /// entries read 0. `hz` is every domain's OPP ladder in Hz
     /// ([`hz_ladders`]), which a batch builds once and shares among its
     /// lanes.
+    #[inline]
     pub(crate) fn select_by_util(&mut self, utils: &[f64], hz: &[Vec<f64>]) {
         let boost_threshold = self.boost_threshold;
         for ((i, dom), ladder) in self.domains.iter_mut().enumerate().zip(hz) {
@@ -147,17 +148,20 @@ impl DvfsController {
                 top
             } else {
                 let target_hz = DEFAULT_UTIL_MARGIN * util * ladder[cur_level];
-                // First ladder index at or above the target. The ladder
-                // is strictly ascending, so that index equals the number
-                // of entries below the target — counted branchlessly
-                // (when no entry qualifies the count is the length, and
-                // the `min` falls back to the top level; a NaN target
-                // counts none, so it wants level 0).
-                let below = ladder.iter().map(|&h| usize::from(h < target_hz)).sum();
-                let want = usize::min(below, top);
-                if want < cur_level {
+                // The wanted level is the first ladder index at or above
+                // the target, or the top. The ladder ascends, so it lies
+                // below the current level exactly when the entry just
+                // below is not under the target (a NaN target included):
+                // then ramp down one level, else walk up from here.
+                #[allow(clippy::neg_cmp_op_on_partial_ord)]
+                let ramp_down = cur_level > 0 && !(ladder[cur_level - 1] < target_hz);
+                if ramp_down {
                     cur_level - 1
                 } else {
+                    let mut want = cur_level;
+                    while want < top && ladder[want] < target_hz {
+                        want += 1;
+                    }
                     want
                 }
             };
@@ -167,7 +171,7 @@ impl DvfsController {
 }
 
 /// Every domain's OPP frequencies in Hz, in platform order: the ladder
-/// [`DvfsController::select_by_util`] scans, built once per batch
+/// [`DvfsController::select_by_util`] walks, built once per batch
 /// instead of converting kHz per probe.
 pub(crate) fn hz_ladders(platform: &Platform) -> Vec<Vec<f64>> {
     platform
@@ -334,6 +338,18 @@ mod tests {
         }
         assert_eq!(ctl.current_khz(big()), 2_704_000);
         assert_eq!(ctl.current_khz(gpu()), 260_000);
+    }
+
+    /// A NaN utilisation makes a NaN target, which no OPP is under: a
+    /// domain above the bottom ramps down one level, one at the bottom
+    /// stays.
+    #[test]
+    fn nan_utilisation_ramps_down() {
+        let mut ctl = exynos9810();
+        ctl.domain_mut(big()).force_level(5);
+        select(&mut ctl, &[f64::NAN, f64::NAN, f64::NAN]);
+        assert_eq!(ctl.domain(big()).current_level(), 4);
+        assert_eq!(ctl.domain(gpu()).current_level(), 0);
     }
 
     #[test]

@@ -172,6 +172,7 @@ impl ExecutionPlan {
 ///
 /// Panics if `opps` is shorter than the platform's domain count.
 #[must_use]
+#[inline]
 pub fn plan(demand: &FrameDemand, opps: &[Opp], platform: &Platform) -> ExecutionPlan {
     let n = platform.n_domains();
     let mut stage_time_s = PerDomain::new(n);

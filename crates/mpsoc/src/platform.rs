@@ -170,8 +170,11 @@ impl Platform {
     }
 
     /// Scales the platform power floor (fleet silicon/power binning).
+    /// The product is checked where a device is built:
+    /// [`SocBatch::try_from_configs`](crate::SocBatch::try_from_configs)
+    /// rejects a floor that is negative or not finite.
     pub fn scale_base_power(&mut self, k: f64) {
-        self.base_power_w *= k.max(0.0);
+        self.base_power_w *= k;
     }
 
     /// OPP-ladder length of every domain, in platform order.

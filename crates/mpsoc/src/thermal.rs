@@ -263,12 +263,6 @@ impl ThermalConfig {
                 )));
             }
         }
-        let total_ambient: f64 = self.nodes.iter().map(|n| n.to_ambient_w_per_k).sum();
-        if total_ambient <= 0.0 {
-            return Err(Error::InvalidConfig(
-                "no path to ambient: temperatures would grow without bound".to_owned(),
-            ));
-        }
         for e in &self.edges {
             if e.a >= self.nodes.len() || e.b >= self.nodes.len() || e.a == e.b {
                 return Err(Error::InvalidConfig(format!(
@@ -287,6 +281,31 @@ impl ThermalConfig {
             return Err(Error::InvalidConfig(
                 "board/skin node out of range".to_owned(),
             ));
+        }
+        // Every node needs an edge path to a node that conducts to
+        // ambient: heat injected anywhere else has no way out. Spread
+        // "drains" along the edges until nothing changes.
+        let mut drains: Vec<bool> = self
+            .nodes
+            .iter()
+            .map(|n| n.to_ambient_w_per_k > 0.0)
+            .collect();
+        let mut spreading = true;
+        while spreading {
+            spreading = false;
+            for e in &self.edges {
+                if drains[e.a] != drains[e.b] {
+                    drains[e.a] = true;
+                    drains[e.b] = true;
+                    spreading = true;
+                }
+            }
+        }
+        if let Some(i) = drains.iter().position(|&d| !d) {
+            return Err(Error::InvalidConfig(format!(
+                "node {i} '{}' has no path to ambient: its temperature would grow without bound",
+                self.nodes[i].name
+            )));
         }
         Ok(())
     }
@@ -322,8 +341,23 @@ pub(crate) fn max_stable_dt(config: &ThermalConfig) -> f64 {
     max_stable_dt_s
 }
 
+/// Forward-Euler sub-steps for a step of `dt_s` seconds: the step count
+/// and the sub-step length `h`, with `steps · h = dt_s` and `h` no
+/// longer than `max_stable_dt_s`. A step that is not positive takes no
+/// sub-steps.
+pub(crate) fn substeps(max_stable_dt_s: f64, dt_s: f64) -> (usize, f64) {
+    if dt_s <= 0.0 {
+        return (0, 0.0);
+    }
+    let steps = (dt_s / max_stable_dt_s).ceil().max(1.0);
+    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+    let steps_usize = if steps.is_finite() { steps as usize } else { 1 };
+    (steps_usize, dt_s / steps)
+}
+
 /// The width-parameterised forward-Euler kernel: advances `width` lanes
-/// sharing one network *structure* (nodes/edges) by `dt_s` seconds.
+/// sharing one network *structure* (nodes/edges) by `steps` sub-steps of
+/// `h` seconds (see [`substeps`]).
 ///
 /// `temps_c`, `power_w` and the `flux` scratch are node-major,
 /// lane-contiguous arrays indexed `node * width + lane`, each at least
@@ -335,28 +369,20 @@ pub(crate) fn max_stable_dt(config: &ThermalConfig) -> f64 {
 /// across lanes and is bit-invisible in the results. This is the single
 /// thermal physics implementation; [`crate::batch::SocBatch`] calls it
 /// at every width.
-#[allow(clippy::too_many_arguments)]
+#[inline]
 pub(crate) fn step_lanes(
     config: &ThermalConfig,
-    max_stable_dt_s: f64,
     width: usize,
     temps_c: &mut [f64],
     power_w: &[f64],
     ambient_c: &[f64],
     flux: &mut [f64],
-    dt_s: f64,
+    (steps, h): (usize, f64),
 ) {
-    if dt_s <= 0.0 {
-        return;
-    }
-    let steps = (dt_s / max_stable_dt_s).ceil().max(1.0);
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    let steps_usize = if steps.is_finite() { steps as usize } else { 1 };
-    let h = dt_s / steps;
     // Lanes outermost: at the widths the simulator runs (one device, or
     // a day's few governors) this beats per-node lane slices, whose
     // short vectorised loops cost more to enter than they save.
-    for _ in 0..steps_usize {
+    for _ in 0..steps {
         for (lane, &t_amb) in ambient_c[..width].iter().enumerate() {
             // Each node's own terms accumulate in a register, from zero:
             // `0.0 + P − G·(T − T_amb)`. The edges then add their flows.
@@ -420,13 +446,12 @@ mod tests {
             let mut flux = vec![0.0; self.temps_c.len()];
             step_lanes(
                 &self.config,
-                self.max_stable_dt_s,
                 1,
                 &mut self.temps_c,
                 power_w,
                 &[self.config.ambient_c],
                 &mut flux,
-                dt_s,
+                substeps(self.max_stable_dt_s, dt_s),
             );
         }
 
@@ -583,6 +608,61 @@ mod tests {
             skin_node: 0,
         };
         assert!(empty.validate().is_err());
+    }
+
+    /// Every node must reach a node with an ambient conductance over
+    /// the edges; the error names the first node that cannot.
+    #[test]
+    fn nodes_without_a_path_to_ambient_are_rejected() {
+        // Nodes (name, ambient conductance) added to the 9810 network as
+        // nodes 5, 6, …, the edges added, and the node the error names.
+        type Case = (
+            &'static [(&'static str, f64)],
+            &'static [(NodeId, NodeId)],
+            Option<&'static str>,
+        );
+        let cases: [Case; 6] = [
+            (&[], &[], None),
+            (&[("loose", 0.0)], &[], Some("node 5 'loose'")),
+            (
+                &[("isle", 0.0), ("isle-b", 0.0)],
+                &[(5, 6)],
+                Some("node 5 'isle'"),
+            ),
+            (&[("vented", 0.1)], &[], None),
+            (
+                &[("a", 0.0), ("b", 0.0), ("vent", 0.2)],
+                &[(5, 6), (6, 7)],
+                None,
+            ),
+            (&[("shield", 0.0)], &[(5, node::GPU)], None),
+        ];
+        for (nodes, edges, rejected) in cases {
+            let mut cfg = ThermalConfig::exynos9810(21.0);
+            cfg.nodes.extend(nodes.iter().map(|&(name, g)| NodeConfig {
+                name: name.to_owned(),
+                capacitance_j_per_k: 2.0,
+                to_ambient_w_per_k: g,
+            }));
+            cfg.edges.extend(edges.iter().map(|&(a, b)| EdgeConfig {
+                a,
+                b,
+                conductance_w_per_k: 0.3,
+            }));
+            match (cfg.validate(), rejected) {
+                (Ok(()), None) => {}
+                (Err(Error::InvalidConfig(msg)), Some(name)) => {
+                    assert!(msg.contains(name), "{nodes:?}: must name {name}: {msg}");
+                    assert!(msg.contains("no path to ambient"), "{nodes:?}: {msg}");
+                }
+                (got, want) => panic!("{nodes:?} {edges:?}: got {got:?}, want {want:?}"),
+            }
+        }
+        // Without the skin's ambient conductance nothing drains.
+        let mut cfg = ThermalConfig::exynos9810(21.0);
+        cfg.nodes[node::SKIN].to_ambient_w_per_k = 0.0;
+        let err = cfg.validate().expect_err("no ambient path").to_string();
+        assert!(err.contains("node 0 'big' has no path to ambient"), "{err}");
     }
 
     #[test]

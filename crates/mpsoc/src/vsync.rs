@@ -10,6 +10,12 @@
 //! The pipeline applies renderer back-pressure: with both back buffers
 //! full the renderer stalls, so production can never run more than two
 //! frames ahead of the display.
+//!
+//! A tick cuts its interval at every VSync boundary it reaches. Each
+//! slice first renders, then its boundary presents a queued frame or
+//! repeats the front buffer. One loop does both, with the phase, queue
+//! and render progress in local variables: a screen-off second between
+//! pickups is about 60 such slices, and a 25 ms session tick one or two.
 
 /// Number of back buffers in the Android-style swap chain.
 pub const BACK_BUFFERS: u32 = 2;
@@ -91,6 +97,7 @@ impl VsyncPipeline {
     ///
     /// Panics unless `dt_s` is finite: an infinite interval would slice
     /// VSync periods forever.
+    #[inline]
     pub fn tick(&mut self, dt_s: f64, frame_period_s: Option<f64>) -> VsyncOutput {
         assert!(
             dt_s.is_finite(),
@@ -101,52 +108,42 @@ impl VsyncPipeline {
             return out;
         }
         let vsync_period = 1.0 / self.refresh_hz;
+        let mut to_next = self.to_next_vsync_s;
+        let mut queued = self.queued;
+        let mut progress = self.render_progress;
         let mut remaining = dt_s;
-        while remaining > 0.0 {
-            let slice = remaining.min(self.to_next_vsync_s);
-            self.render(slice, frame_period_s);
-            self.to_next_vsync_s -= slice;
-            remaining -= slice;
-            if self.to_next_vsync_s <= 1e-12 {
-                // VSync boundary.
-                out.vsyncs += 1;
-                if self.queued > 0 {
-                    self.queued -= 1;
-                    out.presented += 1;
-                } else {
-                    out.repeated += 1;
-                }
-                self.to_next_vsync_s = vsync_period;
-            }
-        }
-        out
-    }
-
-    /// Renders for `dt_s` seconds, filling back buffers subject to
-    /// back-pressure.
-    fn render(&mut self, dt_s: f64, frame_period_s: Option<f64>) {
-        let Some(period) = frame_period_s else {
-            return;
-        };
-        if period <= 0.0 {
-            // Instantaneous rendering: fill the queue.
-            self.queued = BACK_BUFFERS;
-            self.render_progress = 0.0;
-            return;
-        }
-        let mut budget = dt_s / period; // frames' worth of work
-        while budget > 0.0 && self.queued < BACK_BUFFERS {
-            let need = 1.0 - self.render_progress;
-            if budget >= need {
-                budget -= need;
-                self.render_progress = 0.0;
-                self.queued += 1;
+        loop {
+            // A slice that reaches the boundary leaves exactly `0.0`
+            // before it, so it always fires; the last, shorter slice
+            // fires only when it ends within 1e-12 s of the boundary.
+            if remaining >= to_next {
+                render(to_next, frame_period_s, &mut queued, &mut progress);
+                remaining -= to_next;
             } else {
-                self.render_progress += budget;
-                budget = 0.0;
+                render(remaining, frame_period_s, &mut queued, &mut progress);
+                to_next -= remaining;
+                if to_next > 1e-12 {
+                    break;
+                }
+                remaining = 0.0;
+            }
+            // VSync boundary.
+            out.vsyncs += 1;
+            if queued > 0 {
+                queued -= 1;
+                out.presented += 1;
+            } else {
+                out.repeated += 1;
+            }
+            to_next = vsync_period;
+            if remaining <= 0.0 {
+                break;
             }
         }
-        // Any leftover budget is lost to the stall (back-pressure).
+        self.to_next_vsync_s = to_next;
+        self.queued = queued;
+        self.render_progress = progress;
+        out
     }
 
     /// Discards queued frames and render progress (e.g. app switch).
@@ -162,9 +159,148 @@ impl Default for VsyncPipeline {
     }
 }
 
+/// Renders for `dt_s` seconds into the `queued` back buffers and the
+/// `progress` (0..1) of the frame being drawn, subject to
+/// back-pressure.
+#[inline]
+fn render(dt_s: f64, frame_period_s: Option<f64>, queued: &mut u32, progress: &mut f64) {
+    let Some(period) = frame_period_s else {
+        return;
+    };
+    if period <= 0.0 {
+        // Instantaneous rendering: fill the queue.
+        *queued = BACK_BUFFERS;
+        *progress = 0.0;
+        return;
+    }
+    let mut budget = dt_s / period; // frames' worth of work
+    while budget > 0.0 && *queued < BACK_BUFFERS {
+        let need = 1.0 - *progress;
+        if budget >= need {
+            budget -= need;
+            *progress = 0.0;
+            *queued += 1;
+        } else {
+            *progress += budget;
+            budget = 0.0;
+        }
+    }
+    // Any leftover budget is lost to the stall (back-pressure).
+}
+
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+
+    /// The oracle: the tick as a `min`-picked slice per pass, rendering
+    /// and VSync accounting on the pipeline's own fields.
+    fn reference_tick(
+        pipe: &mut VsyncPipeline,
+        dt_s: f64,
+        frame_period_s: Option<f64>,
+    ) -> VsyncOutput {
+        let mut out = VsyncOutput::default();
+        if dt_s <= 0.0 {
+            return out;
+        }
+        let vsync_period = 1.0 / pipe.refresh_hz;
+        let mut remaining = dt_s;
+        while remaining > 0.0 {
+            let slice = remaining.min(pipe.to_next_vsync_s);
+            reference_render(pipe, slice, frame_period_s);
+            pipe.to_next_vsync_s -= slice;
+            remaining -= slice;
+            if pipe.to_next_vsync_s <= 1e-12 {
+                out.vsyncs += 1;
+                if pipe.queued > 0 {
+                    pipe.queued -= 1;
+                    out.presented += 1;
+                } else {
+                    out.repeated += 1;
+                }
+                pipe.to_next_vsync_s = vsync_period;
+            }
+        }
+        out
+    }
+
+    /// The oracle's renderer, on the pipeline's own fields.
+    fn reference_render(pipe: &mut VsyncPipeline, dt_s: f64, frame_period_s: Option<f64>) {
+        let Some(period) = frame_period_s else {
+            return;
+        };
+        if period <= 0.0 {
+            pipe.queued = BACK_BUFFERS;
+            pipe.render_progress = 0.0;
+            return;
+        }
+        let mut budget = dt_s / period;
+        while budget > 0.0 && pipe.queued < BACK_BUFFERS {
+            let need = 1.0 - pipe.render_progress;
+            if budget >= need {
+                budget -= need;
+                pipe.render_progress = 0.0;
+                pipe.queued += 1;
+            } else {
+                pipe.render_progress += budget;
+                budget = 0.0;
+            }
+        }
+    }
+
+    proptest! {
+        /// The tick equals the oracle bit for bit — the output, and the
+        /// phase, queue and render progress after every tick — from
+        /// random starting states, for frameless, instantaneous and
+        /// timed renderers, over session ticks, 1 s gap ticks, gap
+        /// tails, 2e-9 s slivers, ticks longer than the FPS window,
+        /// exact VSync periods and ticks that end within 2e-12 s of a
+        /// boundary (either side of the 1e-12 s tolerance).
+        #[test]
+        fn tick_matches_the_min_sliced_oracle(
+            refresh in (0usize..3).prop_map(|k| [60.0, 90.0, 120.0][k]),
+            start in (0.0f64..1.0, 0u32..3, 0.0f64..1.0),
+            ticks in proptest::collection::vec(
+                (0usize..7, 0.0f64..1.0, 0usize..4, 1e-4f64..0.2),
+                1..40,
+            ),
+        ) {
+            let (phase, queued, progress) = start;
+            let mut pipe = VsyncPipeline::new(refresh);
+            pipe.to_next_vsync_s = (1.0 - phase) / refresh;
+            pipe.queued = queued;
+            pipe.render_progress = progress;
+            let mut oracle = pipe.clone();
+            for (t, &(kind, frac, renderer, period)) in ticks.iter().enumerate() {
+                let dt = match kind {
+                    0 => 0.025,
+                    1 => 1.0,
+                    2 => frac,
+                    3 => 2e-9,
+                    4 => 0.5 + 4.5 * frac,
+                    5 => 1.0 / refresh,
+                    _ => pipe.to_next_vsync_s - 2e-12 * frac,
+                };
+                let frame_period = [None, Some(0.0), Some(period), Some(1.0 / refresh)][renderer];
+                let got = pipe.tick(dt, frame_period);
+                let want = reference_tick(&mut oracle, dt, frame_period);
+                prop_assert_eq!(got, want, "tick {} of {} s", t, dt);
+                prop_assert_eq!(
+                    pipe.to_next_vsync_s.to_bits(),
+                    oracle.to_next_vsync_s.to_bits(),
+                    "tick {} phase", t
+                );
+                prop_assert_eq!(pipe.queued, oracle.queued, "tick {} queue", t);
+                prop_assert_eq!(
+                    pipe.render_progress.to_bits(),
+                    oracle.render_progress.to_bits(),
+                    "tick {} render progress", t
+                );
+            }
+        }
+    }
 
     #[test]
     fn fast_renderer_hits_refresh_rate() {
