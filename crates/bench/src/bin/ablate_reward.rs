@@ -7,7 +7,8 @@
 //! * pure PPDW (the paper's literal Eq. 4 reward, no target term),
 //! * no headroom shaping,
 //! * no QoS guard,
-//! * no target hysteresis.
+//! * no target hysteresis (`target_decay = 0`: the target follows the
+//!   window mode down as well as up).
 
 use governors::Schedutil;
 use next_core::NextConfig;
@@ -66,12 +67,8 @@ fn main() {
     run("no-qos-guard", no_guard, &mut table, &sched.summary);
 
     let mut no_hysteresis = NextConfig::paper();
-    no_hysteresis.target_decay = 1.0;
+    no_hysteresis.target_decay = 0.0;
     run("no-hysteresis", no_hysteresis, &mut table, &sched.summary);
-
-    let mut double_q = NextConfig::paper();
-    double_q.double_q = true;
-    run("double-q", double_q, &mut table, &sched.summary);
 
     println!("{}", table.render());
     println!("# expected shape: pure-ppdw and no-qos-guard sacrifice FPS for power;");

@@ -25,7 +25,7 @@ use qlearn::policy::EpsilonGreedy;
 use qlearn::qtable::{DenseQTable, QTable, StateKey};
 use qlearn::QLearning;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use crate::action::Action;
 use crate::frame_window::FrameWindow;
@@ -54,7 +54,8 @@ pub struct NextConfig {
     /// down. The mode of the agent's own delivered FPS is
     /// self-referential — without damping, a transient dip can drag the
     /// target (and then the caps) into a death spiral. Raising is
-    /// instant; 1.0 disables damping (ablation).
+    /// instant. 0.0 disables damping (the target follows the mode; the
+    /// ablation case), and 1.0 damps fully (the target never falls).
     pub target_decay: f64,
     /// Q-learning rate α.
     pub alpha: f64,
@@ -80,12 +81,6 @@ pub struct NextConfig {
     /// the learner has no gradient towards tighter caps until a cap
     /// happens to bind. Set 0 to disable (ablation).
     pub headroom_weight: f64,
-    /// Use double Q-learning (van Hasselt 2010): two tables, each
-    /// bootstrapping through the other's estimate, which removes the
-    /// max-operator's systematic over-estimation under reward noise.
-    /// Control uses the combined estimate. Ablated in the bench
-    /// harness.
-    pub double_q: bool,
     /// QoS guard: when the delivered FPS stays below `0.7 · target` for
     /// `qos_guard_s` seconds (and the target is a real QoS demand,
     /// ≥ 15 FPS), every `maxfreq` cap is re-opened and learning resumes
@@ -119,7 +114,6 @@ impl NextConfig {
             ambient_c: mpsoc::DEFAULT_AMBIENT_C,
             fps_weight: 2.0,
             headroom_weight: 0.4,
-            double_q: false,
             qos_guard_s: 3.0,
             seed: 0x5eed,
         }
@@ -182,7 +176,7 @@ pub struct TrainingStats {
 
 /// The Next agent.
 ///
-/// The Q-tables are generic over the [`QStore`] backend. The default is
+/// The Q-table is generic over the [`QStore`] backend. The default is
 /// the dense-indexed arena: the control loop's argmax and update cost
 /// one row-index probe and touch one contiguous row per invocation,
 /// instead of probing once per action, and the index grows with the
@@ -194,8 +188,6 @@ pub struct TrainingStats {
 pub struct NextAgent<S: QStore = DenseStore> {
     config: NextConfig,
     encoder: StateEncoder,
-    /// Action-space size of the platform (`3m`).
-    n_actions: usize,
     /// The platform's DVFS-domain count (`m`).
     n_domains: usize,
     /// Sum of the platform's top cap levels — normalises the headroom
@@ -203,8 +195,6 @@ pub struct NextAgent<S: QStore = DenseStore> {
     headroom_norm: f64,
     window: FrameWindow,
     table: QTable<S>,
-    /// Second table for double Q-learning (None in single-Q mode).
-    table_b: Option<QTable<S>>,
     learner: QLearning,
     policy: EpsilonGreedy,
     rng: StdRng,
@@ -311,28 +301,26 @@ impl<S: QStore> NextAgent<S> {
         table: QTable<S>,
         training: bool,
     ) -> Self {
-        let n_actions = config.platform.action_count();
-        assert_eq!(table.n_actions(), n_actions, "table action count mismatch");
+        assert_eq!(
+            table.n_actions(),
+            config.platform.action_count(),
+            "table action count mismatch"
+        );
         let policy = if training {
             EpsilonGreedy::new(config.epsilon0, config.epsilon_decay, config.epsilon_min)
         } else {
             EpsilonGreedy::greedy()
         };
-        let table_b = config
-            .double_q
-            .then(|| QTable::empty(n_actions, Self::OPTIMISTIC_Q));
         // A platform of single-level ladders has zero steppable cap
         // range; floor at 1 so the (always-zero) headroom term divides
         // cleanly instead of poisoning the reward with NaN.
         let headroom_norm = config.platform.cap_level_sum().max(1) as f64;
         NextAgent {
             encoder,
-            n_actions,
             n_domains: config.platform.n_domains(),
             headroom_norm,
             window: FrameWindow::new(config.window_samples),
             table,
-            table_b,
             learner: QLearning::new(config.alpha, config.gamma),
             policy,
             rng: StdRng::seed_from_u64(config.seed),
@@ -405,15 +393,10 @@ impl<S: QStore> NextAgent<S> {
         &self.table
     }
 
-    /// Consumes the agent, returning the learned table. In double-Q
-    /// mode the two tables are merged (visit-weighted average), which
-    /// preserves the greedy ordering of the combined estimate.
+    /// Consumes the agent, returning the learned table.
     #[must_use]
     pub fn into_table(self) -> QTable<S> {
-        match self.table_b {
-            None => self.table,
-            Some(b) => qlearn::federated::merge(&[&self.table, &b]),
-        }
+        self.table
     }
 
     /// Records one 25 ms FPS sample into the frame window.
@@ -544,9 +527,6 @@ impl<S: QStore> NextAgent<S> {
         for action in Action::all(self.n_domains) {
             let bias = Self::prior_bias(action, state, self.target_fps);
             self.table.set(key, action.index(), v_hat * (1.0 + bias));
-            if let Some(b) = &mut self.table_b {
-                b.set(key, action.index(), v_hat * (1.0 + bias));
-            }
         }
         true
     }
@@ -603,22 +583,17 @@ impl<S: QStore> NextAgent<S> {
                 // their estimates (and the TD noise) settle.
                 let visits = self.table.visits(ps, pa) as f64;
                 let alpha = (self.config.alpha / (1.0 + 0.05 * visits)).max(0.02);
-                let (td, q_before) = if self.table_b.is_some() {
-                    self.double_q_update(ps, pa, reward, key, alpha)
-                } else {
-                    let q_before = self.table.q(ps, pa);
-                    let td = reward + self.learner.gamma() * self.table.max_q(key) - q_before;
-                    self.learner
-                        .update_with_alpha(&mut self.table, ps, pa, reward, key, alpha);
-                    (td, q_before)
-                };
+                let q_before = self.table.q(ps, pa);
+                let td = reward + self.learner.gamma() * self.table.max_q(key) - q_before;
+                self.learner
+                    .update_with_alpha(&mut self.table, ps, pa, reward, key, alpha);
                 self.track_convergence(td, q_before);
             }
-            let a = self.choose_action(key);
+            let a = self.policy.choose(&mut self.rng, &self.table, key);
             self.policy.step();
             a
         } else if self.table.contains(key) {
-            self.choose_action(key)
+            self.policy.choose(&mut self.rng, &self.table, key)
         } else {
             // State never met during training: fall back to the
             // heuristic base controller (argmax of the priors).
@@ -639,59 +614,6 @@ impl<S: QStore> NextAgent<S> {
             });
         }
         self.stats.sim_time_s += Self::CONTROL_PERIOD_S;
-    }
-
-    /// ε-greedy action choice over the active estimate (single table,
-    /// or the combined `Q_A + Q_B` in double-Q mode).
-    fn choose_action(&mut self, key: StateKey) -> usize {
-        match &self.table_b {
-            None => self.policy.choose(&mut self.rng, &self.table, key),
-            Some(b) => {
-                if self.policy.epsilon() > 0.0
-                    && self.rng.gen_range(0.0..1.0) < self.policy.epsilon()
-                {
-                    return self.rng.gen_range(0..self.n_actions);
-                }
-                let mut best = 0;
-                let mut best_v = self.table.q(key, 0) + b.q(key, 0);
-                for a in 1..self.n_actions {
-                    let v = self.table.q(key, a) + b.q(key, a);
-                    if v > best_v {
-                        best = a;
-                        best_v = v;
-                    }
-                }
-                best
-            }
-        }
-    }
-
-    /// One double-Q update (van Hasselt): a fair coin picks the table
-    /// to update; the bootstrap is the *other* table's estimate at the
-    /// updated table's greedy action. Returns `(td, q_before)`.
-    fn double_q_update(
-        &mut self,
-        state: StateKey,
-        action: usize,
-        reward: f64,
-        next_state: StateKey,
-        alpha: f64,
-    ) -> (f64, f64) {
-        // qlint::allow(PN01, reason = "only called from the double-Q branch, which requires table_b")
-        let b = self.table_b.as_mut().expect("double-Q mode");
-        let gamma = self.learner.gamma();
-        let coin = self.rng.gen_range(0.0..1.0) < 0.5;
-        let (primary, other): (&mut QTable<S>, &QTable<S>) = if coin {
-            (&mut self.table, b)
-        } else {
-            (b, &self.table)
-        };
-        let greedy = primary.best_action(next_state).0;
-        let bootstrap = other.q(next_state, greedy);
-        let q_before = primary.q(state, action);
-        let td = reward + gamma * bootstrap - q_before;
-        primary.set(state, action, q_before + alpha * td);
-        (td, q_before)
     }
 
     fn track_convergence(&mut self, td: f64, q_before: f64) {
@@ -981,38 +903,6 @@ mod tests {
             qlearn::encode_table(agent.table())
         };
         assert_eq!(mk(), mk());
-    }
-
-    #[test]
-    fn double_q_mode_trains_and_is_deterministic() {
-        let mut config = NextConfig::paper().with_seed(21);
-        config.double_q = true;
-        let run = |config: NextConfig| {
-            let mut agent = NextAgent::new(config);
-            let mut soc = Soc::new(SocConfig::exynos9810());
-            run_loop(&mut agent, &mut soc, &ui_demand(), 30.0);
-            assert!(agent.stats().updates > 200);
-            qlearn::encode_table(&agent.into_table())
-        };
-        let a = run(config.clone());
-        let b = run(config);
-        assert_eq!(a, b, "double-Q training must be seed-deterministic");
-    }
-
-    #[test]
-    fn double_q_merged_table_usable_for_inference() {
-        let mut config = NextConfig::paper();
-        config.double_q = true;
-        let mut agent = NextAgent::new(config);
-        let mut soc = Soc::new(SocConfig::exynos9810());
-        run_loop(&mut agent, &mut soc, &ui_demand(), 60.0);
-        let merged = agent.into_table();
-        assert!(!merged.is_empty());
-        // The merged table drives a plain single-table agent.
-        let mut infer = NextAgent::with_table(NextConfig::paper(), merged, false);
-        let mut soc2 = Soc::new(SocConfig::exynos9810());
-        let p = run_loop(&mut infer, &mut soc2, &ui_demand(), 20.0);
-        assert!(p > 0.5 && p.is_finite());
     }
 
     #[test]

@@ -224,10 +224,11 @@ impl SocBatch {
     ///
     /// Returns [`Error::InvalidConfig`] on an empty cohort, a
     /// non-positive refresh rate, an invalid thermal network, a
-    /// non-finite ambient temperature or a negative or non-finite
-    /// platform base power on any lane (the error names the lane), a
-    /// domain referencing a thermal node outside the network, or when
-    /// the lanes diverge structurally.
+    /// non-finite ambient temperature, a NaN throttle trip point, a
+    /// negative or non-finite throttle hysteresis or a negative or
+    /// non-finite platform base power on any lane (the error names the
+    /// lane), a domain referencing a thermal node outside the network,
+    /// or when the lanes diverge structurally.
     #[allow(clippy::too_many_lines)]
     pub fn try_from_configs(configs: &[SocConfig]) -> Result<Self> {
         let first = configs
@@ -239,14 +240,14 @@ impl SocBatch {
                     "refresh rate must be positive".to_owned(),
                 ));
             }
-            // Every lane's network is checked, not only lane 0's: ambient
-            // varies per lane, and the structural comparison below would
-            // misreport a NaN parameter as a divergence.
-            cfg.thermal
-                .validate()
-                .map_err(|Error::InvalidConfig(msg)| {
-                    Error::InvalidConfig(format!("lane {lane}: {msg}"))
-                })?;
+            // Every lane's network and throttle are checked, not only
+            // lane 0's: ambient varies per lane, and the structural
+            // comparison below would misreport a NaN parameter as a
+            // divergence.
+            let in_lane =
+                |Error::InvalidConfig(msg)| Error::InvalidConfig(format!("lane {lane}: {msg}"));
+            cfg.thermal.validate().map_err(in_lane)?;
+            cfg.throttle.validate().map_err(in_lane)?;
             let base_w = cfg.platform.base_power_w();
             if !(base_w >= 0.0 && base_w.is_finite()) {
                 return Err(Error::InvalidConfig(format!(
@@ -946,6 +947,58 @@ mod tests {
             assert!(err.contains("lane 1"), "{what}: must name lane 1: {err}");
             assert!(!err.contains("diverges"), "{what}: misreported: {err}");
         }
+    }
+
+    /// A NaN trip point, or a NaN, infinite or negative hysteresis,
+    /// fails at construction with an error naming the lane and the
+    /// field, not as a lane diverging from itself. An infinite trip
+    /// point is legal: the domain never trips.
+    #[test]
+    fn invalid_throttle_configs_are_rejected() {
+        type Mutate = fn(&mut SocConfig);
+        let cases: [(&str, Mutate, &str); 5] = [
+            (
+                "NaN trip point",
+                |c| c.throttle.trip_c[1] = f64::NAN,
+                "trip_c[1]",
+            ),
+            (
+                "NaN hysteresis",
+                |c| c.throttle.hysteresis_c = f64::NAN,
+                "hysteresis_c",
+            ),
+            (
+                "+inf hysteresis",
+                |c| c.throttle.hysteresis_c = f64::INFINITY,
+                "hysteresis_c",
+            ),
+            (
+                "-inf hysteresis",
+                |c| c.throttle.hysteresis_c = f64::NEG_INFINITY,
+                "hysteresis_c",
+            ),
+            (
+                "negative hysteresis",
+                |c| c.throttle.hysteresis_c = -0.5,
+                "hysteresis_c",
+            ),
+        ];
+        for (what, mutate, field) in cases {
+            let mut bad = SocConfig::exynos9810();
+            mutate(&mut bad);
+            let err = Soc::try_new(bad.clone()).expect_err(what).to_string();
+            assert!(err.contains(field), "{what}: must name {field}: {err}");
+            let err = SocBatch::try_from_configs(&[SocConfig::exynos9810(), bad])
+                .expect_err(what)
+                .to_string();
+            assert!(err.contains("lane 1"), "{what}: must name lane 1: {err}");
+            assert!(err.contains(field), "{what}: must name {field}: {err}");
+        }
+
+        let mut never_trips = SocConfig::exynos9810();
+        never_trips.throttle.trip_c = vec![f64::INFINITY; 3];
+        assert!(Soc::try_new(never_trips.clone()).is_ok());
+        assert!(SocBatch::replicate(&never_trips, 2).is_ok());
     }
 
     #[test]

@@ -361,11 +361,6 @@ impl<T: Copy + Default> PerDomain<T> {
         }
         out
     }
-
-    /// Resets every live entry to `value`.
-    pub fn fill_with(&mut self, value: T) {
-        self.buf[..usize::from(self.len)].fill(value);
-    }
 }
 
 impl<T> Deref for PerDomain<T> {

@@ -16,6 +16,7 @@
 //! this module holds its configuration and the transition rule.
 
 use crate::platform::Platform;
+use crate::{Error, Result};
 
 /// Configuration of the thermal throttler.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,9 +24,10 @@ pub struct ThrottleConfig {
     /// Whether throttling is active.
     pub enabled: bool,
     /// Trip temperature per domain sensor, °C, in platform order.
-    /// Domains beyond the list never trip.
+    /// Domains beyond the list, and entries of `+inf`, never trip.
     pub trip_c: Vec<f64>,
-    /// Hysteresis below the trip before the clamp relaxes, °C.
+    /// Hysteresis below the trip before the clamp relaxes, °C (finite
+    /// and non-negative).
     pub hysteresis_c: f64,
 }
 
@@ -49,6 +51,24 @@ impl ThrottleConfig {
             trip_c: Vec::new(),
             hysteresis_c: 0.0,
         }
+    }
+
+    /// Rejects a NaN trip point and a hysteresis that is NaN, infinite
+    /// or negative. An infinite trip point is legal: the domain never
+    /// trips.
+    pub(crate) fn validate(&self) -> Result<()> {
+        if let Some(i) = self.trip_c.iter().position(|t| t.is_nan()) {
+            return Err(Error::InvalidConfig(format!(
+                "throttle trip_c[{i}] must be a temperature, got NaN"
+            )));
+        }
+        if !(self.hysteresis_c >= 0.0 && self.hysteresis_c.is_finite()) {
+            return Err(Error::InvalidConfig(format!(
+                "throttle hysteresis_c must be finite and non-negative, got {}",
+                self.hysteresis_c
+            )));
+        }
+        Ok(())
     }
 
     /// Trip temperature of the domain at platform index `domain`, °C

@@ -34,7 +34,7 @@ use crate::backend::{DenseStore, KeyHashBuilder, QStore, StateKey};
 use crate::overlay::OverlayStore;
 use crate::qtable::{DenseQTable, QTable};
 
-/// Error returned by the fallible merge entry points.
+/// Error returned by [`merge`] and by [`MergeAccumulator`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MergeError {
     /// No table was provided/folded — there is nothing to merge.
@@ -335,35 +335,19 @@ fn add_weighted<S: QStore>(store: &mut S, k: StateKey, values: &[f64], visits: &
 /// the first table's default.
 ///
 /// Streams through [`MergeAccumulator`] — bounded memory, one pass per
-/// table — and returns a typed error instead of panicking. Use
-/// [`merge`] when the inputs are known-good.
+/// table.
 ///
 /// # Errors
 ///
 /// Returns [`MergeError`] when `tables` is empty or the action counts
 /// disagree.
-pub fn try_merge<S: QStore>(tables: &[&QTable<S>]) -> Result<QTable<S>, MergeError> {
+pub fn merge<S: QStore>(tables: &[&QTable<S>]) -> Result<QTable<S>, MergeError> {
     let first = tables.first().ok_or(MergeError::NoTables)?;
     let mut acc = MergeAccumulator::new(first.n_actions(), first.default_q());
     for t in tables {
         acc.fold(t)?;
     }
     acc.finish()
-}
-
-/// Panicking convenience wrapper around [`try_merge`] for call sites
-/// with known-good inputs (the seed API).
-///
-/// # Panics
-///
-/// Panics if `tables` is empty or the action counts disagree.
-#[must_use]
-pub fn merge<S: QStore>(tables: &[&QTable<S>]) -> QTable<S> {
-    match try_merge(tables) {
-        Ok(t) => t,
-        // qlint::allow(PN01, reason = "documented panicking convenience wrapper; fallible callers use try_merge")
-        Err(e) => panic!("{e}"),
-    }
 }
 
 /// Timing model for cloud/offline training (Fig. 6).
@@ -452,7 +436,7 @@ mod tests {
     #[test]
     fn merge_single_table_is_identity_on_values() {
         let t = table_with(5, 1, 2.0, 3);
-        let merged = merge(&[&t]);
+        let merged = merge(&[&t]).unwrap();
         assert_eq!(merged.q(5, 1), 2.0);
         assert_eq!(merged.visits(5, 1), 3);
     }
@@ -463,7 +447,7 @@ mod tests {
         // with value 1 — the merge should sit near B.
         let a = table_with(0, 0, 0.0, 1);
         let b = table_with(0, 0, 1.0, 10);
-        let merged = merge(&[&a, &b]);
+        let merged = merge(&[&a, &b]).unwrap();
         let q = merged.q(0, 0);
         assert!((q - 10.0 / 11.0).abs() < 1e-12, "q {q}");
         assert_eq!(merged.visits(0, 0), 11);
@@ -473,7 +457,7 @@ mod tests {
     fn merge_unions_disjoint_states() {
         let a = table_with(1, 0, 1.0, 1);
         let b = table_with(2, 2, -1.0, 1);
-        let merged = merge(&[&a, &b]);
+        let merged = merge(&[&a, &b]).unwrap();
         assert_eq!(merged.len(), 2);
         assert_eq!(merged.q(1, 0), 1.0);
         assert_eq!(merged.q(2, 2), -1.0);
@@ -484,7 +468,7 @@ mod tests {
         let a = table_with(0, 0, -2.0, 4);
         let b = table_with(0, 0, 3.0, 2);
         let c = table_with(0, 0, 0.5, 1);
-        let merged = merge(&[&a, &b, &c]);
+        let merged = merge(&[&a, &b, &c]).unwrap();
         let q = merged.q(0, 0);
         assert!(
             (-2.0..=3.0).contains(&q),
@@ -493,32 +477,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "share the action space")]
-    fn merge_rejects_mismatched_actions() {
-        let a = QTable::new(2);
-        let b = QTable::new(3);
-        let _ = merge(&[&a, &b]);
-    }
-
-    #[test]
-    #[should_panic(expected = "zero tables")]
-    fn merge_rejects_empty_input() {
-        let _ = merge::<DenseStore>(&[]);
-    }
-
-    #[test]
-    fn try_merge_returns_typed_errors() {
-        assert_eq!(try_merge::<DenseStore>(&[]), Err(MergeError::NoTables));
+    fn merge_returns_typed_errors() {
+        assert_eq!(merge::<DenseStore>(&[]), Err(MergeError::NoTables));
         let a = QTable::new(2);
         let b = QTable::new(3);
         assert_eq!(
-            try_merge(&[&a, &b]),
+            merge(&[&a, &b]),
             Err(MergeError::ActionMismatch {
                 expected: 2,
                 got: 3
             })
         );
-        assert!(try_merge(&[&a]).is_ok());
+        assert!(merge(&[&a]).is_ok());
     }
 
     #[test]
@@ -588,7 +558,7 @@ mod tests {
         ];
         let refs: Vec<&QTable> = tables.iter().collect();
         let eager = merge_eager(&refs);
-        let streaming = merge(&refs);
+        let streaming = merge(&refs).unwrap();
         assert_eq!(streaming, eager);
         assert_eq!(
             encode_table(&streaming),
@@ -638,7 +608,7 @@ mod tests {
         let b = build(-0.5);
         let c = build(0.25);
         let refs = vec![&a, &b, &c];
-        assert_eq!(merge(&refs), merge_eager(&refs));
+        assert_eq!(merge(&refs).unwrap(), merge_eager(&refs));
     }
 
     #[test]
@@ -646,7 +616,7 @@ mod tests {
         let a = QTable::with_default_q(2, 7.5);
         let mut b = QTable::with_default_q(2, 7.5);
         b.set(3, 0, 1.0);
-        let merged = merge(&[&a, &b]);
+        let merged = merge(&[&a, &b]).unwrap();
         assert_eq!(merged.default_q(), 7.5);
         assert_eq!(merged.q(3, 1), 7.5, "unvisited sibling reads default");
         assert_eq!(merged.q(3, 0), 1.0);
@@ -807,7 +777,7 @@ mod tests {
         #[test]
         fn streaming_merge_matches_eager(a in arb_table(), b in arb_table(), c in arb_table()) {
             let refs = [&a, &b, &c];
-            prop_assert_eq!(encode_table(&merge(&refs)), encode_table(&merge_eager(&refs)));
+            prop_assert_eq!(encode_table(&merge(&refs).unwrap()), encode_table(&merge_eager(&refs)));
         }
     }
 }

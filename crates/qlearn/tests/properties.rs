@@ -75,7 +75,7 @@ proptest! {
     /// values for every visited state-action pair.
     #[test]
     fn merge_stays_in_convex_hull(a in arb_table(), b in arb_table(), c in arb_table()) {
-        let merged = merge(&[&a, &b, &c]);
+        let merged = merge(&[&a, &b, &c]).unwrap();
         for state in merged.state_keys() {
             for action in 0..9 {
                 if merged.visits(state, action) == 0 {
@@ -97,7 +97,7 @@ proptest! {
     /// Merged visit counts are the exact sums.
     #[test]
     fn merge_sums_visits(a in arb_table(), b in arb_table()) {
-        let merged = merge(&[&a, &b]);
+        let merged = merge(&[&a, &b]).unwrap();
         for state in merged.state_keys() {
             for action in 0..9 {
                 prop_assert_eq!(
@@ -112,7 +112,7 @@ proptest! {
     /// each immediately) gives the same result as the batch entry point.
     #[test]
     fn accumulator_fold_order_is_batch_merge(a in arb_table(), b in arb_table()) {
-        let batch = merge(&[&a, &b]);
+        let batch = merge(&[&a, &b]).unwrap();
         let mut acc = MergeAccumulator::new(9, a.default_q());
         acc.fold(&a).unwrap();
         drop(a);

@@ -68,19 +68,6 @@ impl Table {
     }
 }
 
-/// Renders a `(x, y)` series as CSV with a header, the format the fig
-/// binaries print so their output can be plotted directly.
-#[must_use]
-pub fn render_series(name: &str, x_label: &str, y_label: &str, points: &[(f64, f64)]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "# series: {name}");
-    let _ = writeln!(out, "{x_label},{y_label}");
-    for (x, y) in points {
-        let _ = writeln!(out, "{x:.3},{y:.4}");
-    }
-    out
-}
-
 /// Renders multiple aligned series sharing one x axis.
 ///
 /// # Panics
@@ -130,16 +117,6 @@ mod tests {
     fn row_arity_checked() {
         let mut t = Table::new("x", &["a", "b"]);
         t.push_row(vec!["only-one".into()]);
-    }
-
-    #[test]
-    fn series_csv_shape() {
-        let s = render_series("fig1", "time_s", "fps", &[(0.0, 60.0), (3.0, 42.5)]);
-        let lines: Vec<&str> = s.lines().collect();
-        assert_eq!(lines[0], "# series: fig1");
-        assert_eq!(lines[1], "time_s,fps");
-        assert_eq!(lines[2], "0.000,60.0000");
-        assert_eq!(lines.len(), 4);
     }
 
     #[test]

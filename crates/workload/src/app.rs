@@ -172,12 +172,6 @@ impl AppSession {
         &self.model
     }
 
-    /// Name of the currently active phase.
-    #[must_use]
-    pub fn phase_name(&self) -> &str {
-        &self.model.phases[self.phase].name
-    }
-
     /// Index of the currently active phase.
     #[must_use]
     pub fn phase_index(&self) -> usize {

@@ -21,7 +21,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::apps;
-use crate::user::{SessionLengthStats, UserModel};
+use crate::user::UserModel;
 
 /// SplitMix64 — derives independent, well-mixed seed streams from one
 /// master seed. The day generator's RNG streams and the campaign's
@@ -49,13 +49,11 @@ pub struct Persona {
     transitions: Vec<Vec<f64>>,
     /// Index of the day's first app.
     first: usize,
-    /// Session-length statistics of this archetype.
-    stats: SessionLengthStats,
 }
 
 impl Persona {
     /// Builds a persona over `apps` with the given first-app index and
-    /// transition matrix, on the stock Deloitte session statistics.
+    /// transition matrix.
     ///
     /// # Panics
     ///
@@ -98,16 +96,7 @@ impl Persona {
             apps: app_names.iter().map(|&a| a.to_owned()).collect(),
             transitions,
             first,
-            stats: SessionLengthStats::deloitte(),
         }
-    }
-
-    /// Overrides the persona's session-length statistics (normalised,
-    /// see [`SessionLengthStats::normalized`]).
-    #[must_use]
-    pub fn with_stats(mut self, stats: SessionLengthStats) -> Self {
-        self.stats = stats.normalized();
-        self
     }
 
     /// The persona's name.
@@ -120,12 +109,6 @@ impl Persona {
     #[must_use]
     pub fn apps(&self) -> &[String] {
         &self.apps
-    }
-
-    /// The persona's session-length statistics.
-    #[must_use]
-    pub fn stats(&self) -> SessionLengthStats {
-        self.stats
     }
 
     /// Heavy mobile gamer: long Lineage/PubG sessions chained with
@@ -474,8 +457,7 @@ impl DayPlan {
             panic!("{violation}");
         }
         let screen_on_budget = config.screen_on_budget_s();
-        let mut rng_len =
-            UserModel::new(splitmix64(seed ^ 0x5e55_10e5)).with_session_stats(persona.stats());
+        let mut rng_len = UserModel::new(splitmix64(seed ^ 0x5e55_10e5));
         let mut rng_app = StdRng::seed_from_u64(splitmix64(seed ^ 0xa995));
         let mut rng_gap = StdRng::seed_from_u64(splitmix64(seed ^ 0x6a95));
 

@@ -29,7 +29,6 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use next_mpsoc::bench::json::{parse_document, Json};
 use next_mpsoc::bench::{campaign as bench_campaign, day as bench_day, report};
 use next_mpsoc::governors::{self, IntQosPm, Schedutil};
 use next_mpsoc::next_core::{NextAgent, NextConfig};
@@ -637,10 +636,6 @@ fn cmd_campaign(flags: &Flags) -> Result<(), String> {
 
     let mode = if quick { "quick" } else { "full" };
     let text = bench_campaign::campaign_to_json(&report, mode).render();
-    debug_assert!(
-        parse_document(&text).is_ok(),
-        "campaign.json must round-trip its own schema"
-    );
     match flags.get("out") {
         Some(path) => {
             std::fs::write(path, format!("{text}\n"))
@@ -782,10 +777,6 @@ fn cmd_day(flags: &Flags) -> Result<(), String> {
 
     let mode = if quick { "quick" } else { "full" };
     let text = bench_day::days_to_json(&reports, mode).render();
-    debug_assert!(
-        parse_document(&text).is_ok(),
-        "day.json must round-trip its own schema"
-    );
     match flags.get("out") {
         Some(path) => {
             std::fs::write(path, format!("{text}\n"))
@@ -864,11 +855,7 @@ fn cmd_lint(flags: &Flags) -> Result<(), String> {
     let report = next_mpsoc::qlint::lint_workspace(std::path::Path::new(root))
         .map_err(|e| format!("walking {root}: {e}"))?;
     let text = match format {
-        "json" => {
-            let json = report.to_json().render();
-            debug_assert!(Json::parse(&json).is_ok(), "lint.json must be valid JSON");
-            format!("{json}\n")
-        }
+        "json" => format!("{}\n", report.to_json().render()),
         _ => report.render_text(),
     };
     // The artifact (or text report) is written even when the gate

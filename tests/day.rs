@@ -10,8 +10,7 @@
 //!    warm, and screen-off gaps burn idle (not zero) energy.
 
 use next_mpsoc::bench::day::days_to_json;
-use next_mpsoc::bench::json::parse_document;
-use next_mpsoc::bench::json::Json;
+use next_mpsoc::bench::json::{Json, SCHEMA_VERSION};
 use next_mpsoc::simkit::day::run_days;
 use next_mpsoc::simkit::PlatformPreset;
 use next_mpsoc::workload::{DayPlan, DayPlanConfig, Persona};
@@ -37,11 +36,11 @@ fn governors() -> Vec<String> {
 fn day_json_is_byte_identical_across_worker_counts() {
     let plans = test_plans();
     let preset = PlatformPreset::default();
-    let one = days_to_json(
+    let doc = days_to_json(
         &run_days(&plans, &governors(), &preset, 1.0, 30.0, 1),
         "test",
-    )
-    .render();
+    );
+    let one = doc.render();
     let many = days_to_json(
         &run_days(&plans, &governors(), &preset, 1.0, 30.0, 4),
         "test",
@@ -49,9 +48,11 @@ fn day_json_is_byte_identical_across_worker_counts() {
     .render();
     assert_eq!(one, many, "day.json must not depend on parallelism");
 
-    // And it is a valid current-schema document with the promised
-    // sections.
-    let doc = parse_document(&one).expect("day.json parses");
+    // And it is a current-schema document with the promised sections.
+    assert_eq!(
+        doc.get("schema").and_then(Json::as_u64),
+        Some(u64::from(SCHEMA_VERSION))
+    );
     let day = doc.get("day").expect("day section");
     let runs = day.get("runs").and_then(Json::as_array).expect("runs");
     assert_eq!(runs.len(), 4, "2 plans x 2 governors");

@@ -20,7 +20,7 @@ fn fleet_merge_produces_a_working_agent() {
         tables.push(out.agent.into_table());
     }
     let refs: Vec<&_> = tables.iter().collect();
-    let merged = merge(&refs);
+    let merged = merge(&refs).unwrap();
 
     // The union covers at least as many states as any single device.
     // Integration tests of the facade crate only see the workspace
@@ -68,7 +68,7 @@ fn cloud_model_matches_fig6_shape() {
 fn merging_identical_tables_is_idempotent_on_values() {
     let out = train_next_for_app("home", NextConfig::paper(), 9, 120.0);
     let table = out.agent.into_table();
-    let merged = merge(&[&table, &table]);
+    let merged = merge(&[&table, &table]).unwrap();
     for state in table.state_keys() {
         for action in 0..9 {
             let a = table.q(state, action);
